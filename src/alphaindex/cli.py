@@ -10,9 +10,12 @@ Verbs, one per module capability:
 * ``convert``    - graph6 stream passthrough with filtering and de-duplication
 
 Exit codes: 0 success / all checks passed, 1 verification violations,
-2 usage errors.  Identical invocations produce identical output; pass
-``--timings`` to include wall-clock milliseconds in reports (off by
-default, since timing is the one nondeterministic field).
+2 usage errors, 3 internal numerical failures (a power iteration that does
+not converge, or a batched eigenvalue that power iteration does not
+confirm), which say nothing about the claim under test.  Identical
+invocations produce identical output; pass ``--timings`` to include
+wall-clock milliseconds in reports (off by default, since timing is the
+one nondeterministic field).
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .enumeration import (
 from .families import build, parse_family
 from .graphs import Graph6Error, GraphError, emit_graph6, parse_graph6
 from .spectral import (
+    SpectralError,
     alpha_index,
     column_sum_certificate,
     lower_bound_max_degree,
@@ -396,6 +400,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.fn(args)
     except (GraphError, Graph6Error, EnumerationLimitError, ValueError) as exc:
         parser.exit(2, f"error: {exc}\n")
+    except SpectralError as exc:  # ConvergenceError included
+        parser.exit(3, f"internal error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from alphaindex import cli, harness
 from alphaindex.cli import main
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import complete_bipartite, cycle
+from alphaindex.spectral import ConvergenceError, SpectralError
 
 
 def run_cli(capsys, *argv):
@@ -90,6 +92,18 @@ def test_verify_lemmas_text(capsys):
     assert "lemma9: PASS" in out and "lemma10: PASS" in out
 
 
+def test_verify_spectral_lemmas_json(capsys):
+    code, out = run_cli(
+        capsys, "verify", "lemmas", "--targets", "lemma1,lemma2,lemma9,lemma10",
+        "--n-max", "5", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert [r["target"] for r in payload] == ["lemma1", "lemma2", "lemma9", "lemma10"]
+    assert all(r["passed"] for r in payload)
+    assert all(c["fallbacks"] == 0 for r in payload for c in r["case_results"])
+
+
 def test_verify_fact3_exits_nonzero(capsys):
     code, out = run_cli(capsys, "verify", "lemmas", "--targets", "fact3", "--format", "text")
     assert code == 1
@@ -154,6 +168,26 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate"])
     assert err.value.code == 2
+
+
+def test_internal_numerical_failure_exit_3(capsys, monkeypatch):
+    def stalled(*args, **kwargs):
+        raise ConvergenceError(1e-3, 10)
+
+    monkeypatch.setattr(cli, "alpha_index", stalled)
+    with pytest.raises(SystemExit) as err:
+        main(["rho", "--family", "K2,3", "--alpha", "0.5"])
+    assert err.value.code == 3
+    assert capsys.readouterr().err.startswith("internal error: power iteration stalled")
+
+    def unconfirmed(*args, **kwargs):
+        raise SpectralError("batched rho disagrees with power iteration")
+
+    monkeypatch.setattr(harness, "alpha_indices", unconfirmed)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "theorem1.3", "--n", "5", "--alpha", "0.5", "--jobs", "1"])
+    assert err.value.code == 3
+    assert "internal error: batched rho" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from alphaindex import enumeration, harness
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import complete_bipartite, cycle, subdivided_k2
 from alphaindex.harness import (
@@ -12,6 +14,7 @@ from alphaindex.harness import (
     verify_theorem_order,
     verify_theorem_size,
 )
+from alphaindex.spectral import SpectralError
 
 
 def test_theorem_order_n5_anchor():
@@ -185,3 +188,57 @@ def test_samplers_deterministic():
     r1 = sample_rotation(random.Random(3), g1)
     r2 = sample_rotation(random.Random(3), g2)
     assert r1 == r2
+
+
+@pytest.mark.parametrize("run", [
+    lambda: verify_theorem_size(),
+    lambda: verify_lemma_suite(["claim-size"]),
+    lambda: verify_lemma_suite(["fact1"]),
+])
+def test_size_campaigns_sweep_once(monkeypatch, run):
+    monkeypatch.setattr(enumeration, "_SWEEP", {"max_m": 0, "by_size": {}})
+    sweeps = []
+    real_sweep = enumeration._ear_sweep
+
+    def counting_sweep(m_max):
+        sweeps.append(m_max)
+        return real_sweep(m_max)
+
+    monkeypatch.setattr(enumeration, "_ear_sweep", counting_sweep)
+    run()
+    assert len(sweeps) == 1
+
+
+def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
+    clean = verify_theorem_size((6,), ["0.50"])
+    assert clean.case_results[0]["fallbacks"] == 0
+    eigh = np.linalg.eigh
+
+    def sign_mixed(a):
+        w, v = eigh(a)
+        v = v.copy()
+        v[:, 0, -1] *= -1.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", sign_mixed)
+    report = verify_theorem_size((6,), ["0.50"])
+    case = report.case_results[0]
+    assert report.passed and case["fallbacks"] == case["classes"] == 2
+    assert report.flags == clean.flags + [
+        "m=6, alpha=0.50: 2 batched eigen-solves failed the certificate "
+        "and were re-solved by power iteration"
+    ]
+    assert case["gap"] == pytest.approx(clean.case_results[0]["gap"], abs=1e-12)
+
+
+def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
+    real = harness.alpha_index
+
+    def shifted(g, alpha):
+        result = real(g, alpha)
+        return type(result)(alpha, result.rho + 1e-6, result.perron, result.residual,
+                            result.iterations)
+
+    monkeypatch.setattr(harness, "alpha_index", shifted)
+    with pytest.raises(SpectralError, match="power-iteration rho"):
+        verify_theorem_order((5,), ["0.50"])

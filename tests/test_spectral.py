@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from alphaindex.connectivity import is_connected
+from alphaindex.enumeration import graphs_by_order
 from alphaindex.families import FamilyId, build, complete_bipartite, cycle, subdivided_k2
 from alphaindex.graphs import Graph, GraphError
 from alphaindex.spectral import (
     DisconnectedGraphError,
     alpha_index,
+    alpha_indices,
     alpha_matrix,
     closed_form_complete_bipartite,
     column_sum_certificate,
@@ -294,3 +296,73 @@ def test_components_and_induced():
     assert sorted(len(c) for c in comps) == [2, 3]
     sub = induced_subgraph(g, [0, 1, 2])
     assert sub.n == 3 and sub.m == 2
+
+
+@pytest.fixture(scope="module")
+def connected_classes():
+    return [g for n in range(1, 8) for g in graphs_by_order(n) if is_connected(g)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.999])
+def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
+    fallbacks = []
+    values = alpha_indices(connected_classes, alpha, fallbacks)
+    assert len(values) == len(connected_classes) == 996
+    assert fallbacks == []
+    for g, rho in zip(connected_classes, values):
+        assert type(rho) is float
+        tol = 1e-12 * max(rho, 1.0)
+        assert abs(rho - alpha_index(g, alpha).rho) <= tol
+        assert abs(rho - jacobi_eigenvalues(alpha_matrix(g, alpha).entries)[-1]) <= tol
+
+
+def test_alpha_indices_keep_input_order():
+    rng = random.Random(2024)
+    graphs = [connected_sample(rng, 1, 9) for _ in range(40)]
+    assert len({g.n for g in graphs}) > 3
+    values = alpha_indices(graphs, 0.6)
+    assert values == pytest.approx([alpha_index(g, 0.6).rho for g in graphs], abs=1e-12)
+    assert alpha_indices([], 0.6) == []
+
+
+def test_alpha_indices_reject_disconnected_and_bad_alpha(c4):
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError):
+        alpha_indices([c4, two_edges], 0.5)
+    with pytest.raises(ValueError):
+        alpha_indices([c4], 1.0)
+
+
+def _swap_top_and_bottom(w, v):
+    """Report the bottom eigenpair as the top one.  On a bipartite graph at
+    alpha = 1/2 that is eigenvalue 0 with the +-1 bipartition vector: a
+    true eigenpair, so the residual passes, but sign-mixed."""
+    w, v = w.copy(), v.copy()
+    w[:, [0, -1]] = w[:, [-1, 0]]
+    v[:, :, [0, -1]] = v[:, :, [-1, 0]]
+    return w, v
+
+
+def _nudge_top_value(w, v):
+    """Keep the Perron vector but shift its eigenvalue: positivity passes,
+    the residual fails."""
+    w = w.copy()
+    w[:, -1] += 1e-6
+    return w, v
+
+
+@pytest.mark.parametrize("corrupt", [_swap_top_and_bottom, _nudge_top_value])
+def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch, corrupt):
+    graphs = [cycle(5), complete_bipartite(2, 3), complete_bipartite(1, 5), complete_bipartite(2, 4)]
+    expected = [alpha_index(g, 0.5).rho for g in graphs]
+    eigh = np.linalg.eigh
+
+    def corrupted(a):
+        w, v = eigh(a)
+        return corrupt(w, v) if a.shape[1] == 6 else (w, v)  # the order-6 group only
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    fallbacks = []
+    values = alpha_indices(graphs, 0.5, fallbacks)
+    assert sorted(fallbacks) == [2, 3]  # K_{1,5} and K_{2,4} have order 6
+    assert values == pytest.approx(expected, abs=1e-12)
