@@ -24,9 +24,7 @@ from .connectivity import (
 )
 from .enumeration import (
     EnumerationLimitError,
-    EnumerationSpec,
     canonical_form,
-    enumerate_graphs,
     graphs_by_order,
     graphs_by_size,
     ingest_graph6,

@@ -53,6 +53,8 @@ _FILTER_NAMES = {
     "min2c": "minimally_two_connected",
 }
 
+_IDENTITY_CHECKS = {"f": ct.identity_check_f, "g": ct.identity_check_g}
+
 
 def _parse_int_range(text: str) -> list[int]:
     """Accept "5..8" and "6,8,10" (and mixtures separated by commas)."""
@@ -223,7 +225,9 @@ def _cmd_certify(args) -> int:
     results = []
     ok = True
     for poly in args.poly.split(","):
-        check = ct.identity_check_f if poly == "f" else ct.identity_check_g
+        if poly not in _IDENTITY_CHECKS:
+            raise ValueError(f"unknown identity polynomial {poly!r}; choose from f, g")
+        check = _IDENTITY_CHECKS[poly]
         worst = max(check(float(a), m) for a in alphas for m in ms)
         passed = worst <= ct.IDENTITY_RTOL
         ok = ok and passed
@@ -268,6 +272,8 @@ def _render_reports(args, reports: list) -> str:
 
 
 def _cmd_verify(args) -> int:
+    if args.allow_slow and args.target != "theorem1.3":
+        raise ValueError("--allow-slow applies only to theorem1.3")
     if args.target == "theorem1.3":
         reports = [hz.verify_theorem_order(
             args.n or (5, 6, 7, 8), args.alpha, jobs=args.jobs, allow_slow=args.allow_slow,
@@ -377,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=hz.ROTATION_SEED)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes for theorem campaigns")
-    p.add_argument("--allow-slow", action="store_true")
+    p.add_argument("--allow-slow", action="store_true",
+                   help="permit theorem1.3 at n = 9 or 10 (slow)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")
     add_io(p, formats=("text", "json", "csv"))

@@ -25,7 +25,6 @@ Two generators are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
@@ -51,23 +50,6 @@ _FILTERS: dict[str, Callable[[Graph], bool]] = {
 
 class EnumerationLimitError(GraphError):
     """Requested order or size beyond the builtin generator limits."""
-
-
-@dataclass(frozen=True)
-class EnumerationSpec:
-    """What to enumerate: ``by_order``/``by_size``, a filter, and a source."""
-
-    mode: str  # "by_order" | "by_size"
-    value: int  # order n or size m
-    filter: str = "all"
-    source: str = "builtin"  # "builtin" | "graph6_stream"
-    allow_slow: bool = False
-
-    def __post_init__(self):
-        if self.mode not in ("by_order", "by_size"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.filter not in _FILTERS:
-            raise ValueError(f"unknown filter {self.filter!r}")
 
 
 # -- canonical labeling ----------------------------------------------------
@@ -277,22 +259,13 @@ def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> li
 
 # -- by-size generation (minimally 2-connected) -----------------------------
 
-_SWEEP: dict[str, object] = {"max_m": 0, "by_size": {}}
-
-
-def _min2c_by_size(m_max: int) -> dict[int, list[Graph]]:
-    if m_max > int(_SWEEP["max_m"]):
-        _SWEEP["by_size"] = _ear_sweep(m_max)
-        _SWEEP["max_m"] = m_max
-    table: dict[int, list[Graph]] = _SWEEP["by_size"]
-    return table
-
-
-def _ear_sweep(m_max: int) -> dict[int, list[Graph]]:
-    """All minimally 2-connected classes with size <= m_max, grouped by size."""
+@lru_cache(maxsize=None)
+def _ear_sweep() -> dict[int, tuple[Graph, ...]]:
+    """All minimally 2-connected classes with size <= MAX_SIZE, grouped by
+    size.  One sweep serves every m, so it runs once per process."""
     seen: dict[str, Graph] = {}
     frontier: list[Graph] = []
-    for girth in range(3, m_max + 1):
+    for girth in range(3, MAX_SIZE + 1):
         cycle = Graph.from_edges(girth, [(i, (i + 1) % girth) for i in range(girth)])
         key = canonical_form(cycle)
         rep = parse_graph6(key)
@@ -300,7 +273,7 @@ def _ear_sweep(m_max: int) -> dict[int, list[Graph]]:
         frontier.append(rep)
     while frontier:
         g = frontier.pop()
-        budget = m_max - g.m
+        budget = MAX_SIZE - g.m
         if budget < 2:
             continue
         for u in range(g.n):
@@ -322,7 +295,7 @@ def _ear_sweep(m_max: int) -> dict[int, list[Graph]]:
     for key in sorted(seen):
         g = seen[key]
         table.setdefault(g.m, []).append(g)
-    return table
+    return {m: tuple(graphs) for m, graphs in table.items()}
 
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
@@ -347,20 +320,7 @@ def graphs_by_size(m: int) -> list[Graph]:
             f"builtin by-size generation stops at m = {MAX_SIZE}; "
             "supply a graph6 stream for larger sizes"
         )
-    return list(_min2c_by_size(m).get(m, []))
-
-
-def enumerate_graphs(spec: EnumerationSpec) -> Iterator[Graph]:
-    if spec.source != "builtin":
-        raise ValueError("stream enumeration goes through ingest_graph6")
-    if spec.mode == "by_order":
-        yield from graphs_by_order(spec.value, spec.filter, spec.allow_slow)
-    else:
-        if spec.filter != "minimally_two_connected":
-            raise EnumerationLimitError(
-                "by-size enumeration is defined for the minimally_two_connected filter"
-            )
-        yield from graphs_by_size(spec.value)
+    return list(_ear_sweep().get(m, ()))
 
 
 # -- graph6 stream ingestion -------------------------------------------------
@@ -395,14 +355,12 @@ def ingest_graph6(lines: Iterable[str], filter: str = "all") -> Iterator[Graph]:
 
 __all__ = [
     "EnumerationLimitError",
-    "EnumerationSpec",
     "MAX_BUILTIN_ORDER",
     "MAX_CANONICAL_ORDER",
     "MAX_GATED_ORDER",
     "MAX_SIZE",
     "canonical_form",
     "canonical_relabel",
-    "enumerate_graphs",
     "graphs_by_order",
     "graphs_by_size",
     "ingest_graph6",

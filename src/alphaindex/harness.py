@@ -6,6 +6,11 @@ one case per parameter point, violations when an asserted case fails, and
 flags for anomalies that are reported without being asserted (near-zero
 gaps, out-of-hypothesis parameter points, known discrepancies).
 
+Every target is built by one function that fills a report and run by
+:func:`_run`, which times it, flags batched eigen-solves that fell back to
+power iteration, and refuses a report with no cases.  Lemma targets
+register themselves in ``_LEMMAS`` with :func:`_lemma`.
+
 Alpha values travel as decimal strings and are echoed verbatim in
 reports, so a grid reads back exactly as it was specified.
 """
@@ -50,22 +55,20 @@ SANDWICH_ALPHAS = ["0.5", "0.75", "0.9"]
 CLOSED_FORM_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9"]
 ROTATION_SEED = 20250808
 
-LEMMA_TARGETS = (
-    "lemma1", "lemma2", "lemma3", "lemma4", "lemma5", "lemma6", "lemma7",
-    "lemma8", "lemma9", "lemma10", "lemma11",
-    "claim-order", "claim-size", "fact1", "fact2", "fact3",
-)
-
 
 @dataclass
 class VerificationReport:
+    """One target's cases, violations and flags.
+
+    ``cases``, ``gap`` and ``argmax_graph6`` are derived from
+    ``case_results``: the gap and argmax are those of the asserted
+    (non-informational) case with the smallest gap.
+    """
+
     target: str
     params: dict
     alpha_grid: list[str]
-    cases: int
-    case_results: list[dict]
-    argmax_graph6: str | None
-    gap: float | None
+    case_results: list[dict] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
     runtime_ms: int = 0
@@ -74,154 +77,126 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.violations
 
+    @property
+    def cases(self) -> int:
+        return len(self.case_results)
+
+    def _tightest(self) -> dict:
+        asserted = [
+            c for c in self.case_results
+            if c.get("gap") is not None and not c.get("informational")
+        ]
+        return min(asserted, key=lambda c: c["gap"], default={})
+
+    @property
+    def gap(self) -> float | None:
+        return self._tightest().get("gap")
+
+    @property
+    def argmax_graph6(self) -> str | None:
+        return self._tightest().get("argmax_graph6")
+
+    def add(self, case: dict, *violations: str) -> None:
+        """Record a case and, when it failed, its violations."""
+        self.case_results.append(case)
+        if not case["ok"]:
+            self.violations.extend(violations)
+
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "params": self.params,
-            "alpha_grid": self.alpha_grid,
-            "cases": self.cases,
-            "argmax_graph6": self.argmax_graph6,
-            "gap": self.gap,
-            "violations": self.violations,
-            "flags": self.flags,
-            "runtime_ms": self.runtime_ms,
-            "passed": self.passed,
-            "case_results": self.case_results,
-        }
+        return {key: getattr(self, key) for key in _JSON_KEYS}
 
     def to_csv_rows(self) -> list[list]:
-        rows = [["target", "case", "alpha", "argmax_graph6", "gap", "ok", "note"]]
-        for case in self.case_results:
-            rows.append([
-                self.target,
-                case.get("case", ""),
-                case.get("alpha", ""),
-                case.get("argmax_graph6", ""),
-                case.get("gap", ""),
-                case.get("ok", ""),
-                case.get("note", ""),
-            ])
-        return rows
+        return [["target", *_CSV_COLUMNS]] + [
+            [self.target] + [case.get(column, "") for column in _CSV_COLUMNS]
+            for case in self.case_results
+        ]
 
 
-def _finish(report: VerificationReport, start: float) -> VerificationReport:
+_JSON_KEYS = (
+    "target", "params", "alpha_grid", "cases", "argmax_graph6", "gap",
+    "violations", "flags", "runtime_ms", "passed", "case_results",
+)
+_CSV_COLUMNS = ("case", "alpha", "argmax_graph6", "gap", "ok", "note")
+
+
+def _run(build_report, *args, **kwargs) -> VerificationReport:
+    """Build one target's report, flag its power-iteration fallbacks and
+    time it.  A report with no cases checked nothing, so it is an error."""
+    start = time.monotonic()
+    report = build_report(*args, **kwargs)
+    if not report.case_results:
+        raise ValueError(f"{report.target} has no cases for {report.params}")
+    for case in report.case_results:
+        if case.get("fallbacks"):
+            report.flags.append(
+                f"{case['case']}, alpha={case['alpha']}: {case['fallbacks']} batched "
+                "eigen-solves failed the certificate and were re-solved by power iteration"
+            )
     report.runtime_ms = int((time.monotonic() - start) * 1000)
-    report.cases = len(report.case_results)
-    asserted = [
-        c for c in report.case_results
-        if c.get("gap") is not None and not c.get("informational")
-    ]
-    if asserted:
-        worst = min(asserted, key=lambda c: c["gap"])
-        report.gap = worst["gap"]
-        report.argmax_graph6 = worst.get("argmax_graph6")
     return report
+
+
+def _confirm(g: Graph, alpha: float, rho: float) -> None:
+    """Re-solve a batched alpha-index by power iteration, an independent
+    algorithm; a disagreement is an internal failure, not a violation."""
+    power = alpha_index(g, alpha).rho
+    if abs(power - rho) > CROSS_CHECK_TOL:
+        raise SpectralError(
+            f"{emit_graph6(g)}, alpha={alpha}: batched rho {rho!r} != power-iteration rho {power!r}"
+        )
 
 
 # -- theorem campaigns -------------------------------------------------------
 
 
-def _extremal_case(classes: list[Graph], alpha: float) -> tuple[str, float | None, int]:
-    """argmax canonical form, the gap to the runner-up, and the number of
-    batched solves that failed their certificate.
+def _extremal_case(label: str, classes: list[Graph], target: str | None, alpha_str: str) -> dict:
+    """A theorem case up to its verdict: the argmax canonical form, the gap
+    to the runner-up, and the number of batched solves that failed their
+    certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
-    re-solved by power iteration, an independent algorithm; a disagreement
-    is an internal failure, not a violation.
+    confirmed by power iteration.
     """
+    alpha = float(alpha_str)
     fallbacks: list[int] = []
     rhos = alpha_indices(classes, alpha, fallbacks)
     scored = sorted(zip(rhos, map(emit_graph6, classes), range(len(classes))), reverse=True)
-    for rho, g6, i in scored[:2]:
-        power = alpha_index(classes[i], alpha).rho
-        if abs(power - rho) > CROSS_CHECK_TOL:
-            raise SpectralError(
-                f"{g6}, alpha={alpha}: batched rho {rho!r} != power-iteration rho {power!r}"
-            )
-    argmax = scored[0][1]
-    if len(scored) < 2:
-        return argmax, None, len(fallbacks)
-    return argmax, scored[0][0] - scored[1][0], len(fallbacks)
+    for rho, _, i in scored[:2]:
+        _confirm(classes[i], alpha, rho)
+    return {
+        "case": label,
+        "alpha": alpha_str,
+        "argmax_graph6": scored[0][1],
+        "expected_graph6": target,
+        "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
+        "classes": len(classes),
+        "fallbacks": len(fallbacks),
+    }
 
 
-def _flag_fallbacks(report: VerificationReport) -> None:
-    """Name every case whose batched solves fell back to power iteration."""
-    for case in report.case_results:
-        if case["fallbacks"]:
-            report.flags.append(
-                f"{case['case']}, alpha={case['alpha']}: {case['fallbacks']} batched "
-                "eigen-solves failed the certificate and were re-solved by power iteration"
-            )
+def _sub_margin(case: dict) -> bool:
+    # A correct argmax at sub-margin gap is an anomaly, not a failure.
+    return case["gap"] is not None and case["gap"] <= GAP_MARGIN
 
 
-def _order_case(args: tuple) -> list[dict]:
+def _order_case(args: tuple) -> list[tuple[dict, str]]:
     n, alphas, allow_slow = args
     classes = graphs_by_order(n, "minimally_two_connected", allow_slow=allow_slow)
     target = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
     out = []
     for alpha_str in alphas:
-        alpha = float(alpha_str)
-        argmax, gap, fallbacks = _extremal_case(classes, alpha)
-        ok = argmax == target
-        note = ""
-        if ok and gap is not None and gap <= GAP_MARGIN:
-            # A correct argmax at sub-margin gap is an anomaly, not a failure.
-            note = "gap below strictness margin"
-        out.append({
-            "case": f"n={n}",
-            "alpha": alpha_str,
-            "argmax_graph6": argmax,
-            "expected_graph6": target,
-            "gap": gap,
-            "classes": len(classes),
-            "fallbacks": fallbacks,
-            "ok": ok,
-            "note": note,
-        })
+        case = _extremal_case(f"n={n}", classes, target, alpha_str)
+        ok = case["argmax_graph6"] == target
+        case.update(ok=ok, note="gap below strictness margin" if ok and _sub_margin(case) else "")
+        out.append((
+            case,
+            f"n={n}, alpha={alpha_str}: argmax {case['argmax_graph6']} (expected {target}), "
+            f"gap {case['gap']}",
+        ))
     return out
 
 
-def verify_theorem_order(
-    n_values: Iterable[int] = (5, 6, 7, 8),
-    alphas: Sequence[str] | None = None,
-    jobs: int = 1,
-    allow_slow: bool = False,
-) -> VerificationReport:
-    """Order theorem: the unique alpha-index maximizer among minimally
-    2-connected graphs of order n is K_{2,n-2}, for alpha in [1/2, 1)."""
-    start = time.monotonic()
-    n_values = sorted(set(int(n) for n in n_values))
-    alphas = list(alphas or THEOREM_ALPHAS)
-    for n in n_values:
-        if n < 5:
-            raise ValueError("the order theorem starts at n = 5")
-    for s in alphas:
-        if not 0.5 <= float(s) < 1.0:
-            raise ValueError(f"order theorem alpha grid must sit in [1/2, 1), got {s}")
-    inputs = [(n, alphas, allow_slow) for n in n_values]
-    chunks = _run_cases(_order_case, inputs, jobs)
-    report = VerificationReport(
-        target="theorem1.3",
-        params={"n": n_values},
-        alpha_grid=alphas,
-        cases=0,
-        case_results=[c for chunk in chunks for c in chunk],
-        argmax_graph6=None,
-        gap=None,
-    )
-    for case in report.case_results:
-        if not case["ok"]:
-            report.violations.append(
-                f"{case['case']}, alpha={case['alpha']}: argmax "
-                f"{case['argmax_graph6']} (expected {case['expected_graph6']}), gap {case['gap']}"
-            )
-        if case["note"]:
-            report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
-    _flag_fallbacks(report)
-    return _finish(report, start)
-
-
-def _size_case(args: tuple) -> list[dict]:
+def _size_case(args: tuple) -> list[tuple[dict, str]]:
     m, alphas = args
     classes = graphs_by_size(m)
     even = m % 2 == 0
@@ -235,12 +210,12 @@ def _size_case(args: tuple) -> list[dict]:
     out = []
     for alpha_str in alphas:
         alpha = float(alpha_str)
-        argmax, gap, fallbacks = _extremal_case(classes, alpha)
+        case = _extremal_case(f"m={m}", classes, target, alpha_str)
         ok = True
         note = ""
         root_dev = None
         if asserted:
-            ok = argmax == target
+            ok = case["argmax_graph6"] == target
             if not even:
                 rho = alpha_index(build(FamilyId("SK2", ((m - 1) // 2,)))[0], alpha).rho
                 root = ct.largest_real_root(ct.sk_cubic(m, alpha))
@@ -248,24 +223,55 @@ def _size_case(args: tuple) -> list[dict]:
                 if root_dev > 1e-9:
                     ok = False
                     note = f"cubic root deviates from rho by {root_dev:.3e}"
-            if ok and gap is not None and gap <= GAP_MARGIN:
+            if ok and _sub_margin(case):
                 note = "gap below strictness margin"
         else:
             note = "outside theorem hypotheses; reported without assertion"
-        out.append({
-            "case": f"m={m}",
-            "alpha": alpha_str,
-            "argmax_graph6": argmax,
-            "expected_graph6": target,
-            "gap": gap,
-            "classes": len(classes),
-            "fallbacks": fallbacks,
-            "root_deviation": root_dev,
-            "ok": ok,
-            "informational": not asserted,
-            "note": note,
-        })
+        case.update(root_deviation=root_dev, ok=ok, informational=not asserted, note=note)
+        out.append((
+            case,
+            f"m={m}, alpha={alpha_str}: argmax {case['argmax_graph6']} (expected {target}), "
+            f"gap {case['gap']}, {note}",
+        ))
     return out
+
+
+def _theorem(
+    target: str, name: str, params: dict, alphas: Sequence[str] | None,
+    case_fn, inputs: list[tuple], jobs: int,
+) -> VerificationReport:
+    """Run ``case_fn`` on ``(value, alphas, *rest)`` for each input tuple
+    ``(value, *rest)``; a case's note is flagged when the case holds."""
+    alphas = list(alphas or THEOREM_ALPHAS)
+    for s in alphas:
+        if not 0.5 <= float(s) < 1.0:
+            raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
+    report = VerificationReport(target, params, alphas)
+    chunks = _run_cases(case_fn, [(value, alphas, *rest) for value, *rest in inputs], jobs)
+    for chunk in chunks:
+        for case, violation in chunk:
+            report.add(case, violation)
+            if case["ok"] and case["note"]:
+                report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
+    return report
+
+
+def verify_theorem_order(
+    n_values: Iterable[int] = (5, 6, 7, 8),
+    alphas: Sequence[str] | None = None,
+    jobs: int = 1,
+    allow_slow: bool = False,
+) -> VerificationReport:
+    """Order theorem: the unique alpha-index maximizer among minimally
+    2-connected graphs of order n is K_{2,n-2}, for alpha in [1/2, 1)."""
+    n_values = sorted(set(int(n) for n in n_values))
+    for n in n_values:
+        if n < 5:
+            raise ValueError("the order theorem starts at n = 5")
+    return _run(
+        _theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
+        _order_case, [(n, allow_slow) for n in n_values], jobs,
+    )
 
 
 def verify_theorem_size(
@@ -277,36 +283,11 @@ def verify_theorem_size(
     even m >= 6 and the subdivided K_{2,(m-1)/2} for odd m >= 9, whose
     alpha-index is pinned by the cubic.  Out-of-hypothesis sizes (such as
     m = 7) are computed and reported without assertion."""
-    start = time.monotonic()
     m_values = sorted(set(int(m) for m in m_values))
-    alphas = list(alphas or THEOREM_ALPHAS)
-    for s in alphas:
-        if not 0.5 <= float(s) < 1.0:
-            raise ValueError(f"size theorem alpha grid must sit in [1/2, 1), got {s}")
-    graphs_by_size(m_values[-1])  # one ear sweep for the largest m serves every smaller m
-    inputs = [(m, alphas) for m in m_values]
-    chunks = _run_cases(_size_case, inputs, jobs)
-    report = VerificationReport(
-        target="theorem1.4",
-        params={"m": m_values},
-        alpha_grid=alphas,
-        cases=0,
-        case_results=[c for chunk in chunks for c in chunk],
-        argmax_graph6=None,
-        gap=None,
+    return _run(
+        _theorem, "theorem1.4", "size theorem", {"m": m_values}, alphas,
+        _size_case, [(m,) for m in m_values], jobs,
     )
-    for case in report.case_results:
-        if case.get("informational"):
-            report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
-        elif not case["ok"]:
-            report.violations.append(
-                f"{case['case']}, alpha={case['alpha']}: argmax {case['argmax_graph6']} "
-                f"(expected {case['expected_graph6']}), gap {case['gap']}, {case['note']}"
-            )
-        elif case["note"]:
-            report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
-    _flag_fallbacks(report)
-    return _finish(report, start)
 
 
 def _run_cases(fn, inputs: list, jobs: int) -> list:
@@ -318,6 +299,18 @@ def _run_cases(fn, inputs: list, jobs: int) -> list:
 
 # -- lemma suite -------------------------------------------------------------
 
+# target -> builder, in suite order.  Each builder is called as
+# build(target, n_max=..., alphas=..., rotation_cases=..., seed=...).
+_LEMMAS: dict = {}
+
+
+def _lemma(*targets: str):
+    def register(build_report):
+        for target in targets:
+            _LEMMAS[target] = build_report
+        return build_report
+    return register
+
 
 def verify_lemma_suite(
     targets: Sequence[str] | None = None,
@@ -328,104 +321,71 @@ def verify_lemma_suite(
 ) -> list[VerificationReport]:
     chosen = list(targets or LEMMA_TARGETS)
     for t in chosen:
-        if t not in LEMMA_TARGETS:
+        if t not in _LEMMAS:
             raise ValueError(f"unknown verification target {t!r}")
-    reports = []
-    for t in chosen:
-        builder = _LEMMA_BUILDERS[t]
-        if t == "lemma7":
-            reports.append(builder(n_max=n_max, alphas=alphas, cases=rotation_cases, seed=seed))
-        else:
-            reports.append(builder(n_max=n_max, alphas=alphas))
-    return reports
+    return [
+        _run(_LEMMAS[t], t, n_max=n_max, alphas=alphas, rotation_cases=rotation_cases, seed=seed)
+        for t in chosen
+    ]
 
 
-def _min2c_corpus(n_max: int) -> list[tuple[int, Graph]]:
-    out = []
-    for n in range(4, n_max + 1):
-        for g in graphs_by_order(n, "minimally_two_connected"):
-            out.append((n, g))
-    return out
+# Lemma 1 bounds rho above by the degree average, lemma 2 below by the
+# maximum degree; each maps (graph, alpha, rho) to the bound's slack.
+_SLACK = {
+    "lemma1": lambda g, alpha, rho: upper_bound_degree_average(g, alpha) - rho,
+    "lemma2": lambda g, alpha, rho: rho - lower_bound_max_degree(g, alpha),
+}
 
 
-def _lemma_sandwich(which: str, n_max: int, alphas) -> VerificationReport:
-    start = time.monotonic()
+@_lemma(*_SLACK)
+def _sandwich(target: str, n_max: int, alphas, **_) -> VerificationReport:
     alphas = list(alphas or SANDWICH_ALPHAS)
     n_cap = min(n_max, 7)
-    report = VerificationReport(
-        target=which, params={"n": list(range(2, n_cap + 1))}, alpha_grid=alphas,
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+    report = VerificationReport(target, {"n": list(range(2, n_cap + 1))}, alphas)
+    slack_of = _SLACK[target]
     for n in range(2, n_cap + 1):
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
         for alpha_str in alphas:
             alpha = float(alpha_str)
-            worst = float("inf")
-            bad = 0
             fallbacks: list[int] = []
             rhos = alpha_indices(classes, alpha, fallbacks)
-            for g, rho in zip(classes, rhos):
-                if which == "lemma1":
-                    slack = upper_bound_degree_average(g, alpha) - rho
-                else:
-                    slack = rho - lower_bound_max_degree(g, alpha)
-                if slack < worst:
-                    worst = slack
-                if slack < -GAP_MARGIN:
-                    bad += 1
-                    report.violations.append(
-                        f"n={n}, alpha={alpha_str}, {emit_graph6(g)}: slack {slack:.3e}"
-                    )
-            report.case_results.append({
+            slacks = [slack_of(g, alpha, rho) for g, rho in zip(classes, rhos)]
+            # The verdict rests on the tightest slack, so its rho is confirmed.
+            tight = min(range(len(classes)), key=slacks.__getitem__)
+            _confirm(classes[tight], alpha, rhos[tight])
+            bad = [
+                f"n={n}, alpha={alpha_str}, {emit_graph6(g)}: slack {slack:.3e}"
+                for g, slack in zip(classes, slacks) if slack < -GAP_MARGIN
+            ]
+            report.add({
                 "case": f"n={n}", "alpha": alpha_str, "classes": len(classes),
-                "fallbacks": len(fallbacks), "min_slack": worst, "ok": bad == 0,
-            })
-    _flag_fallbacks(report)
-    return _finish(report, start)
+                "fallbacks": len(fallbacks), "min_slack": slacks[tight], "ok": not bad,
+            }, *bad)
+    return report
 
 
-def _lemma1(n_max: int = 8, alphas=None) -> VerificationReport:
-    return _lemma_sandwich("lemma1", n_max, alphas)
+# Lemma 3: minimum degree 2; lemma 4: no triangle.  Each maps a graph to
+# (holds, note).
+_STRUCTURAL = {
+    "lemma3": lambda g: (min(g.degrees()) == 2, f"min degree {min(g.degrees())}"),
+    "lemma4": lambda g: (triangle_free(g), "triangle found"),
+}
 
 
-def _lemma2(n_max: int = 8, alphas=None) -> VerificationReport:
-    return _lemma_sandwich("lemma2", n_max, alphas)
+@_lemma(*_STRUCTURAL)
+def _structural(target: str, n_max: int, **_) -> VerificationReport:
+    report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
+    for n in range(4, n_max + 1):
+        for g in graphs_by_order(n, "minimally_two_connected"):
+            ok, note = _STRUCTURAL[target](g)
+            g6 = emit_graph6(g)
+            report.add({"case": f"n={n}", "graph6": g6, "ok": ok, "note": note}, f"n={n}, {g6}: {note}")
+    return report
 
 
-def _structural(target: str, n_max: int, predicate) -> VerificationReport:
-    start = time.monotonic()
-    report = VerificationReport(
-        target=target, params={"n": list(range(4, n_max + 1))}, alpha_grid=[],
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
-    for n, g in _min2c_corpus(n_max):
-        ok, note = predicate(n, g)
-        report.case_results.append({"case": f"n={n}", "graph6": emit_graph6(g), "ok": ok, "note": note})
-        if not ok:
-            report.violations.append(f"n={n}, {emit_graph6(g)}: {note}")
-    return _finish(report, start)
-
-
-def _lemma3(n_max: int = 8, alphas=None) -> VerificationReport:
-    return _structural(
-        "lemma3", n_max,
-        lambda n, g: (min(g.degrees()) == 2, f"min degree {min(g.degrees())}"),
-    )
-
-
-def _lemma4(n_max: int = 8, alphas=None) -> VerificationReport:
-    return _structural(
-        "lemma4", n_max,
-        lambda n, g: (triangle_free(g), "triangle found"),
-    )
-
-
-def _lemma5(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    report = VerificationReport(
-        target="lemma5", params={"n": list(range(4, n_max + 1))}, alpha_grid=[],
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+@_lemma("lemma5")
+def _lemma5(target: str, n_max: int, **_) -> VerificationReport:
+    report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
         extremal_expected = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
         at_bound = []
@@ -434,36 +394,27 @@ def _lemma5(n_max: int = 8, alphas=None) -> VerificationReport:
                 report.violations.append(f"n={n}, {emit_graph6(g)}: m={g.m} > 2n-4")
             if g.m == 2 * n - 4:
                 at_bound.append(emit_graph6(g))
-        ok = at_bound == [extremal_expected]
-        if not ok:
-            report.violations.append(
-                f"n={n}: classes at m=2n-4 are {at_bound}, expected [{extremal_expected}]"
-            )
-        report.case_results.append({
-            "case": f"n={n}", "at_bound": at_bound, "expected": extremal_expected, "ok": ok,
-        })
-    return _finish(report, start)
+        report.add(
+            {"case": f"n={n}", "at_bound": at_bound, "expected": extremal_expected,
+             "ok": at_bound == [extremal_expected]},
+            f"n={n}: classes at m=2n-4 are {at_bound}, expected [{extremal_expected}]",
+        )
+    return report
 
 
-def _lemma6(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    report = VerificationReport(
-        target="lemma6", params={"n": list(range(1, n_max + 1))}, alpha_grid=[],
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+@_lemma("lemma6")
+def _lemma6(target: str, n_max: int, **_) -> VerificationReport:
+    report = VerificationReport(target, {"n": list(range(1, n_max + 1))}, [])
     for n in range(1, n_max + 1):
-        disagreements = 0
-        total = 0
-        for g in graphs_by_order(n):
-            total += 1
-            if is_minimally_two_connected_by_deletion(g) != is_minimally_two_connected_by_chords(g):
-                disagreements += 1
-                report.violations.append(f"n={n}, {emit_graph6(g)}: recognizers disagree")
-        report.case_results.append({
-            "case": f"n={n}", "classes": total, "disagreements": disagreements,
-            "ok": disagreements == 0,
-        })
-    return _finish(report, start)
+        classes = graphs_by_order(n)
+        bad = [
+            f"n={n}, {emit_graph6(g)}: recognizers disagree" for g in classes
+            if is_minimally_two_connected_by_deletion(g) != is_minimally_two_connected_by_chords(g)
+        ]
+        report.add({
+            "case": f"n={n}", "classes": len(classes), "disagreements": len(bad), "ok": not bad,
+        }, *bad)
+    return report
 
 
 def sample_connected_graph(
@@ -497,18 +448,19 @@ def sample_rotation(rng: random.Random, g: Graph, tries: int = 20) -> Rotation |
     return None
 
 
-def _lemma7(n_max: int = 8, alphas=None, cases: int = 1000, seed: int = ROTATION_SEED) -> VerificationReport:
-    start = time.monotonic()
+@_lemma("lemma7")
+def _lemma7(
+    target: str, n_max: int, alphas, rotation_cases: int, seed: int, **_,
+) -> VerificationReport:
     alphas = list(alphas or DEFAULT_ALPHAS)
     report = VerificationReport(
-        target="lemma7",
-        params={"random_cases": cases, "seed": seed, "chain_m": [9, 11, 13]},
-        alpha_grid=alphas, cases=0, case_results=[], argmax_graph6=None, gap=None,
+        target, {"random_cases": rotation_cases, "seed": seed, "chain_m": [9, 11, 13]}, alphas,
     )
     rng = random.Random(seed)
     collected = 0
     satisfied = 0
-    while satisfied < cases:
+    bad = []
+    while satisfied < rotation_cases:
         g = sample_connected_graph(rng, 4, max(4, min(n_max, 8)))
         rot = sample_rotation(rng, g)
         if rot is None:
@@ -520,7 +472,7 @@ def _lemma7(n_max: int = 8, alphas=None, cases: int = 1000, seed: int = ROTATION
             continue
         satisfied += 1
         if chk.increase <= 0:
-            report.violations.append(
+            bad.append(
                 f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, moved={sorted(rot.moved)}, "
                 f"alpha={alpha}: increase {chk.increase:.3e}"
             )
@@ -529,10 +481,10 @@ def _lemma7(n_max: int = 8, alphas=None, cases: int = 1000, seed: int = ROTATION
                 f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, alpha={alpha}: "
                 f"near-zero increase {chk.increase:.3e}"
             )
-    report.case_results.append({
+    report.add({
         "case": "random-corpus", "alpha": "0.5|0.75", "attempted": collected,
-        "precondition_satisfied": satisfied, "ok": not report.violations,
-    })
+        "precondition_satisfied": satisfied, "ok": not bad,
+    }, *bad)
     # G(a, b) chain: rho increases strictly toward G(1, (m-3)/2).
     for m in (9, 11, 13):
         k = (m - 1) // 2
@@ -542,16 +494,13 @@ def _lemma7(n_max: int = 8, alphas=None, cases: int = 1000, seed: int = ROTATION
             for a in range(1, k // 2 + 1):
                 rhos[a] = alpha_index(build(FamilyId("G", (a, k - a)))[0], alpha).rho
             sk_rho = alpha_index(build(FamilyId("SK2", (k,)))[0], alpha).rho
-            ok = abs(rhos[1] - sk_rho) <= 1e-9
-            if not ok:
-                report.violations.append(
-                    f"m={m}, alpha={alpha_str}: G(1,{k-1}) rho {rhos[1]} != SK rho {sk_rho}"
-                )
+            bad = []
+            if abs(rhos[1] - sk_rho) > 1e-9:
+                bad.append(f"m={m}, alpha={alpha_str}: G(1,{k-1}) rho {rhos[1]} != SK rho {sk_rho}")
             for a in range(2, k // 2 + 1):
                 diff = rhos[a - 1] - rhos[a]
                 if diff < -GAP_MARGIN:
-                    ok = False
-                    report.violations.append(
+                    bad.append(
                         f"m={m}, alpha={alpha_str}: rho(G({a-1},{k-a+1})) < rho(G({a},{k-a}))"
                     )
                 elif diff <= GAP_MARGIN:
@@ -559,41 +508,36 @@ def _lemma7(n_max: int = 8, alphas=None, cases: int = 1000, seed: int = ROTATION
                         f"m={m}, alpha={alpha_str}: chain step a={a} margin {diff:.3e} "
                         "below strictness threshold"
                     )
-            report.case_results.append({
+            report.add({
                 "case": f"chain m={m}", "alpha": alpha_str,
-                "rho_values": [rhos[a] for a in sorted(rhos)], "ok": ok,
-            })
-    return _finish(report, start)
+                "rho_values": [rhos[a] for a in sorted(rhos)], "ok": not bad,
+            }, *bad)
+    return report
 
 
-def _lemma8(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
+@_lemma("lemma8")
+def _lemma8(target: str, alphas, **_) -> VerificationReport:
     alphas = list(alphas or DEFAULT_ALPHAS)
     fams = [FamilyId("K", (a, b)) for a in range(1, 5) for b in range(1, a + 1)]
     fams += [FamilyId("SK2", (k,)) for k in range(2, 7)]
     fams += [FamilyId("G", (a, b)) for a in range(1, 4) for b in range(a, 5)]
     fams += [FamilyId("C", (n,)) for n in range(3, 11)]
-    report = VerificationReport(
-        target="lemma8", params={"families": [str(f) for f in fams]}, alpha_grid=alphas,
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+    report = VerificationReport(target, {"families": [str(f) for f in fams]}, alphas)
     for fid in fams:
         g, orbits = build(fid)
         for alpha_str in alphas:
             ok = perron_symmetry_check(g, orbits, float(alpha_str))
-            report.case_results.append({"case": str(fid), "alpha": alpha_str, "ok": ok})
-            if not ok:
-                report.violations.append(f"{fid}, alpha={alpha_str}: orbit coordinates differ")
-    return _finish(report, start)
+            report.add(
+                {"case": str(fid), "alpha": alpha_str, "ok": ok},
+                f"{fid}, alpha={alpha_str}: orbit coordinates differ",
+            )
+    return report
 
 
-def _lemma9(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
+@_lemma("lemma9")
+def _lemma9(target: str, alphas, **_) -> VerificationReport:
     alphas = list(alphas or CLOSED_FORM_ALPHAS)
-    report = VerificationReport(
-        target="lemma9", params={"a_max": 12}, alpha_grid=alphas,
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+    report = VerificationReport(target, {"a_max": 12}, alphas)
     anchor = closed_form_complete_bipartite(3, 2, 0.5)
     if abs(anchor - 2.5) > 1e-12:
         report.violations.append(f"anchor rho_1/2(K_2,3) = {anchor!r}, expected 2.5")
@@ -609,173 +553,126 @@ def _lemma9(n_max: int = 8, alphas=None) -> VerificationReport:
                 abs(closed_form_complete_bipartite(a, b, alpha) - rho)
                 for (a, b), rho in zip(shapes, rhos)
             )
-        ok = worst <= 1e-10
-        report.case_results.append({
+        report.add({
             "case": "K_{a,b} 1<=b<=a<=12", "alpha": alpha_str, "max_deviation": worst,
-            "fallbacks": len(fallbacks), "ok": ok,
-        })
-        if not ok:
-            report.violations.append(f"alpha={alpha_str}: max deviation {worst:.3e}")
-    _flag_fallbacks(report)
-    return _finish(report, start)
+            "fallbacks": len(fallbacks), "ok": worst <= 1e-10,
+        }, f"alpha={alpha_str}: max deviation {worst:.3e}")
+    return report
 
 
-def _lemma10(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
+@_lemma("lemma10")
+def _lemma10(target: str, alphas, **_) -> VerificationReport:
     alphas = list(alphas or DEFAULT_ALPHAS)
     ms = ct.odd_range(9, 25)
-    report = VerificationReport(
-        target="lemma10", params={"m": ms}, alpha_grid=alphas,
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+    report = VerificationReport(target, {"m": ms}, alphas)
     graphs = [build(FamilyId("SK2", ((m - 1) // 2,)))[0] for m in ms]
     fallbacks: dict[str, list[int]] = {s: [] for s in alphas}
     rhos = {s: alpha_indices(graphs, float(s), fallbacks[s]) for s in alphas}
     for i, m in enumerate(ms):
         for alpha_str in alphas:
-            alpha = float(alpha_str)
-            root = ct.largest_real_root(ct.sk_cubic(m, alpha))
+            root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))
             dev = abs(rhos[alpha_str][i] - root)
-            ok = dev <= 1e-9
-            report.case_results.append({
+            report.add({
                 "case": f"m={m}", "alpha": alpha_str, "deviation": dev,
-                "fallbacks": int(i in fallbacks[alpha_str]), "ok": ok,
-            })
-            if not ok:
-                report.violations.append(f"m={m}, alpha={alpha_str}: |rho - root| = {dev:.3e}")
-    _flag_fallbacks(report)
-    return _finish(report, start)
+                "fallbacks": int(i in fallbacks[alpha_str]), "ok": dev <= 1e-9,
+            }, f"m={m}, alpha={alpha_str}: |rho - root| = {dev:.3e}")
+    return report
 
 
-def _lemma11(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
+@_lemma("lemma11")
+def _lemma11(target: str, **_) -> VerificationReport:
     ms = ct.odd_range(9, 99)
     grid = ct.alpha_grid("0.50", "0.99", "0.01")
-    report = VerificationReport(
-        target="lemma11", params={"m": [9, 99], "step": 2}, alpha_grid=grid,
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
+    report = VerificationReport(target, {"m": [9, 99], "step": 2}, grid)
     for poly in ("f", "g"):
         cert = ct.sign_grid(poly, ms, grid)
-        report.case_results.append({
+        report.add({
             "case": f"sign {poly}", "alpha": "grid",
             "min_abs_value": cert.min_abs_value,
             "violations": len(cert.violations), "ok": cert.passed,
-        })
-        for m, alpha_str, value in cert.violations:
-            report.violations.append(f"{poly}(alpha={alpha_str}, m={m}) = {value}")
+        }, *(f"{poly}(alpha={alpha_str}, m={m}) = {value}" for m, alpha_str, value in cert.violations))
     worst = 0.0
     for alpha_str in ("0.5", "0.7", "0.9"):
         alpha = float(alpha_str)
         dev = abs(ct.eval_f(alpha, 9) - ct.f_at_m9_factored(alpha)) / max(1.0, abs(ct.eval_f(alpha, 9)))
         worst = max(worst, dev)
-    ok = worst <= 1e-9
-    report.case_results.append({"case": "f(alpha,9) factored endpoint", "alpha": "0.5|0.7|0.9", "max_rel_dev": worst, "ok": ok})
-    if not ok:
-        report.violations.append(f"f(alpha,9) endpoint form deviates by {worst:.3e}")
+    report.add(
+        {"case": "f(alpha,9) factored endpoint", "alpha": "0.5|0.7|0.9", "max_rel_dev": worst,
+         "ok": worst <= 1e-9},
+        f"f(alpha,9) endpoint form deviates by {worst:.3e}",
+    )
     # Increasing in m at fixed alpha (finite differences).
     for alpha_str in ("0.5", "0.75", "0.99"):
         alpha = float(alpha_str)
         monotone = all(ct.eval_f(alpha, m + 2) > ct.eval_f(alpha, m) for m in ms[:-1])
-        report.case_results.append({"case": "f increasing in m", "alpha": alpha_str, "ok": monotone})
-        if not monotone:
-            report.violations.append(f"f not increasing in m at alpha={alpha_str}")
-    return _finish(report, start)
+        report.add(
+            {"case": "f increasing in m", "alpha": alpha_str, "ok": monotone},
+            f"f not increasing in m at alpha={alpha_str}",
+        )
+    return report
 
 
-def _claim_order(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    alphas = list(alphas or CERT_ALPHAS)
+def _column_sums(report: VerificationReport, variant: str, label: str, eligible: list[Graph]) -> None:
+    """One case per alpha: every column sum of every eligible graph is <= 0."""
+    for alpha_str in report.alpha_grid:
+        alpha = float(alpha_str)
+        tops = [max(column_sum_certificate(g, alpha, variant).column_sums) for g in eligible]
+        bad = [
+            f"{label}, alpha={alpha_str}, {emit_graph6(g)}: c_u = {top:.3e} > 0"
+            for g, top in zip(eligible, tops) if top > 1e-12
+        ]
+        report.add({
+            "case": label, "alpha": alpha_str, "graphs": len(eligible),
+            "max_column_sum": max(tops, default=None), "ok": not bad,
+        }, *bad)
+
+
+@_lemma("claim-order")
+def _claim_order(target: str, n_max: int, alphas, **_) -> VerificationReport:
     report = VerificationReport(
-        target="claim-order", params={"n": list(range(5, n_max + 1)), "max_degree": "<= n-3"},
-        alpha_grid=alphas, cases=0, case_results=[], argmax_graph6=None, gap=None,
+        target, {"n": list(range(5, n_max + 1)), "max_degree": "<= n-3"},
+        list(alphas or CERT_ALPHAS),
     )
     for n in range(5, n_max + 1):
         eligible = [
             g for g in graphs_by_order(n, "minimally_two_connected")
             if max(g.degrees()) <= n - 3
         ]
-        for alpha_str in alphas:
-            alpha = float(alpha_str)
-            worst = -float("inf")
-            ok = True
-            for g in eligible:
-                cert = column_sum_certificate(g, alpha, "order")
-                top = max(cert.column_sums)
-                worst = max(worst, top)
-                if top > 1e-12:
-                    ok = False
-                    report.violations.append(
-                        f"n={n}, alpha={alpha_str}, {emit_graph6(g)}: c_u = {top:.3e} > 0"
-                    )
-            report.case_results.append({
-                "case": f"n={n}", "alpha": alpha_str, "graphs": len(eligible),
-                "max_column_sum": None if worst == -float("inf") else worst, "ok": ok,
-            })
-    return _finish(report, start)
+        _column_sums(report, "order", f"n={n}", eligible)
+    return report
 
 
-def _claim_size(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    alphas = list(alphas or CERT_ALPHAS)
+@_lemma("claim-size")
+def _claim_size(target: str, alphas, **_) -> VerificationReport:
     report = VerificationReport(
-        target="claim-size", params={"m": list(range(6, 13)), "max_degree": "3 <= Delta <= (m-2)/2"},
-        alpha_grid=alphas, cases=0, case_results=[], argmax_graph6=None, gap=None,
+        target, {"m": list(range(6, 13)), "max_degree": "3 <= Delta <= (m-2)/2"},
+        list(alphas or CERT_ALPHAS),
     )
-    graphs_by_size(12)  # one ear sweep, read below for every m
     for m in range(6, 13):
-        eligible = [
-            g for g in graphs_by_size(m)
-            if 3 <= max(g.degrees()) <= (m - 2) // 2
-        ]
-        for alpha_str in alphas:
-            alpha = float(alpha_str)
-            worst = -float("inf")
-            ok = True
-            for g in eligible:
-                cert = column_sum_certificate(g, alpha, "size")
-                top = max(cert.column_sums)
-                worst = max(worst, top)
-                if top > 1e-12:
-                    ok = False
-                    report.violations.append(
-                        f"m={m}, alpha={alpha_str}, {emit_graph6(g)}: c_u = {top:.3e} > 0"
-                    )
-            report.case_results.append({
-                "case": f"m={m}", "alpha": alpha_str, "graphs": len(eligible),
-                "max_column_sum": None if worst == -float("inf") else worst, "ok": ok,
-            })
-    return _finish(report, start)
+        eligible = [g for g in graphs_by_size(m) if 3 <= max(g.degrees()) <= (m - 2) // 2]
+        _column_sums(report, "size", f"m={m}", eligible)
+    return report
 
 
-def _fact1(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    report = VerificationReport(
-        target="fact1", params={"m": [9, 11, 13]}, alpha_grid=[],
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
-    )
-    graphs_by_size(13)  # one ear sweep, read below for every m
+@_lemma("fact1")
+def _fact1(target: str, **_) -> VerificationReport:
+    report = VerificationReport(target, {"m": [9, 11, 13]}, [])
     for m in (9, 11, 13):
-        ok = True
         classes = graphs_by_size(m)
+        bad = []
         for g in classes:
             degs = g.degrees()
             for w in range(g.n):
                 s = sum(degs[v] for v in g.neighbors(w))
                 if s > m - 1:
-                    ok = False
-                    report.violations.append(
-                        f"m={m}, {emit_graph6(g)}, w={w}: neighbour degree sum {s} > m-1"
-                    )
-        report.case_results.append({"case": f"m={m}", "classes": len(classes), "ok": ok})
-    return _finish(report, start)
+                    bad.append(f"m={m}, {emit_graph6(g)}, w={w}: neighbour degree sum {s} > m-1")
+        report.add({"case": f"m={m}", "classes": len(classes), "ok": not bad}, *bad)
+    return report
 
 
 def _identity_report(target: str) -> VerificationReport:
     return VerificationReport(
-        target=target, params={"m": [9, 99], "step": 2},
-        alpha_grid=ct.alpha_grid("0.50", "0.99", "0.01"),
-        cases=0, case_results=[], argmax_graph6=None, gap=None,
+        target, {"m": [9, 99], "step": 2}, ct.alpha_grid("0.50", "0.99", "0.01"),
     )
 
 
@@ -797,31 +694,29 @@ def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) 
                     exemplars.append(
                         f"alpha={alpha_str}, m={m}: {lhs_name} relative error {err:.3e}"
                     )
-    if failing:
-        report.violations.append(
-            f"{lhs_name}: {failing} of {len(ms) * len(grid)} grid points exceed "
-            f"{ct.IDENTITY_RTOL:g} (max relative error {worst:.3e}); "
-            "examples: " + "; ".join(exemplars)
-        )
     ok = worst <= ct.IDENTITY_RTOL
-    report.case_results.append({
+    report.add({
         "case": case, "alpha": "grid", "max_rel_error": worst,
         "grid_points": len(ms) * len(grid), "failing_points": failing,
         "ok": ok,
-    })
+    }, (
+        f"{lhs_name}: {failing} of {len(ms) * len(grid)} grid points exceed "
+        f"{ct.IDENTITY_RTOL:g} (max relative error {worst:.3e}); "
+        "examples: " + "; ".join(exemplars)
+    ))
     return ok
 
 
-def _fact2(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    report = _identity_report("fact2")
+@_lemma("fact2")
+def _fact2(target: str, **_) -> VerificationReport:
+    report = _identity_report(target)
     _identity_case(report, "identity grid", ct.identity_check_f, "-8(m-3)^3 p(x0) vs f")
-    return _finish(report, start)
+    return report
 
 
-def _fact3(n_max: int = 8, alphas=None) -> VerificationReport:
-    start = time.monotonic()
-    report = _identity_report("fact3")
+@_lemma("fact3")
+def _fact3(target: str, **_) -> VerificationReport:
+    report = _identity_report(target)
     # The printed identity 4 p(x1) = g is false; it stays asserted, so
     # fact3 fails, next to the identity that exact expansion gives.
     _identity_case(report, "identity grid", ct.identity_check_g, "4 p(x1) vs g")
@@ -835,12 +730,11 @@ def _fact3(n_max: int = 8, alphas=None) -> VerificationReport:
         for m in ct.odd_range(9, 99)
         for alpha_str in report.alpha_grid
     )
-    report.case_results.append({
-        "case": "bound 4 p(x1) < 0", "alpha": "grid", "max_value": worst, "ok": worst < 0,
-    })
-    if worst >= 0:
-        report.violations.append(f"4 p(x1) reaches {worst:.3e} >= 0 on the grid")
-    else:
+    report.add(
+        {"case": "bound 4 p(x1) < 0", "alpha": "grid", "max_value": worst, "ok": worst < 0},
+        f"4 p(x1) reaches {worst:.3e} >= 0 on the grid",
+    )
+    if worst < 0:
         report.flags.append(
             "4 p(x1) < 0 holds on the whole grid even where the printed g identity fails"
         )
@@ -849,24 +743,7 @@ def _fact3(n_max: int = 8, alphas=None) -> VerificationReport:
             "4 p(x1) = -(1-a)^2 h/2 holds on the whole grid, "
             "h = (2a-1)m^3 - (23a-12)m^2 + (82a-44)m - (96a-56)"
         )
-    return _finish(report, start)
+    return report
 
 
-_LEMMA_BUILDERS = {
-    "lemma1": _lemma1,
-    "lemma2": _lemma2,
-    "lemma3": _lemma3,
-    "lemma4": _lemma4,
-    "lemma5": _lemma5,
-    "lemma6": _lemma6,
-    "lemma7": _lemma7,
-    "lemma8": _lemma8,
-    "lemma9": _lemma9,
-    "lemma10": _lemma10,
-    "lemma11": _lemma11,
-    "claim-order": _claim_order,
-    "claim-size": _claim_size,
-    "fact1": _fact1,
-    "fact2": _fact2,
-    "fact3": _fact3,
-}
+LEMMA_TARGETS = tuple(_LEMMAS)

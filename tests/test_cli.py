@@ -104,6 +104,27 @@ def test_verify_spectral_lemmas_json(capsys):
     assert all(c["fallbacks"] == 0 for r in payload for c in r["case_results"])
 
 
+@pytest.mark.parametrize("target,n_max", [
+    ("claim-order", "4"), ("lemma3", "3"), ("lemma4", "3"), ("lemma5", "3"),
+    ("lemma1", "1"), ("lemma2", "1"), ("lemma6", "0"),
+])
+def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lemmas", "--targets", target, "--n-max", n_max])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{target} has no cases" in captured.err
+
+
+@pytest.mark.parametrize("target", ["lemmas", "theorem1.4"])
+def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", target, "--n-max", "9", "--m", "6", "--allow-slow", "--jobs", "1"])
+    assert err.value.code == 2
+    assert "--allow-slow applies only to theorem1.3" in capsys.readouterr().err
+
+
 def test_verify_fact3_exits_nonzero(capsys):
     code, out = run_cli(capsys, "verify", "lemmas", "--targets", "fact3", "--format", "text")
     assert code == 1
@@ -133,6 +154,16 @@ def test_certify_identity_f_passes_g_fails(capsys):
     code, out = run_cli(capsys, "certify", "identity", "--poly", "g",
                         "--m-stop", "25")
     assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("poly", ["h", "f,h"])
+def test_certify_identity_rejects_unknown_poly(capsys, poly):
+    with pytest.raises(SystemExit) as err:
+        main(["certify", "identity", "--poly", poly, "--m-stop", "25"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown identity polynomial 'h'" in captured.err
 
 
 def test_certify_columns(capsys):

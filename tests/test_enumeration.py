@@ -8,10 +8,8 @@ from alphaindex.connectivity import (
 )
 from alphaindex.enumeration import (
     EnumerationLimitError,
-    EnumerationSpec,
     canonical_form,
     canonical_relabel,
-    enumerate_graphs,
     graphs_by_order,
     graphs_by_size,
     ingest_graph6,
@@ -134,17 +132,6 @@ def test_order_limits():
         graphs_by_size(14)
     with pytest.raises(EnumerationLimitError):
         graphs_by_size(2)
-
-
-def test_enumerate_spec_wrapper():
-    spec = EnumerationSpec(mode="by_order", value=5, filter="minimally_two_connected")
-    assert len(list(enumerate_graphs(spec))) == 2
-    spec = EnumerationSpec(mode="by_size", value=8, filter="minimally_two_connected")
-    assert len(list(enumerate_graphs(spec))) == 4
-    with pytest.raises(EnumerationLimitError):
-        list(enumerate_graphs(EnumerationSpec(mode="by_size", value=8, filter="all")))
-    with pytest.raises(ValueError):
-        EnumerationSpec(mode="sideways", value=8)
 
 
 def test_ingest_round_trip_matches_builtin():

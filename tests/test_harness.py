@@ -194,19 +194,12 @@ def test_samplers_deterministic():
     lambda: verify_theorem_size(),
     lambda: verify_lemma_suite(["claim-size"]),
     lambda: verify_lemma_suite(["fact1"]),
+    lambda: verify_lemma_suite(["claim-size", "fact1"]),
 ])
-def test_size_campaigns_sweep_once(monkeypatch, run):
-    monkeypatch.setattr(enumeration, "_SWEEP", {"max_m": 0, "by_size": {}})
-    sweeps = []
-    real_sweep = enumeration._ear_sweep
-
-    def counting_sweep(m_max):
-        sweeps.append(m_max)
-        return real_sweep(m_max)
-
-    monkeypatch.setattr(enumeration, "_ear_sweep", counting_sweep)
+def test_size_campaigns_sweep_once(run):
+    enumeration._ear_sweep.cache_clear()
     run()
-    assert len(sweeps) == 1
+    assert enumeration._ear_sweep.cache_info().misses == 1
 
 
 def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
@@ -242,3 +235,17 @@ def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
     monkeypatch.setattr(harness, "alpha_index", shifted)
     with pytest.raises(SpectralError, match="power-iteration rho"):
         verify_theorem_order((5,), ["0.50"])
+
+
+@pytest.mark.parametrize("target", ["lemma1", "lemma2"])
+def test_sandwich_cross_check_disagreement_is_internal(monkeypatch, target):
+    real = harness.alpha_index
+
+    def shifted(g, alpha):
+        result = real(g, alpha)
+        return type(result)(alpha, result.rho + 1e-6, result.perron, result.residual,
+                            result.iterations)
+
+    monkeypatch.setattr(harness, "alpha_index", shifted)
+    with pytest.raises(SpectralError, match="power-iteration rho"):
+        verify_lemma_suite([target], n_max=3)
