@@ -272,11 +272,9 @@ def _render_reports(args, reports: list) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.allow_slow and args.target != "theorem1.3":
-        raise ValueError("--allow-slow applies only to theorem1.3")
     if args.target == "theorem1.3":
         reports = [hz.verify_theorem_order(
-            args.n or (5, 6, 7, 8), args.alpha, jobs=args.jobs, allow_slow=args.allow_slow,
+            args.n or (5, 6, 7, 8, 9, 10), args.alpha, jobs=args.jobs,
         )]
     elif args.target == "theorem1.4":
         reports = [hz.verify_theorem_size(
@@ -342,11 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="isomorph-free generation")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--order", type=int, help="enumerate by order (n <= 8; 9-10 with --allow-slow)")
+    group.add_argument("--order", type=int,
+                       help="enumerate by order (n <= 13 with --filter min2c; "
+                            "otherwise n <= 8, 9-10 with --allow-slow)")
     group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 13)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
     p.add_argument("--allow-slow", action="store_true",
-                   help="permit by-order generation at n = 9 or 10 (slow)")
+                   help="permit by-order generation at n = 9 or 10 with "
+                        "--filter all or 2conn (slow)")
     add_io(p, formats=("graph6", "json"))
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "1e-9; bound slack tolerance 1e-10.",
     )
     p.add_argument("target", choices=("theorem1.3", "theorem1.4", "lemmas"))
-    p.add_argument("--n", type=_parse_int_range, help="orders, e.g. 5..8")
+    p.add_argument("--n", type=_parse_int_range, help="orders, e.g. 5..8 (default 5..10, at most 13)")
     p.add_argument("--m", type=_parse_int_range, help="sizes, e.g. 6..13 or 9,11,13")
     p.add_argument("--alpha", type=_parse_alphas,
                    help="comma-separated alpha grid (default 0.50..0.95 step 0.05)")
@@ -383,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=hz.ROTATION_SEED)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes for theorem campaigns")
-    p.add_argument("--allow-slow", action="store_true",
-                   help="permit theorem1.3 at n = 9 or 10 (slow)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")
     add_io(p, formats=("text", "json", "csv"))

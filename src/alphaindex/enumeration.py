@@ -10,17 +10,21 @@ naive backtracking degenerates.
 
 Two generators are provided:
 
-* by order - canonical augmentation: every class on ``n`` vertices arises
-  from a class on ``n - 1`` vertices plus one new vertex with some
-  neighbourhood, de-duplicated by canonical form.
-* by size - for minimally 2-connected targets only.  Every minimally
-  2-connected non-cycle graph is a cycle plus a sequence of open ears of
-  length >= 2 between non-adjacent endpoints, and every intermediate graph
-  of such a decomposition is itself minimally 2-connected (subgraphs of
-  chord-free graphs are chord-free).  Growing ears from all cycles and
-  keeping the chord-free results therefore reaches every class of the
-  target size, regardless of order, which is what the size-indexed
-  theorems quantify over.
+* ears - one cached cell of minimally 2-connected classes per order ``n``
+  and size ``m``.  Every minimally 2-connected non-cycle graph is a cycle
+  plus a sequence of open ears of length >= 2 between non-adjacent
+  endpoints, and every intermediate graph of such a decomposition is itself
+  minimally 2-connected (subgraphs of chord-free graphs are chord-free;
+  Dirac 1967, Plummer 1968).  A cell is therefore its cycle, if ``n == m``,
+  plus the chord-free results of one ear added to a class of a smaller
+  cell.  The minimally 2-connected classes of an order are the union of
+  its cells over ``n <= m <= 2n - 4``, those of a size the union over
+  ``n <= m``.
+* brute force by order, for the ``all`` and ``two_connected`` filters -
+  canonical augmentation: every class on ``n`` vertices arises from a class
+  on ``n - 1`` vertices plus one new vertex with some neighbourhood,
+  de-duplicated by canonical form.  It is also the independent oracle for
+  the ear cells in the tests.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ def _mask(cell: list[int]) -> int:
     return mask
 
 
-# -- by-order generation ---------------------------------------------------
+# -- by-order generation (all classes) --------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -236,13 +240,22 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
 def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> list[Graph]:
     """One canonically labeled representative per class, sorted by form.
 
-    Orders 9 and 10 are supported behind ``allow_slow`` (the augmentation
-    sweep is minutes at n=9 and impractically long at n=10).
+    Minimally 2-connected classes come from the ear cells and reach the
+    canonical-order cap.  The other filters run over every class: orders 9
+    and 10 are supported behind ``allow_slow`` (the augmentation sweep is
+    minutes at n=9 and impractically long at n=10).
     """
     if filter not in _FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
     if n < 1:
         raise EnumerationLimitError("order must be at least 1")
+    if filter == "minimally_two_connected":
+        if n > MAX_CANONICAL_ORDER:
+            raise EnumerationLimitError(
+                f"minimally 2-connected generation stops at n = {MAX_CANONICAL_ORDER}; "
+                "supply a graph6 stream for larger orders"
+            )
+        return _union(_ear_classes(n, m) for m in range(n, max(n, 2 * n - 4) + 1))
     if n > MAX_GATED_ORDER:
         raise EnumerationLimitError(
             f"builtin by-order generation stops at n = {MAX_GATED_ORDER}; "
@@ -257,45 +270,37 @@ def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> li
     return [g for g in _all_classes(n) if predicate(g)]
 
 
-# -- by-size generation (minimally 2-connected) -----------------------------
+# -- ear generation (minimally 2-connected, by order and size) ---------------
+
 
 @lru_cache(maxsize=None)
-def _ear_sweep() -> dict[int, tuple[Graph, ...]]:
-    """All minimally 2-connected classes with size <= MAX_SIZE, grouped by
-    size.  One sweep serves every m, so it runs once per process."""
+def _ear_classes(n: int, m: int) -> tuple[Graph, ...]:
+    """Minimally 2-connected classes of order ``n`` and size ``m``, sorted by
+    canonical form.
+
+    Each ear of length L adds L - 1 vertices and L edges, so the parents of
+    a cell all sit in cells ``(n - L + 1, m - L)``, one excess edge lower.
+    """
+    if not 3 <= n <= m <= max(n, 2 * n - 4):
+        return ()
     seen: dict[str, Graph] = {}
-    frontier: list[Graph] = []
-    for girth in range(3, MAX_SIZE + 1):
-        cycle = Graph.from_edges(girth, [(i, (i + 1) % girth) for i in range(girth)])
-        key = canonical_form(cycle)
-        rep = parse_graph6(key)
-        seen[key] = rep
-        frontier.append(rep)
-    while frontier:
-        g = frontier.pop()
-        budget = MAX_SIZE - g.m
-        if budget < 2:
-            continue
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.adjacent(u, v):
-                    continue
-                for length in range(2, budget + 1):
-                    child = _add_ear(g, u, v, length)
-                    if child.n > MAX_CANONICAL_ORDER:
+    if n == m:
+        key = canonical_form(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
+        seen[key] = parse_graph6(key)
+    for length in range(2, n - 2):
+        # A parent needs a non-adjacent pair, so at least 4 vertices.
+        for g in _ear_classes(n - length + 1, m - length):
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    if g.adjacent(u, v):
                         continue
+                    child = _add_ear(g, u, v, length)
                     if not is_minimally_two_connected_by_chords(child):
                         continue
                     key = canonical_form(child)
                     if key not in seen:
-                        rep = parse_graph6(key)
-                        seen[key] = rep
-                        frontier.append(rep)
-    table: dict[int, list[Graph]] = {}
-    for key in sorted(seen):
-        g = seen[key]
-        table.setdefault(g.m, []).append(g)
-    return {m: tuple(graphs) for m, graphs in table.items()}
+                        seen[key] = parse_graph6(key)
+    return tuple(seen[key] for key in sorted(seen))
 
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
@@ -307,11 +312,15 @@ def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
     return Graph.from_edges(g.n + length - 1, edges)
 
 
+def _union(cells: Iterable[tuple[Graph, ...]]) -> list[Graph]:
+    return sorted((g for cell in cells for g in cell), key=emit_graph6)
+
+
 def graphs_by_size(m: int) -> list[Graph]:
     """Minimally 2-connected classes of size ``m``, sorted by canonical form.
 
-    The order window follows from the edge bound (m <= 2n - 4 for n >= 4)
-    and 2-connectivity (m >= n); the ear sweep covers it in one pass.
+    The order window follows from 2-connectivity (n <= m) and the edge
+    bound (m <= 2n - 4 for n >= 4); an order outside it gives an empty cell.
     """
     if m < 3:
         raise EnumerationLimitError("no 2-connected graph has fewer than 3 edges")
@@ -320,7 +329,7 @@ def graphs_by_size(m: int) -> list[Graph]:
             f"builtin by-size generation stops at m = {MAX_SIZE}; "
             "supply a graph6 stream for larger sizes"
         )
-    return list(_ear_sweep().get(m, ()))
+    return _union(_ear_classes(n, m) for n in range(3, m + 1))
 
 
 # -- graph6 stream ingestion -------------------------------------------------

@@ -180,8 +180,8 @@ def _sub_margin(case: dict) -> bool:
 
 
 def _order_case(args: tuple) -> list[tuple[dict, str]]:
-    n, alphas, allow_slow = args
-    classes = graphs_by_order(n, "minimally_two_connected", allow_slow=allow_slow)
+    n, alphas = args
+    classes = graphs_by_order(n, "minimally_two_connected")
     target = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
     out = []
     for alpha_str in alphas:
@@ -257,10 +257,9 @@ def _theorem(
 
 
 def verify_theorem_order(
-    n_values: Iterable[int] = (5, 6, 7, 8),
+    n_values: Iterable[int] = (5, 6, 7, 8, 9, 10),
     alphas: Sequence[str] | None = None,
     jobs: int = 1,
-    allow_slow: bool = False,
 ) -> VerificationReport:
     """Order theorem: the unique alpha-index maximizer among minimally
     2-connected graphs of order n is K_{2,n-2}, for alpha in [1/2, 1)."""
@@ -270,7 +269,7 @@ def verify_theorem_order(
             raise ValueError("the order theorem starts at n = 5")
     return _run(
         _theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
-        _order_case, [(n, allow_slow) for n in n_values], jobs,
+        _order_case, [(n,) for n in n_values], jobs,
     )
 
 

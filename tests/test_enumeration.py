@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alphaindex import enumeration
 from alphaindex.connectivity import (
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
@@ -112,15 +113,37 @@ def test_by_size_all_minimal_and_degree_capped():
             assert (m + 4) / 2 <= g.n <= m or g.n == 3
 
 
+def _brute_force_min2c(n, recognizer):
+    return [emit_graph6(g) for g in enumeration._all_classes(n) if recognizer(g)]
+
+
 def test_by_size_matches_by_order_slice():
     for m in range(6, 11):
         via_orders = set()
         for n in range(4, 9):
-            for g in graphs_by_order(n, "minimally_two_connected"):
-                if g.m == m:
-                    via_orders.add(emit_graph6(g))
+            via_orders.update(
+                form for form in _brute_force_min2c(n, is_minimally_two_connected_by_deletion)
+                if parse_graph6(form).m == m
+            )
         via_sizes = {emit_graph6(g) for g in graphs_by_size(m) if g.n <= 8}
         assert via_orders == via_sizes
+
+
+@pytest.mark.parametrize("recognizer", [
+    is_minimally_two_connected_by_chords, is_minimally_two_connected_by_deletion,
+])
+def test_min2c_by_order_matches_brute_force(recognizer):
+    for n in range(1, 9):
+        got = [emit_graph6(g) for g in graphs_by_order(n, "minimally_two_connected")]
+        assert got == _brute_force_min2c(n, recognizer), n
+
+
+@pytest.mark.parametrize("n,count", [(9, 28), (10, 68)])
+def test_min2c_by_order_past_brute_force(n, count):
+    classes = graphs_by_order(n, "minimally_two_connected")
+    assert len(classes) == count
+    assert all(g.n == n and is_minimally_two_connected_by_deletion(g) for g in classes)
+    assert len({canonical_form(g) for g in classes}) == count
 
 
 def test_order_limits():
@@ -128,6 +151,9 @@ def test_order_limits():
         graphs_by_order(9)  # gated
     with pytest.raises(EnumerationLimitError):
         graphs_by_order(11, allow_slow=True)
+    assert len(graphs_by_order(9, "minimally_two_connected")) == 28  # no flag
+    with pytest.raises(EnumerationLimitError):
+        graphs_by_order(14, "minimally_two_connected")
     with pytest.raises(EnumerationLimitError):
         graphs_by_size(14)
     with pytest.raises(EnumerationLimitError):

@@ -195,11 +195,23 @@ def test_samplers_deterministic():
     lambda: verify_lemma_suite(["claim-size"]),
     lambda: verify_lemma_suite(["fact1"]),
     lambda: verify_lemma_suite(["claim-size", "fact1"]),
+    lambda: verify_theorem_order((5, 6, 7, 8)),
 ])
 def test_size_campaigns_sweep_once(run):
-    enumeration._ear_sweep.cache_clear()
+    enumeration._ear_classes.cache_clear()
     run()
-    assert enumeration._ear_sweep.cache_info().misses == 1
+    misses = enumeration._ear_classes.cache_info().misses
+    assert misses > 0
+    run()
+    assert enumeration._ear_classes.cache_info().misses == misses
+
+
+def test_theorem_order_skips_brute_force():
+    # Neither a hit nor a miss: the campaign never asks for all classes.
+    # The cache is left warm for the brute-force tests that follow.
+    before = enumeration._all_classes.cache_info()
+    verify_theorem_order((5, 6, 7, 8))
+    assert enumeration._all_classes.cache_info() == before
 
 
 def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
