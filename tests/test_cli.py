@@ -118,7 +118,7 @@ def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
 
 
 @pytest.mark.parametrize("target", ["theorem1.3", "lemmas", "theorem1.4"])
-def test_verify_allow_slow_is_usage_error(capsys, target):
+def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
     with pytest.raises(SystemExit) as err:
         main(["verify", target, "--n-max", "9", "--m", "6", "--allow-slow", "--jobs", "1"])
     assert err.value.code == 2
