@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -343,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--order", type=int,
                        help="enumerate by order (n <= 13 with --filter min2c; "
                             "otherwise n <= 8, 9-10 with --allow-slow)")
-    group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 13)")
+    group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 16)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
     p.add_argument("--allow-slow", action="store_true",
                    help="permit by-order generation at n = 9 or 10 with "
@@ -375,15 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("target", choices=("theorem1.3", "theorem1.4", "lemmas"))
     p.add_argument("--n", type=_parse_int_range, help="orders, e.g. 5..8 (default 5..10, at most 13)")
-    p.add_argument("--m", type=_parse_int_range, help="sizes, e.g. 6..13 or 9,11,13")
+    p.add_argument("--m", type=_parse_int_range,
+                   help="sizes, e.g. 6..13 or 9,11,13 (default 6,8..13, at most 16)")
     p.add_argument("--alpha", type=_parse_alphas,
                    help="comma-separated alpha grid (default 0.50..0.95 step 0.05)")
     p.add_argument("--targets", help="comma-separated lemma targets (default: all)")
     p.add_argument("--n-max", type=int, default=8, help="order cap for lemma corpora")
     p.add_argument("--rotation-cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=hz.ROTATION_SEED)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for theorem campaigns")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for theorem campaigns (default 1)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")
     add_io(p, formats=("text", "json", "csv"))

@@ -10,6 +10,7 @@ exercised by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, iter_bits
 
@@ -127,6 +128,38 @@ def is_minimally_two_connected_by_chords(g: Graph) -> bool:
     return not has_chorded_cycle(g)
 
 
+def chording_ears(g: Graph) -> tuple[int, ...]:
+    """For a 2-connected ``g``: bit ``v`` of entry ``u`` is set when adding an
+    open ear of length >= 2 between distinct vertices ``u`` and ``v`` gives a
+    graph that is not minimally 2-connected.
+
+    The ear's own edges are essential, since its inner vertices have degree
+    2.  An old edge xy becomes inessential exactly when g - xy + ear is
+    2-connected, i.e. when the ear closes the block chain of g - xy: one end
+    in the interior of x's end block (the block minus its cut vertex) and
+    the other in the interior of y's.  If g - xy is itself 2-connected (g
+    not minimal), its one block has no cut vertex and every pair is set.
+    """
+    rows = [0] * g.n
+    for x, y in g.edges():
+        seen = cuts = 0
+        end_x = end_y = 0
+        for block in _block_masks(g.remove_edge(x, y)):
+            cuts |= seen & block
+            seen |= block
+            if (block >> x) & 1:
+                end_x = block
+            if (block >> y) & 1:
+                end_y = block
+        end_x &= ~cuts
+        end_y &= ~cuts
+        for u in iter_bits(end_x):
+            rows[u] |= end_y
+        for v in iter_bits(end_y):
+            rows[v] |= end_x
+    return tuple(rows)
+
+
 def triangle_free(g: Graph) -> bool:
     for u, v in g.edges():
         if g.rows[u] & g.rows[v]:
@@ -160,10 +193,16 @@ def structural_report(g: Graph) -> StructuralReport:
 
 
 def _share_block(g: Graph, s: int, t: int) -> bool:
-    """True when ``s`` and ``t`` lie on a common cycle of ``g``.
+    """True when ``s`` and ``t`` lie on a common cycle of ``g``."""
+    both = (1 << s) | (1 << t)
+    return any(block & both == both for block in _block_masks(g))
 
-    Tarjan block decomposition with an edge stack; returns as soon as one
-    biconnected block contains both endpoints.
+
+def _block_masks(g: Graph) -> Iterator[int]:
+    """Vertex masks of the blocks of ``g`` (bridges included), one at a time.
+
+    Tarjan block decomposition with an edge stack, so a caller that stops
+    early skips the rest of the walk.
     """
     disc = [-1] * g.n
     low = [0] * g.n
@@ -205,6 +244,4 @@ def _share_block(g: Graph, s: int, t: int) -> bool:
                             members |= (1 << a) | (1 << b)
                             if (a, b) == (p, v):
                                 break
-                        if (members >> s) & 1 and (members >> t) & 1:
-                            return True
-    return False
+                        yield members

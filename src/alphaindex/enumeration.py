@@ -17,9 +17,14 @@ Two generators are provided:
   minimally 2-connected (subgraphs of chord-free graphs are chord-free;
   Dirac 1967, Plummer 1968).  A cell is therefore its cycle, if ``n == m``,
   plus the chord-free results of one ear added to a class of a smaller
-  cell.  The minimally 2-connected classes of an order are the union of
-  its cells over ``n <= m <= 2n - 4``, those of a size the union over
-  ``n <= m``.
+  cell.  Which ears keep a parent G minimal is decided once per parent,
+  with no test on the child: the ear's own edges are essential, and an old
+  edge xy becomes inessential exactly when the ear closes the chain of
+  blocks of G - xy, that is, runs from the interior of x's end block (the
+  block minus its cut vertex) to the interior of y's
+  (``connectivity.chording_ears``).  The minimally 2-connected classes of
+  an order are the union of its cells over ``n <= m <= 2n - 4``, those of
+  a size the union over ``n <= m``.
 * brute force by order, for the ``all`` and ``two_connected`` filters -
   canonical augmentation: every class on ``n`` vertices arises from a class
   on ``n - 1`` vertices plus one new vertex with some neighbourhood,
@@ -33,17 +38,19 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .connectivity import (
+    chording_ears,
     is_connected,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
     is_two_connected,
 )
-from .graphs import Graph, Graph6Error, GraphError, emit_graph6, parse_graph6
+from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
 
-MAX_CANONICAL_ORDER = 13
+MAX_CANONICAL_ORDER = 16
 MAX_BUILTIN_ORDER = 8
 MAX_GATED_ORDER = 10
-MAX_SIZE = 13
+MAX_MIN2C_ORDER = 13
+MAX_SIZE = 16
 
 _FILTERS: dict[str, Callable[[Graph], bool]] = {
     "all": lambda g: True,
@@ -240,8 +247,8 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
 def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> list[Graph]:
     """One canonically labeled representative per class, sorted by form.
 
-    Minimally 2-connected classes come from the ear cells and reach the
-    canonical-order cap.  The other filters run over every class: orders 9
+    Minimally 2-connected classes come from the ear cells and reach
+    ``MAX_MIN2C_ORDER``.  The other filters run over every class: orders 9
     and 10 are supported behind ``allow_slow`` (the augmentation sweep is
     minutes at n=9 and impractically long at n=10).
     """
@@ -250,9 +257,9 @@ def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> li
     if n < 1:
         raise EnumerationLimitError("order must be at least 1")
     if filter == "minimally_two_connected":
-        if n > MAX_CANONICAL_ORDER:
+        if n > MAX_MIN2C_ORDER:
             raise EnumerationLimitError(
-                f"minimally 2-connected generation stops at n = {MAX_CANONICAL_ORDER}; "
+                f"minimally 2-connected generation stops at n = {MAX_MIN2C_ORDER}; "
                 "supply a graph6 stream for larger orders"
             )
         return _union(_ear_classes(n, m) for m in range(n, max(n, 2 * n - 4) + 1))
@@ -290,14 +297,11 @@ def _ear_classes(n: int, m: int) -> tuple[Graph, ...]:
     for length in range(2, n - 2):
         # A parent needs a non-adjacent pair, so at least 4 vertices.
         for g in _ear_classes(n - length + 1, m - length):
-            for u in range(g.n):
-                for v in range(u + 1, g.n):
-                    if g.adjacent(u, v):
-                        continue
-                    child = _add_ear(g, u, v, length)
-                    if not is_minimally_two_connected_by_chords(child):
-                        continue
-                    key = canonical_form(child)
+            full = (1 << g.n) - 1
+            for u, closing in enumerate(chording_ears(g)):
+                # v > u, not adjacent to u, and every old edge stays essential.
+                for v in iter_bits(full & ~((2 << u) - 1) & ~(closing | g.rows[u])):
+                    key = canonical_form(_add_ear(g, u, v, length))
                     if key not in seen:
                         seen[key] = parse_graph6(key)
     return tuple(seen[key] for key in sorted(seen))
@@ -305,11 +309,14 @@ def _ear_classes(n: int, m: int) -> tuple[Graph, ...]:
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
     """Open ear: a u-v path with ``length`` edges through new vertices."""
-    edges = list(g.edges())
-    inner = list(range(g.n, g.n + length - 1))
-    chain = [u] + inner + [v]
-    edges.extend(zip(chain, chain[1:]))
-    return Graph.from_edges(g.n + length - 1, edges)
+    if u == v or not (0 <= u < g.n and 0 <= v < g.n) or length < 2:
+        raise GraphError(f"invalid open ear ({u},{v}) of length {length}")
+    rows = list(g.rows) + [0] * (length - 1)
+    chain = [u, *range(g.n, g.n + length - 1), v]
+    for a, b in zip(chain, chain[1:]):
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return Graph._trusted(g.n + length - 1, tuple(rows), g.m + length)
 
 
 def _union(cells: Iterable[tuple[Graph, ...]]) -> list[Graph]:
@@ -367,6 +374,7 @@ __all__ = [
     "MAX_BUILTIN_ORDER",
     "MAX_CANONICAL_ORDER",
     "MAX_GATED_ORDER",
+    "MAX_MIN2C_ORDER",
     "MAX_SIZE",
     "canonical_form",
     "canonical_relabel",

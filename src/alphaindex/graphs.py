@@ -36,7 +36,10 @@ class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
     ``rows[v]`` is the neighbour bitmask of ``v``; ``m`` is the edge count.
-    Loop-freeness and symmetry are enforced at construction time.
+    Loop-freeness and symmetry are enforced at construction time.  Edits
+    check their arguments and build their result through ``_trusted``,
+    which skips that check: a valid graph edited by valid arguments is
+    valid by construction.
     """
 
     n: int
@@ -62,6 +65,14 @@ class Graph:
                     raise GraphError(f"asymmetric adjacency between {u} and {v}")
         if twice_m != 2 * self.m:
             raise GraphError("cached edge count disagrees with adjacency")
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...], m: int) -> "Graph":
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        object.__setattr__(g, "m", m)
+        return g
 
     @classmethod
     def from_rows(cls, rows: Iterable[int]) -> "Graph":
@@ -111,7 +122,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows), self.m + 1)
+        return Graph._trusted(self.n, tuple(rows), self.m + 1)
 
     def remove_edge(self, u: int, v: int) -> "Graph":
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -121,7 +132,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows), self.m - 1)
+        return Graph._trusted(self.n, tuple(rows), self.m - 1)
 
     def add_vertex(self, neighbors: int = 0) -> "Graph":
         """New graph with vertex ``n`` joined to the bitmask ``neighbors``."""
@@ -129,7 +140,7 @@ class Graph:
             raise GraphError("neighbor mask outside existing vertices")
         rows = [r | (((neighbors >> v) & 1) << self.n) for v, r in enumerate(self.rows)]
         rows.append(neighbors)
-        return Graph(self.n + 1, tuple(rows), self.m + neighbors.bit_count())
+        return Graph._trusted(self.n + 1, tuple(rows), self.m + neighbors.bit_count())
 
     def relabel(self, perm: tuple[int, ...]) -> "Graph":
         """Image under ``perm``: vertex ``v`` of self becomes ``perm[v]``."""
@@ -142,7 +153,7 @@ class Graph:
             for u in iter_bits(self.rows[v]):
                 row |= 1 << perm[u]
             rows[pv] = row
-        return Graph(self.n, tuple(rows), self.m)
+        return Graph._trusted(self.n, tuple(rows), self.m)
 
 
 @dataclass(frozen=True)

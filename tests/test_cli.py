@@ -258,3 +258,12 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 1
     assert "fact3: FAIL" in proc.stdout
+
+
+def test_verify_runs_serially_by_default(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("process pool started without --jobs")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    code, _ = run_cli(capsys, "verify", "theorem1.3", "--n", "5..6", "--format", "json")
+    assert code == 0

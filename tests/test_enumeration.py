@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from alphaindex import enumeration
+from alphaindex import connectivity, enumeration
 from alphaindex.connectivity import (
+    chording_ears,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
 )
@@ -67,6 +68,19 @@ def test_canonical_random_relabel_property():
         assert canonical_form(g) == canonical_form(g.relabel(tuple(perm)))
 
 
+@pytest.mark.parametrize("n", [14, 15, 16])
+def test_canonical_invariant_past_order_13(n):
+    rng = random.Random(1400 + n)
+    graphs = [cycle(n), complete_bipartite(2, n - 2)]
+    graphs += [random_graph(rng, n, p) for p in (0.2, 0.5)]
+    for g in graphs:
+        want = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(tuple(perm))) == want
+
+
 def test_canonical_distinguishes(c5, k23):
     assert canonical_form(c5) != canonical_form(k23)
 
@@ -82,7 +96,7 @@ def test_canonical_relabel_is_isomorphic(k23):
 
 
 def test_canonical_order_cap():
-    big = cycle(14)
+    big = cycle(enumeration.MAX_CANONICAL_ORDER + 1)
     with pytest.raises(EnumerationLimitError):
         canonical_form(big)
 
@@ -111,6 +125,42 @@ def test_by_size_all_minimal_and_degree_capped():
             assert max(g.degrees()) < (m + 1) / 2
             # Lemma-5 window: (m+4)/2 <= n <= m
             assert (m + 4) / 2 <= g.n <= m or g.n == 3
+
+
+@pytest.mark.parametrize("m,count", [(14, 154), (15, 320), (16, 729)])
+def test_by_size_past_13(m, count):
+    classes = graphs_by_size(m)
+    assert len(classes) == count
+    assert all(g.m == m and is_minimally_two_connected_by_deletion(g) for g in classes)
+    assert len({canonical_form(g) for g in classes}) == count
+
+
+def test_chording_ears_match_both_recognizers():
+    # Every minimal parent of size <= 10, plus non-minimal 2-connected ones.
+    parents = [g for m in range(3, 11) for g in graphs_by_size(m)]
+    parents += [g for g in graphs_by_order(5, "two_connected")
+                if not is_minimally_two_connected_by_deletion(g)]
+    for g in parents:
+        closing = chording_ears(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                minimal = not (closing[u] >> v) & 1
+                assert minimal == (not (closing[v] >> u) & 1)
+                for length in (2, 3):
+                    child = enumeration._add_ear(g, u, v, length)
+                    assert is_minimally_two_connected_by_chords(child) == minimal, (g, u, v)
+                    assert is_minimally_two_connected_by_deletion(child) == minimal, (g, u, v)
+
+
+def test_ear_generation_runs_no_chord_test(monkeypatch):
+    def refuse(g):
+        raise AssertionError("chord test called during ear generation")
+
+    monkeypatch.setattr(enumeration, "is_minimally_two_connected_by_chords", refuse)
+    monkeypatch.setattr(connectivity, "has_chorded_cycle", refuse)
+    enumeration._ear_classes.cache_clear()
+    assert len(graphs_by_size(13)) == 70
+    assert len(graphs_by_order(10, "minimally_two_connected")) == 68
 
 
 def _brute_force_min2c(n, recognizer):
@@ -155,7 +205,7 @@ def test_order_limits():
     with pytest.raises(EnumerationLimitError):
         graphs_by_order(14, "minimally_two_connected")
     with pytest.raises(EnumerationLimitError):
-        graphs_by_size(14)
+        graphs_by_size(enumeration.MAX_SIZE + 1)
     with pytest.raises(EnumerationLimitError):
         graphs_by_size(2)
 

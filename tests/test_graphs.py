@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alphaindex.enumeration import _add_ear
 from alphaindex.graphs import (
     Graph,
     Graph6Error,
@@ -154,3 +155,19 @@ def test_edges_iteration(k23):
     assert len(edges) == k23.m
     assert all(u < v for u, v in edges)
     assert all(k23.adjacent(u, v) for u, v in edges)
+
+
+def test_edits_equal_validated_construction():
+    rng = random.Random(606)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(2, 12), rng.random())
+        results = [g.add_vertex(rng.getrandbits(g.n))]
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        results.append(g.relabel(tuple(perm)))
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        u, v = rng.choice(pairs)
+        results.append(g.remove_edge(u, v) if g.adjacent(u, v) else g.add_edge(u, v))
+        results.append(_add_ear(g, u, v, rng.randint(2, 4)))
+        for h in results:
+            assert h == Graph.from_rows(h.rows), h
