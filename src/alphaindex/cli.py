@@ -162,7 +162,7 @@ def _cmd_bounds(args) -> int:
 def _cmd_enumerate(args) -> int:
     filter_name = _FILTER_NAMES[args.filter]
     if args.order is not None:
-        graphs = graphs_by_order(args.order, filter_name, allow_slow=args.allow_slow)
+        graphs = graphs_by_order(args.order, filter_name)
     else:
         if filter_name != "minimally_two_connected":
             raise EnumerationLimitError("--size enumeration supports only --filter min2c")
@@ -340,13 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="isomorph-free generation")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int,
-                       help="enumerate by order (n <= 13 with --filter min2c; "
-                            "otherwise n <= 8, 9-10 with --allow-slow)")
+                       help="enumerate by order (n <= 13 with --filter min2c, "
+                            "otherwise n <= 9; n = 9 takes minutes)")
     group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 16)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
-    p.add_argument("--allow-slow", action="store_true",
-                   help="permit by-order generation at n = 9 or 10 with "
-                        "--filter all or 2conn (slow)")
     add_io(p, formats=("graph6", "json"))
     p.set_defaults(fn=_cmd_enumerate)
 

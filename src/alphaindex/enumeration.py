@@ -47,8 +47,7 @@ from .connectivity import (
 from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
 
 MAX_CANONICAL_ORDER = 16
-MAX_BUILTIN_ORDER = 8
-MAX_GATED_ORDER = 10
+MAX_BUILTIN_ORDER = 9
 MAX_MIN2C_ORDER = 13
 MAX_SIZE = 16
 
@@ -102,7 +101,8 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
         cells[rank[rows[v].bit_count()]].append(v)
     cells = _refine(n, rows, [c for c in cells if c])
 
-    best: dict[str, object] = {"cols": None, "order": None}
+    best_cols: tuple[int, ...] | None = None
+    best_order: list[int] = []
 
     def column(v: int, order: list[int]) -> int:
         code = 0
@@ -111,53 +111,44 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
         return code
 
     def descend(cells: list[list[int]], order: list[int], cols: list[int], beats: bool):
-        # Consume forced (singleton) cells, pruning against the incumbent.
+        nonlocal best_cols, best_order
+
+        def take(vertices: list[int]) -> bool:
+            """Append forced vertices, pruning against the incumbent."""
+            nonlocal beats
+            for v in vertices:
+                cols.append(column(v, order))
+                order.append(v)
+                if not beats and best_cols is not None:
+                    ref = best_cols[len(cols) - 1]
+                    if cols[-1] > ref:
+                        return False
+                    if cols[-1] < ref:
+                        beats = True
+            return True
+
         idx = 0
         while idx < len(cells) and len(cells[idx]) == 1:
-            v = cells[idx][0]
-            cols.append(column(v, order))
-            order.append(v)
-            if not beats and best["cols"] is not None:
-                ref = best["cols"][len(cols) - 1]
-                if cols[-1] > ref:
-                    return
-                if cols[-1] < ref:
-                    beats = True
             idx += 1
+        if not take([cell[0] for cell in cells[:idx]]):
+            return
         remaining = cells[idx:]
-        if not remaining:
-            tup = tuple(cols)
-            if best["cols"] is None or tup < best["cols"]:
-                best["cols"] = tup
-                best["order"] = list(order)
-            return
-        if _homogeneous(rows, remaining):
+        if remaining:
+            if not _homogeneous(rows, remaining):
+                target, rest = remaining[0], remaining[1:]
+                for v in target:
+                    split = [[v], [u for u in target if u != v]] + [list(c) for c in rest]
+                    refined = _refine(n, rows, [c for c in split if c])
+                    descend(refined, list(order), list(cols), beats)
+                return
             # Any consistent completion yields the same bitstring.
-            for cell in remaining:
-                for v in cell:
-                    cols.append(column(v, order))
-                    order.append(v)
-                    if not beats and best["cols"] is not None:
-                        ref = best["cols"][len(cols) - 1]
-                        if cols[-1] > ref:
-                            return
-                        if cols[-1] < ref:
-                            beats = True
-            tup = tuple(cols)
-            if best["cols"] is None or tup < best["cols"]:
-                best["cols"] = tup
-                best["order"] = list(order)
-            return
-        target = remaining[0]
-        rest = remaining[1:]
-        base_len = len(order)
-        for v in target:
-            split = [[v], [u for u in target if u != v]] + [list(c) for c in rest]
-            refined = _refine(n, rows, [c for c in split if c])
-            descend(refined, list(order[:base_len]), list(cols[:base_len]), beats)
+            if not take([v for cell in remaining for v in cell]):
+                return
+        if best_cols is None or tuple(cols) < best_cols:
+            best_cols, best_order = tuple(cols), list(order)
 
     descend(cells, [], [], False)
-    return best["order"]
+    return best_order
 
 
 def _refine(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
@@ -244,13 +235,13 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
     return tuple(seen[key] for key in sorted(seen))
 
 
-def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> list[Graph]:
+def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
     """One canonically labeled representative per class, sorted by form.
 
     Minimally 2-connected classes come from the ear cells and reach
-    ``MAX_MIN2C_ORDER``.  The other filters run over every class: orders 9
-    and 10 are supported behind ``allow_slow`` (the augmentation sweep is
-    minutes at n=9 and impractically long at n=10).
+    ``MAX_MIN2C_ORDER``.  The other filters run over every class up to
+    ``MAX_BUILTIN_ORDER`` (the augmentation sweep takes minutes at n = 9
+    and hours at n = 10).
     """
     if filter not in _FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
@@ -263,15 +254,10 @@ def graphs_by_order(n: int, filter: str = "all", allow_slow: bool = False) -> li
                 "supply a graph6 stream for larger orders"
             )
         return _union(_ear_classes(n, m) for m in range(n, max(n, 2 * n - 4) + 1))
-    if n > MAX_GATED_ORDER:
+    if n > MAX_BUILTIN_ORDER:
         raise EnumerationLimitError(
-            f"builtin by-order generation stops at n = {MAX_GATED_ORDER}; "
+            f"builtin by-order generation stops at n = {MAX_BUILTIN_ORDER}; "
             "supply a graph6 stream for larger orders"
-        )
-    if n > MAX_BUILTIN_ORDER and not allow_slow:
-        raise EnumerationLimitError(
-            f"n = {n} requires allow_slow=True (runtime grows steeply past "
-            f"n = {MAX_BUILTIN_ORDER})"
         )
     predicate = _FILTERS[filter]
     return [g for g in _all_classes(n) if predicate(g)]
@@ -373,7 +359,6 @@ __all__ = [
     "EnumerationLimitError",
     "MAX_BUILTIN_ORDER",
     "MAX_CANONICAL_ORDER",
-    "MAX_GATED_ORDER",
     "MAX_MIN2C_ORDER",
     "MAX_SIZE",
     "canonical_form",

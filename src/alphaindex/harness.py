@@ -544,14 +544,12 @@ def _lemma9(target: str, alphas, **_) -> VerificationReport:
     graphs = [build(FamilyId("K", shape))[0] for shape in shapes]
     for alpha_str in alphas:
         alpha = float(alpha_str)
-        worst = 0.0
         fallbacks: list[int] = []
-        if alpha < 1.0:
-            rhos = alpha_indices(graphs, alpha, fallbacks)
-            worst = max(
-                abs(closed_form_complete_bipartite(a, b, alpha) - rho)
-                for (a, b), rho in zip(shapes, rhos)
-            )
+        rhos = alpha_indices(graphs, alpha, fallbacks)
+        worst = max(
+            abs(closed_form_complete_bipartite(a, b, alpha) - rho)
+            for (a, b), rho in zip(shapes, rhos)
+        )
         report.add({
             "case": "K_{a,b} 1<=b<=a<=12", "alpha": alpha_str, "max_deviation": worst,
             "fallbacks": len(fallbacks), "ok": worst <= 1e-10,

@@ -5,18 +5,25 @@ is irreducible and nonnegative, so its largest eigenvalue is the Perron
 root with a unique positive eigenvector.
 
 Two solvers compute it.  :func:`alpha_index` is power iteration on
-A_alpha + I (the shift makes the iteration matrix primitive even at
-alpha = 0 on bipartite graphs, whose adjacency is periodic); Rayleigh
-quotients and residuals are taken on A_alpha itself, and it returns the
-Perron vector too.  :func:`alpha_indices` serves campaigns: it stacks the
-matrices of one order and makes one LAPACK ``eigh`` call per order.  Each
-batched eigenpair is certified (residual within the power-iteration
-tolerance, unit-sum top eigenvector strictly positive, which on an
-irreducible nonnegative matrix singles out the Perron vector); a graph
-that fails is re-solved by power iteration and reported to the caller,
-who flags it.  Power iteration stays the independent cross-check of the
-batched values, and a cyclic Jacobi full-spectrum solver of a third
-algorithm class serves as the test oracle.
+P = A_alpha + I (the shift makes P primitive even at alpha = 0 on
+bipartite graphs, whose adjacency is periodic), evaluated by repeated
+squaring: after k normalised squarings the row sums of P are the
+2^k-th power iterate from the all-ones vector.  Rayleigh quotients and
+residuals are taken on A_alpha itself, and it returns the Perron vector
+too.  Squaring doubles the number of power steps each round, so a small
+spectral gap costs only its logarithm in squarings and the plain
+iteration's stall on near-degenerate top pairs (clustered degrees as
+alpha -> 1) needs no detector and no refinement; the products of
+nonnegative matrices involve no cancellation.  :func:`alpha_indices`
+serves campaigns: it stacks the matrices of one order and makes one
+LAPACK ``eigh`` call per order.  Each batched eigenpair is certified
+(residual within the power-iteration tolerance, unit-sum top eigenvector
+strictly positive, which on an irreducible nonnegative matrix singles out
+the Perron vector); a graph that fails is re-solved by power iteration
+and reported to the caller, who flags it.  Power iteration stays the
+independent cross-check of the batched values, and a cyclic Jacobi
+full-spectrum solver of a third algorithm class serves as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .connectivity import is_connected
 from .graphs import Graph, GraphError, iter_bits
 
 POWER_TOL = 1e-12
-POWER_MAX_ITERATIONS = 10**6
+POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
 JACOBI_OFFDIAG_NORM = 1e-13
 COLUMN_SUM_CROSS_TOL = 1e-9
 
@@ -44,12 +51,12 @@ class DisconnectedGraphError(ValueError):
 
 
 class ConvergenceError(SpectralError):
-    """Power iteration hit its cap; carries the last residual for diagnosis."""
+    """Power iteration hit its squaring cap; carries the last residual for diagnosis."""
 
     def __init__(self, residual: float, iterations: int):
         super().__init__(
             f"power iteration stalled at residual {residual:.3e} "
-            f"after {iterations} iterations"
+            f"after {iterations} squarings"
         )
         self.residual = residual
         self.iterations = iterations
@@ -92,37 +99,26 @@ def alpha_index(
     """Largest eigenvalue of A_alpha with its unit-sum Perron vector.
 
     Relative residual tolerance ``tol`` is measured as
-    max|A_alpha x - rho x| <= tol * max(rho, 1).
+    max|A_alpha x - rho x| <= tol * max(rho, 1).  ``iterations`` in the
+    result counts squarings, at most ``max_iterations``.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
     if not is_connected(g):
         raise DisconnectedGraphError("alpha_index needs a connected graph")
     a = alpha_matrix(g, alpha).entries
-    x = np.full(g.n, 1.0 / g.n)
-    rho = 0.0
-    residual = float("inf")
-    stall_reference = float("inf")
-    for iteration in range(1, max_iterations + 1):
+    p = a + np.eye(g.n)  # primitive for every alpha in [0, 1)
+    for iteration in range(max_iterations + 1):
+        # x is the 2^iteration-th power iterate from the all-ones vector.
+        x = p.sum(axis=1)
+        x /= x.sum()
         ax = a @ x
         rho = float(x @ ax) / float(x @ x)
         residual = float(np.max(np.abs(ax - rho * x)))
-        if residual <= tol * max(rho, 1.0):
-            perron = x / x.sum()
-            if g.n > 1 and perron.min() <= 0.0:
-                raise SpectralError("Perron vector lost positivity")
-            return SpectralResult(alpha, rho, perron, residual, iteration)
-        if iteration % 50 == 0:
-            # Contraction is gap-limited; near-degenerate second eigenvalues
-            # (clustered degrees as alpha -> 1) stall the plain iteration.
-            if iteration >= 200 and residual > 0.25 * stall_reference:
-                refined = _shifted_inverse_refine(a, x, rho, residual, tol)
-                if refined is not None:
-                    rho_r, perron, residual_r, solves = refined
-                    return SpectralResult(alpha, rho_r, perron, residual_r, iteration + solves)
-            stall_reference = residual
-        y = ax + x  # (A_alpha + I) x, primitive for every alpha in [0, 1)
-        x = y / y.sum()
+        if residual <= tol * max(rho, 1.0) and x.min() > 0.0:
+            return SpectralResult(alpha, rho, x, residual, iteration)
+        p = p @ p
+        p /= p.max()
     raise ConvergenceError(residual, max_iterations)
 
 
@@ -165,60 +161,6 @@ def alpha_indices(
                     fallbacks.append(i)
             out[i] = value
     return out
-
-
-def _shifted_inverse_refine(
-    a: np.ndarray, x0: np.ndarray, rho0: float, res0: float, tol: float
-):
-    """Rayleigh-shift inverse iteration from a stalled power iterate.
-
-    Accepts only a vector that passes the same residual test and is
-    positive after orientation; an eigenvector of any non-Perron
-    eigenvalue has O(1) negative mass, so a second-eigenvalue landing is
-    rejected and retried with an upward-biased starting shift.
-    """
-    n = a.shape[0]
-    eye = np.eye(n)
-    for bias in (0.0, 1.0, 4.0, 16.0, 64.0):
-        sigma = rho0 + bias * res0
-        z = x0 / np.linalg.norm(x0)
-        rho = rho0
-        residual = res0
-        solves = 0
-        for _ in range(60):
-            try:
-                w = np.linalg.solve(a - sigma * eye, z)
-            except np.linalg.LinAlgError:
-                sigma += max(1e-13, 1e-12 * abs(sigma))
-                continue
-            solves += 1
-            z = w / np.linalg.norm(w)
-            az = a @ z
-            rho = float(z @ az)
-            residual = float(np.max(np.abs(az - rho * z)))
-            if residual <= tol * max(rho, 1.0):
-                break
-            sigma = rho
-        if residual > tol * max(rho, 1.0):
-            continue
-        if z.sum() < 0:
-            z = -z
-        if rho < rho0 - 10.0 * res0 or z.min() <= -1e-12 * z.max():
-            continue
-        if z.min() <= 0.0:
-            # Tiny entries rounded nonpositive: a few primitive-matrix
-            # applications restore strict positivity without leaving the
-            # converged eigenspace beyond tolerance.
-            for _ in range(n):
-                z = a @ z + z
-                z /= np.linalg.norm(z)
-            az = a @ z
-            rho = float(z @ az)
-            residual = float(np.max(np.abs(az - rho * z)))
-            if residual > tol * max(rho, 1.0) or z.min() <= 0.0:
-                continue
-        return rho, z / z.sum(), residual, solves
-    return None
 
 
 def lambda_max(g: Graph, alpha: float) -> float:

@@ -125,6 +125,22 @@ def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
     assert "unrecognized arguments: --allow-slow" in capsys.readouterr().err
 
 
+def test_enumerate_allow_slow_is_unrecognized(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["enumerate", "--order", "9", "--allow-slow"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --allow-slow" in capsys.readouterr().err
+
+
+def test_verify_lemma9_alpha_one_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lemmas", "--targets", "lemma9", "--alpha", "1.0"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "alpha must lie in [0, 1)" in captured.err
+
+
 def test_verify_fact3_exits_nonzero(capsys):
     code, out = run_cli(capsys, "verify", "lemmas", "--targets", "fact3", "--format", "text")
     assert code == 1

@@ -197,10 +197,8 @@ def test_min2c_by_order_past_brute_force(n, count):
 
 
 def test_order_limits():
-    with pytest.raises(EnumerationLimitError):
-        graphs_by_order(9)  # gated
-    with pytest.raises(EnumerationLimitError):
-        graphs_by_order(11, allow_slow=True)
+    with pytest.raises(EnumerationLimitError, match="graph6 stream"):
+        graphs_by_order(enumeration.MAX_BUILTIN_ORDER + 1)
     assert len(graphs_by_order(9, "minimally_two_connected")) == 28  # no flag
     with pytest.raises(EnumerationLimitError):
         graphs_by_order(14, "minimally_two_connected")

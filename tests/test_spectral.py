@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from alphaindex.connectivity import is_connected
-from alphaindex.enumeration import graphs_by_order
+from alphaindex.enumeration import MAX_SIZE, graphs_by_order, graphs_by_size
 from alphaindex.families import FamilyId, build, complete_bipartite, cycle, subdivided_k2
 from alphaindex.graphs import Graph, GraphError
 from alphaindex.spectral import (
+    POWER_MAX_ITERATIONS,
     DisconnectedGraphError,
     alpha_index,
     alpha_indices,
@@ -314,6 +315,20 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
         tol = 1e-12 * max(rho, 1.0)
         assert abs(rho - alpha_index(g, alpha).rho) <= tol
         assert abs(rho - jacobi_eigenvalues(alpha_matrix(g, alpha).entries)[-1]) <= tol
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.999])
+def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
+    graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m)]
+    for g, rho in zip(graphs, alpha_indices(graphs, alpha)):
+        # A batched value that failed its certificate is itself power iteration,
+        # so the eigvalsh top eigenvalue is the independent reference as well.
+        top = np.linalg.eigvalsh(alpha_matrix(g, alpha).entries)[-1]
+        result = alpha_index(g, alpha)
+        assert abs(result.rho - rho) <= 1e-12 * max(rho, 1.0)
+        assert abs(result.rho - top) <= 1e-12 * max(rho, 1.0)
+        assert result.perron.min() > 0.0
+        assert result.iterations <= POWER_MAX_ITERATIONS
 
 
 def test_alpha_indices_keep_input_order():
