@@ -114,9 +114,12 @@ def has_chorded_cycle(g: Graph) -> bool:
     two internally disjoint u-v paths (the cycle through u and v that
     avoids the edge).  With the edge removed, both paths have length >= 2
     automatically, so the test reduces to u and v sharing a biconnected
-    block of g - uv.
+    block of g - uv.  Each end of a chord also carries two edges of its
+    cycle, so only edges whose ends both have degree >= 3 are tested.
     """
     for u, v in g.edges():
+        if g.rows[u].bit_count() < 3 or g.rows[v].bit_count() < 3:
+            continue
         if _share_block(g.remove_edge(u, v), u, v):
             return True
     return False

@@ -8,6 +8,20 @@ collapses the search on cells whose internal and pairwise adjacency is
 complete or empty (complete multipartite-like situations), which is where
 naive backtracking degenerates.
 
+The search prunes by automorphisms, as in McKay's individualization-
+refinement (J. Algorithms 26, 1998; McKay and Piperno, J. Symb. Comput.
+60, 2014).  A leaf whose bitstring equals the incumbent's gives the
+automorphism ``incumbent order[i] -> leaf order[i]``.  The search then
+jumps back to the node where the two orders part, since that automorphism
+maps the explored subtree holding the incumbent onto the current one; and
+a branch node skips every target vertex in the orbit of an explored
+sibling under the recorded automorphisms that fix its prefix pointwise.
+Both are exact: refinement, the choice of target cell and the homogeneity
+test depend only on cell sets and the consumed prefix, so an automorphism
+fixing the prefix carries one sibling's subtree onto another's with the
+same bitstrings.  The minimum bitstring, which alone determines the
+canonical graph, is therefore the one the unpruned search would find.
+
 Two generators are provided:
 
 * ears - one cached cell of minimally 2-connected classes per order ``n``
@@ -46,7 +60,7 @@ from .connectivity import (
 )
 from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
 
-MAX_CANONICAL_ORDER = 16
+MAX_CANONICAL_ORDER = 20
 MAX_BUILTIN_ORDER = 9
 MAX_MIN2C_ORDER = 13
 MAX_SIZE = 16
@@ -103,6 +117,7 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
 
     best_cols: tuple[int, ...] | None = None
     best_order: list[int] = []
+    automorphisms: list[list[int]] = []
 
     def column(v: int, order: list[int]) -> int:
         code = 0
@@ -110,7 +125,8 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
             code = (code << 1) | ((rows[v] >> u) & 1)
         return code
 
-    def descend(cells: list[list[int]], order: list[int], cols: list[int], beats: bool):
+    def descend(cells: list[list[int]], order: list[int], cols: list[int], beats: bool) -> int:
+        """Search the subtree; return the position to resume at (``n``: carry on)."""
         nonlocal best_cols, best_order
 
         def take(vertices: list[int]) -> bool:
@@ -131,24 +147,54 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
         while idx < len(cells) and len(cells[idx]) == 1:
             idx += 1
         if not take([cell[0] for cell in cells[:idx]]):
-            return
+            return n
         remaining = cells[idx:]
         if remaining:
             if not _homogeneous(rows, remaining):
                 target, rest = remaining[0], remaining[1:]
+                explored = 0
                 for v in target:
+                    fixing = [g for g in automorphisms if all(g[u] == u for u in order)]
+                    if _orbit(v, fixing) & explored:
+                        continue
                     split = [[v], [u for u in target if u != v]] + [list(c) for c in rest]
                     refined = _refine(n, rows, [c for c in split if c])
-                    descend(refined, list(order), list(cols), beats)
-                return
+                    back = descend(refined, list(order), list(cols), beats)
+                    if back < len(order):
+                        return back
+                    explored |= 1 << v
+                return n
             # Any consistent completion yields the same bitstring.
             if not take([v for cell in remaining for v in cell]):
-                return
-        if best_cols is None or tuple(cols) < best_cols:
-            best_cols, best_order = tuple(cols), list(order)
+                return n
+        leaf = tuple(cols)
+        if best_cols is None or leaf < best_cols:
+            best_cols, best_order = leaf, list(order)
+        elif leaf == best_cols:
+            # Equal leaves differ by an automorphism, which maps the subtree
+            # holding the incumbent onto the one we branched into at the
+            # first position where the orders part: jump back there.
+            gamma = [0] * n
+            for a, b in zip(best_order, order):
+                gamma[a] = b
+            automorphisms.append(gamma)
+            return next(i for i, (a, b) in enumerate(zip(best_order, order)) if a != b)
+        return n
 
     descend(cells, [], [], False)
     return best_order
+
+
+def _orbit(v: int, generators: list[list[int]]) -> int:
+    """Mask of the orbit of ``v`` under the group the permutations generate."""
+    orbit, frontier = 1 << v, [v]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            if not (orbit >> g[x]) & 1:
+                orbit |= 1 << g[x]
+                frontier.append(g[x])
+    return orbit
 
 
 def _refine(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:

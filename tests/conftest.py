@@ -34,3 +34,15 @@ def sk24():
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    return Graph.from_edges(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps})
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset) for u, v in g.edges()]
+        offset += g.n
+    return Graph.from_edges(offset, edges)

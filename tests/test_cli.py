@@ -6,6 +6,7 @@ from alphaindex import cli, harness
 from alphaindex.cli import main
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import complete_bipartite, cycle
+from alphaindex.graphs import emit_graph6
 from alphaindex.spectral import ConvergenceError, SpectralError
 
 
@@ -206,6 +207,19 @@ def test_convert_canonical(capsys, tmp_path):
     code, out = run_cli(capsys, "convert", "--in", str(src), "--canonical")
     assert code == 0
     assert out.strip() == canonical_form(cycle(4))
+
+
+def test_convert_canonical_up_to_order_20(capsys, tmp_path):
+    src = tmp_path / "in.g6"
+    shifted = cycle(18).relabel(tuple((v + 5) % 18 for v in range(18)))
+    src.write_text("".join(emit_graph6(g) + "\n" for g in (cycle(18), shifted, cycle(20))))
+    code, out = run_cli(capsys, "convert", "--in", str(src), "--canonical")
+    assert code == 0
+    assert out.split() == [canonical_form(cycle(18)), canonical_form(cycle(20))]
+    src.write_text(emit_graph6(cycle(21)) + "\n")
+    with pytest.raises(SystemExit) as err:
+        main(["convert", "--in", str(src), "--canonical"])
+    assert err.value.code == 2
 
 
 def test_usage_error_exit_2(capsys):

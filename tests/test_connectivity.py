@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from alphaindex import connectivity
 from alphaindex.connectivity import (
     LemmaViolationError,
     articulation_points,
@@ -14,6 +15,7 @@ from alphaindex.connectivity import (
     triangle_free,
 )
 from alphaindex.enumeration import graphs_by_order
+from alphaindex.families import complete_bipartite
 from alphaindex.graphs import Graph
 
 from conftest import random_graph
@@ -157,3 +159,20 @@ def test_chord_detection_matches_brute_force():
     for n in range(3, 7):
         for g in graphs_by_order(n):
             assert has_chorded_cycle(g) == _chorded_cycle_brute_force(g), g
+
+
+def test_chord_search_skips_edges_with_a_degree_2_end(monkeypatch):
+    calls = []
+    share_block = connectivity._share_block
+
+    def counted(g, s, t):
+        calls.append((s, t))
+        return share_block(g, s, t)
+
+    monkeypatch.setattr(connectivity, "_share_block", counted)
+    # Every edge of K_{2,7} has an end of degree 2, so none can be a chord.
+    assert not has_chorded_cycle(complete_bipartite(2, 7))
+    assert calls == []
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    assert has_chorded_cycle(k4)
+    assert calls

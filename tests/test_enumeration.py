@@ -18,9 +18,9 @@ from alphaindex.enumeration import (
     is_isomorphic,
 )
 from alphaindex.families import complete_bipartite, cycle, gab, subdivided_k2
-from alphaindex.graphs import Graph6Error, emit_graph6, parse_graph6
+from alphaindex.graphs import Graph, Graph6Error, emit_graph6, parse_graph6
 
-from conftest import random_graph
+from conftest import circulant, disjoint_union, random_graph
 
 # Isomorphism classes of simple graphs on n vertices.
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -79,6 +79,45 @@ def test_canonical_invariant_past_order_13(n):
             perm = list(range(n))
             rng.shuffle(perm)
             assert canonical_form(g.relabel(tuple(perm))) == want
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 20])
+def test_canonical_invariant_past_order_16(n):
+    rng = random.Random(1700 + n)
+    graphs = [cycle(n), complete_bipartite(2, n - 2), circulant(n, (1, 3))]
+    c4s = disjoint_union(*[cycle(4)] * (n // 4))
+    graphs.append(Graph.from_rows(c4s.rows + (0,) * (n % 4)))
+    if n % 2 == 0:
+        graphs.append(Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+    if n == 17:
+        graphs.append(circulant(17, (1, 2, 4, 8)))  # Paley(17)
+    graphs += [random_graph(rng, n, p) for p in (0.15, 0.3, 0.5)]
+    for g in graphs:
+        want = canonical_form(g)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(tuple(perm))) == want
+
+
+@pytest.mark.parametrize("given,form", [
+    # Nine isolated vertices and two disjoint edges.
+    ("L??????C???@??", "L?????????_??@"),
+    # The perfect matching 8K2.
+    (emit_graph6(Graph.from_edges(16, [(2 * i, 2 * i + 1) for i in range(8)])),
+     "O`?G?C??G??@????_???@"),
+])
+def test_canonical_search_prunes_automorphic_branches(monkeypatch, given, form):
+    calls = []
+    refine = enumeration._refine
+
+    def counted(*args):
+        calls.append(None)
+        return refine(*args)
+
+    monkeypatch.setattr(enumeration, "_refine", counted)
+    assert canonical_form(parse_graph6(given)) == form
+    assert len(calls) <= 200  # an unpruned search makes millions
 
 
 def test_canonical_distinguishes(c5, k23):
