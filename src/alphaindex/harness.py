@@ -43,7 +43,7 @@ from .spectral import (
     perron_symmetry_check,
     upper_bound_degree_average,
 )
-from .transforms import Rotation, rotation_monotonicity_check, valid_moved_candidates
+from .transforms import Rotation, rotation_monotonicity_checks, valid_moved_candidates
 
 GAP_MARGIN = 1e-10
 CROSS_CHECK_TOL = 1e-9
@@ -54,6 +54,7 @@ CERT_ALPHAS = ["0.5", "0.6", "0.75", "0.9"]
 SANDWICH_ALPHAS = ["0.5", "0.75", "0.9"]
 CLOSED_FORM_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9"]
 ROTATION_SEED = 20250808
+ROTATION_BLOCK_FACTOR = 3  # corpus candidates drawn per rotation case still needed
 
 
 @dataclass
@@ -128,12 +129,16 @@ def _run(build_report, *args, **kwargs) -> VerificationReport:
         raise ValueError(f"{report.target} has no cases for {report.params}")
     for case in report.case_results:
         if case.get("fallbacks"):
-            report.flags.append(
-                f"{case['case']}, alpha={case['alpha']}: {case['fallbacks']} batched "
-                "eigen-solves failed the certificate and were re-solved by power iteration"
-            )
+            report.flags.append(_fallback_flag(case, case["fallbacks"]))
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
+
+
+def _fallback_flag(case: dict, count: int) -> str:
+    return (
+        f"{case['case']}, alpha={case['alpha']}: {count} batched "
+        "eigen-solves failed the certificate and were re-solved by power iteration"
+    )
 
 
 def _confirm(g: Graph, alpha: float, rho: float) -> None:
@@ -447,10 +452,35 @@ def sample_rotation(rng: random.Random, g: Graph, tries: int = 20) -> Rotation |
     return None
 
 
+def sample_rotation_cases(
+    rng: random.Random, n_max: int, count: int,
+) -> list[tuple[Graph, Rotation, float]]:
+    """The next ``count`` candidates of lemma7's corpus, in draw order: a
+    connected graph of order 4..min(n_max, 8), a rotation of it and alpha."""
+    cases = []
+    while len(cases) < count:
+        g = sample_connected_graph(rng, 4, max(4, min(n_max, 8)))
+        rot = sample_rotation(rng, g)
+        if rot is None:
+            continue
+        cases.append((g, rot, rng.choice((0.5, 0.75))))
+    return cases
+
+
 @_lemma("lemma7")
 def _lemma7(
     target: str, n_max: int, alphas, rotation_cases: int, seed: int, **_,
 ) -> VerificationReport:
+    """The rotation corpus, then the G(a, b) chain.
+
+    Candidates are drawn in blocks of ``ROTATION_BLOCK_FACTOR`` times the
+    cases still needed and checked by one batched call per block.  They are
+    consumed in draw order until ``rotation_cases`` meet the precondition,
+    and the draws left over are discarded, so the corpus depends on the
+    seed alone.
+    """
+    if rotation_cases < 1:
+        raise ValueError(f"{target} needs at least one rotation case, got {rotation_cases}")
     alphas = list(alphas or DEFAULT_ALPHAS)
     report = VerificationReport(
         target, {"random_cases": rotation_cases, "seed": seed, "chain_m": [9, 11, 13]}, alphas,
@@ -458,32 +488,40 @@ def _lemma7(
     rng = random.Random(seed)
     collected = 0
     satisfied = 0
+    fallbacks = 0
     bad = []
     while satisfied < rotation_cases:
-        g = sample_connected_graph(rng, 4, max(4, min(n_max, 8)))
-        rot = sample_rotation(rng, g)
-        if rot is None:
-            continue
-        alpha = rng.choice((0.5, 0.75))
-        collected += 1
-        chk = rotation_monotonicity_check(g, rot, alpha)
-        if not chk.perron_precondition:
-            continue
-        satisfied += 1
-        if chk.increase <= 0:
-            bad.append(
-                f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, moved={sorted(rot.moved)}, "
-                f"alpha={alpha}: increase {chk.increase:.3e}"
-            )
-        elif chk.increase <= GAP_MARGIN:
-            report.flags.append(
-                f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, alpha={alpha}: "
-                f"near-zero increase {chk.increase:.3e}"
-            )
-    report.add({
+        block = ROTATION_BLOCK_FACTOR * (rotation_cases - satisfied)
+        cases = sample_rotation_cases(rng, n_max, block)
+        failed: list[int] = []
+        checks = rotation_monotonicity_checks(cases, failed)
+        used = 0
+        for (g, rot, alpha), chk in zip(cases, checks):
+            if satisfied == rotation_cases:
+                break
+            used += 1
+            if not chk.perron_precondition:
+                continue
+            satisfied += 1
+            if chk.increase <= 0:
+                bad.append(
+                    f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, moved={sorted(rot.moved)}, "
+                    f"alpha={alpha}: increase {chk.increase:.3e}"
+                )
+            elif chk.increase <= GAP_MARGIN:
+                report.flags.append(
+                    f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, alpha={alpha}: "
+                    f"near-zero increase {chk.increase:.3e}"
+                )
+        collected += used
+        fallbacks += sum(i < used for i in failed)
+    corpus = {
         "case": "random-corpus", "alpha": "0.5|0.75", "attempted": collected,
         "precondition_satisfied": satisfied, "ok": not bad,
-    }, *bad)
+    }
+    report.add(corpus, *bad)
+    if fallbacks:
+        report.flags.append(_fallback_flag(corpus, fallbacks))
     # G(a, b) chain: rho increases strictly toward G(1, (m-3)/2).
     for m in (9, 11, 13):
         k = (m - 1) // 2

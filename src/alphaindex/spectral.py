@@ -14,13 +14,15 @@ too.  Squaring doubles the number of power steps each round, so a small
 spectral gap costs only its logarithm in squarings and the plain
 iteration's stall on near-degenerate top pairs (clustered degrees as
 alpha -> 1) needs no detector and no refinement; the products of
-nonnegative matrices involve no cancellation.  :func:`alpha_indices`
+nonnegative matrices involve no cancellation.  :func:`perron_pairs`
 serves campaigns: it stacks the matrices of one order and makes one
-LAPACK ``eigh`` call per order.  Each batched eigenpair is certified
-(residual within the power-iteration tolerance, unit-sum top eigenvector
-strictly positive, which on an irreducible nonnegative matrix singles out
-the Perron vector); a graph that fails is re-solved by power iteration
-and reported to the caller, who flags it.  Power iteration stays the
+LAPACK ``eigh`` call per order, and :func:`alpha_indices` and
+:func:`lambda_maxes` (per component) take their values from it.  Each
+batched eigenpair is certified (residual within the power-iteration
+tolerance, unit-sum top eigenvector strictly positive, which on an
+irreducible nonnegative matrix singles out the Perron vector); a graph
+that fails is re-solved by power iteration and reported to the caller,
+who flags it.  Power iteration stays the
 independent cross-check of the batched values, and a cyclic Jacobi
 full-spectrum solver of a third algorithm class serves as the test
 oracle.
@@ -127,7 +129,17 @@ def alpha_indices(
     alpha: float,
     fallbacks: list[int] | None = None,
 ) -> list[float]:
-    """Alpha-indices of many graphs, one stacked ``eigh`` call per order.
+    """Alpha-indices of many graphs: the rho column of :func:`perron_pairs`."""
+    return [rho for rho, _ in perron_pairs(graphs, alpha, fallbacks)]
+
+
+def perron_pairs(
+    graphs: Sequence[Graph],
+    alpha: float,
+    fallbacks: list[int] | None = None,
+) -> list[tuple[float, np.ndarray]]:
+    """Perron pairs ``(rho, x)`` of many graphs, one stacked ``eigh`` call
+    per order; ``x`` is the unit-sum Perron vector.
 
     Every eigenpair is certified before it is used, vectorised over the
     order group: the unit-sum top eigenvector must be strictly positive
@@ -135,16 +147,16 @@ def alpha_indices(
     must pass the residual test of :func:`alpha_index`.  A graph that
     fails is re-solved by :func:`alpha_index`; its input position is
     appended to ``fallbacks`` when a list is given, so a caller can report
-    that the slow path ran.  Values come back as floats in input order.
+    that the slow path ran.  Pairs come back in input order.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         if not is_connected(g):
-            raise DisconnectedGraphError("alpha_indices needs connected graphs")
+            raise DisconnectedGraphError("perron_pairs needs connected graphs")
         by_order.setdefault(g.n, []).append(i)
-    out = [0.0] * len(graphs)
+    out: list = [None] * len(graphs)
     for positions in by_order.values():
         a = np.stack([alpha_matrix(graphs[i], alpha).entries for i in positions])
         w, v = np.linalg.eigh(a)
@@ -154,12 +166,13 @@ def alpha_indices(
             x = x / x.sum(axis=1, keepdims=True)  # unit sum; also orients the sign
             residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
             certified = (x.min(axis=1) > 0.0) & (residual <= POWER_TOL * np.maximum(rho, 1.0))
-        for i, value, ok in zip(positions, rho.tolist(), certified.tolist()):
+        for i, value, vector, ok in zip(positions, rho.tolist(), x, certified.tolist()):
             if not ok:
-                value = alpha_index(graphs[i], alpha).rho
+                result = alpha_index(graphs[i], alpha)
+                value, vector = result.rho, result.perron
                 if fallbacks is not None:
                     fallbacks.append(i)
-            out[i] = value
+            out[i] = (value, vector)
     return out
 
 
@@ -171,6 +184,34 @@ def lambda_max(g: Graph, alpha: float) -> float:
         if rho > best:
             best = rho
     return best
+
+
+def lambda_maxes(
+    graphs: Sequence[Graph],
+    alpha: float,
+    fallbacks: list[int] | None = None,
+) -> list[float]:
+    """:func:`lambda_max` of many possibly disconnected graphs.
+
+    Every graph is split into its components, which are solved together by
+    :func:`alpha_indices`; each graph takes the largest of its components'
+    values.  The input position of a graph is appended to ``fallbacks``
+    once for every component of it that fell back to power iteration.
+    """
+    parts: list[Graph] = []
+    owner: list[int] = []
+    for i, g in enumerate(graphs):
+        for comp in components(g):
+            parts.append(g if len(comp) == g.n else induced_subgraph(g, comp))
+            owner.append(i)
+    failed: list[int] = []
+    out = [0.0] * len(graphs)
+    for i, rho in zip(owner, alpha_indices(parts, alpha, failed)):
+        if rho > out[i]:
+            out[i] = rho
+    if fallbacks is not None:
+        fallbacks.extend(owner[k] for k in failed)
+    return out
 
 
 def components(g: Graph) -> list[list[int]]:

@@ -4,15 +4,19 @@ Given N inside N(v) with N disjoint from N(u) and u itself, the rotation
 replaces each edge vw (w in N) by uw.  Size is preserved edge-for-edge.
 When the Perron coordinate of u is at least that of v, the spectral
 radius strictly increases; the monotonicity check measures exactly that
-and is exercised as a property over seeded corpora.
+and is exercised as a property over seeded corpora.  The per-graph check
+runs on power iteration; the batched one solves a whole corpus by
+certified ``eigh`` calls and stays cross-checked against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .graphs import Graph, GraphError
-from .spectral import alpha_index, lambda_max
+from .spectral import alpha_index, lambda_max, lambda_maxes, perron_pairs
 
 PRECONDITION_TOL = 1e-12
 
@@ -79,3 +83,38 @@ def rotation_monotonicity_check(g: Graph, r: Rotation, alpha: float) -> Rotation
     rotated = rotate(g, r)
     increase = lambda_max(rotated, alpha) - result.rho
     return RotationCheck(increase=increase, perron_precondition=bool(precondition))
+
+
+def rotation_monotonicity_checks(
+    cases: Sequence[tuple[Graph, Rotation, float]],
+    fallbacks: list[int] | None = None,
+) -> list[RotationCheck]:
+    """:func:`rotation_monotonicity_check` of many ``(g, rotation, alpha)``
+    cases by certified batched solves, one group per alpha.
+
+    Only a case that meets the precondition has its rotated graph solved;
+    the others come back with ``increase`` NaN (not measured).  The
+    position of a case is appended to ``fallbacks`` once for every
+    eigen-solve of it that failed its certificate and ran power iteration.
+    """
+    out = [RotationCheck(math.nan, False)] * len(cases)
+    by_alpha: dict[float, list[int]] = {}
+    for i, (_, _, alpha) in enumerate(cases):
+        by_alpha.setdefault(alpha, []).append(i)
+    for alpha, positions in by_alpha.items():
+        failed: list[int] = []
+        kept: list[tuple[int, float]] = []
+        rotated: list[Graph] = []
+        pairs = perron_pairs([cases[i][0] for i in positions], alpha, failed)
+        for i, (rho, x) in zip(positions, pairs):
+            g, r, _ = cases[i]
+            if x[r.u] >= x[r.v] - PRECONDITION_TOL:
+                kept.append((i, rho))
+                rotated.append(rotate(g, r))
+        rotated_failed: list[int] = []
+        for (i, rho), value in zip(kept, lambda_maxes(rotated, alpha, rotated_failed)):
+            out[i] = RotationCheck(increase=value - rho, perron_precondition=True)
+        if fallbacks is not None:
+            fallbacks.extend(positions[k] for k in failed)
+            fallbacks.extend(kept[k][0] for k in rotated_failed)
+    return out

@@ -118,6 +118,16 @@ def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
     assert f"{target} has no cases" in captured.err
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_lemma7_without_rotation_cases_is_usage_error(capsys, cases):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lemmas", "--targets", "lemma7", "--rotation-cases", cases])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"lemma7 needs at least one rotation case, got {cases}" in captured.err
+
+
 @pytest.mark.parametrize("target", ["theorem1.3", "lemmas", "theorem1.4"])
 def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
     with pytest.raises(SystemExit) as err:

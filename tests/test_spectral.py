@@ -8,6 +8,7 @@ from alphaindex.connectivity import is_connected
 from alphaindex.enumeration import MAX_SIZE, graphs_by_order, graphs_by_size
 from alphaindex.families import FamilyId, build, complete_bipartite, cycle, subdivided_k2
 from alphaindex.graphs import Graph, GraphError
+from alphaindex.harness import CROSS_CHECK_TOL, sample_rotation_cases, verify_lemma_suite
 from alphaindex.spectral import (
     POWER_MAX_ITERATIONS,
     DisconnectedGraphError,
@@ -20,10 +21,13 @@ from alphaindex.spectral import (
     induced_subgraph,
     jacobi_eigenvalues,
     lambda_max,
+    lambda_maxes,
     lower_bound_max_degree,
+    perron_pairs,
     perron_symmetry_check,
     upper_bound_degree_average,
 )
+from alphaindex.transforms import rotate, rotation_monotonicity_check, rotation_monotonicity_checks
 
 from conftest import random_graph
 
@@ -308,13 +312,27 @@ def connected_classes():
 def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
     fallbacks = []
     values = alpha_indices(connected_classes, alpha, fallbacks)
+    pairs = perron_pairs(connected_classes, alpha)
     assert len(values) == len(connected_classes) == 996
     assert fallbacks == []
-    for g, rho in zip(connected_classes, values):
+    assert [rho for rho, _ in pairs] == values
+    for g, rho, (_, x) in zip(connected_classes, values, pairs):
         assert type(rho) is float
         tol = 1e-12 * max(rho, 1.0)
-        assert abs(rho - alpha_index(g, alpha).rho) <= tol
-        assert abs(rho - jacobi_eigenvalues(alpha_matrix(g, alpha).entries)[-1]) <= tol
+        power = alpha_index(g, alpha)
+        spectrum = jacobi_eigenvalues(alpha_matrix(g, alpha).entries)
+        assert abs(rho - power.rho) <= tol
+        assert abs(rho - spectrum[-1]) <= tol
+        # A unit-sum vector with residual r is within 2 n r / gap of the
+        # Perron vector; for the power vector that exceeds 1e-9 only when the
+        # top gap closes (alpha -> 1: 2.8e-7 at gap 6e-6 on order 7).
+        gap = spectrum[-1] - spectrum[-2] if g.n > 1 else 1.0
+        assert np.max(np.abs(x - power.perron)) <= 1e-9 + 2 * g.n * power.residual / gap
+    # The P4 rotation of the transforms tests (K3 + K1) and a single vertex.
+    extra = [Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]), Graph.from_rows([0])]
+    maxima = lambda_maxes(connected_classes + extra, alpha)
+    assert maxima[:-2] == values
+    assert maxima[-2:] == pytest.approx([lambda_max(g, alpha) for g in extra], abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.999])
@@ -381,3 +399,42 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     values = alpha_indices(graphs, 0.5, fallbacks)
     assert sorted(fallbacks) == [2, 3]  # K_{1,5} and K_{2,4} have order 6
     assert values == pytest.approx(expected, abs=1e-12)
+
+    pair_fallbacks = []
+    pairs = perron_pairs(graphs, 0.5, pair_fallbacks)
+    assert sorted(pair_fallbacks) == [2, 3]
+    for g, (rho, x) in zip(graphs, pairs):
+        reference = alpha_index(g, 0.5)
+        assert abs(rho - reference.rho) <= 1e-12
+        assert np.max(np.abs(x - reference.perron)) <= 1e-9
+
+    # One corpus block of lemma7: every solve of order 6, of a drawn graph or
+    # of a component of its rotation, falls back, and the checks still agree
+    # with the per-graph power-iteration check.
+    cases = sample_rotation_cases(random.Random(7), 6, 60)
+    corpus_fallbacks = []
+    checks = rotation_monotonicity_checks(cases, corpus_fallbacks)
+    expected_fallbacks = []
+    for i, ((g, rot, alpha), chk) in enumerate(zip(cases, checks)):
+        ref = rotation_monotonicity_check(g, rot, alpha)
+        assert chk.perron_precondition == ref.perron_precondition
+        expected_fallbacks += [i] * (g.n == 6)
+        if ref.perron_precondition:
+            assert abs(chk.increase - ref.increase) <= CROSS_CHECK_TOL
+            expected_fallbacks += [i for comp in components(rotate(g, rot)) if len(comp) == 6]
+    assert expected_fallbacks and sorted(corpus_fallbacks) == expected_fallbacks
+
+    # The campaign counts the fallbacks of the draws it consumed and flags
+    # them in _run's wording; the corpus case keeps its fields.
+    (report,) = verify_lemma_suite(["lemma7"], n_max=6, rotation_cases=15, seed=7)
+    corpus = report.case_results[0]
+    assert set(corpus) == {"case", "alpha", "attempted", "precondition_satisfied", "ok"}
+    consumed = []
+    rotation_monotonicity_checks(
+        sample_rotation_cases(random.Random(7), 6, corpus["attempted"]), consumed,
+    )
+    assert consumed
+    assert report.flags == [
+        f"random-corpus, alpha=0.5|0.75: {len(consumed)} batched eigen-solves failed "
+        "the certificate and were re-solved by power iteration"
+    ]

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,12 +7,14 @@ from alphaindex.connectivity import is_connected
 from alphaindex.enumeration import is_isomorphic
 from alphaindex.families import cycle, gab, subdivided_k2
 from alphaindex.graphs import Graph
+from alphaindex.harness import CROSS_CHECK_TOL, ROTATION_SEED, sample_rotation_cases
 from alphaindex.spectral import DisconnectedGraphError, alpha_index
 from alphaindex.transforms import (
     Rotation,
     RotationError,
     rotate,
     rotation_monotonicity_check,
+    rotation_monotonicity_checks,
     valid_moved_candidates,
 )
 
@@ -121,3 +124,24 @@ def test_gab_family_rotations_increase():
             assert perron[v2] >= perron[v1] - 1e-12
             chk = rotation_monotonicity_check(g, rot, alpha)
             assert chk.perron_precondition and chk.increase > 0
+
+
+def test_batched_checks_match_power_iteration_on_the_default_corpus():
+    # Every candidate the default lemma7 corpus draws (seed, n <= 8) up to
+    # its 1000th accepted case: the batched vectors must accept exactly
+    # the cases power iteration accepts, with the same increase.
+    cases = sample_rotation_cases(random.Random(ROTATION_SEED), 8, 2951)
+    fallbacks = []
+    checks = rotation_monotonicity_checks(cases, fallbacks)
+    assert fallbacks == []
+    satisfied = 0
+    for (g, rot, alpha), chk in zip(cases, checks):
+        ref = rotation_monotonicity_check(g, rot, alpha)
+        assert chk.perron_precondition == ref.perron_precondition
+        if ref.perron_precondition:
+            satisfied += 1
+            assert abs(chk.increase - ref.increase) <= CROSS_CHECK_TOL
+        else:
+            assert math.isnan(chk.increase)
+    assert satisfied == 1000 and checks[-1].perron_precondition
+    assert rotation_monotonicity_checks([]) == []
