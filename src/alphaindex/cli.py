@@ -70,6 +70,10 @@ def _parse_int_range(text: str) -> list[int]:
     return sorted(set(out))
 
 
+def _listed(values: Sequence[int]) -> str:
+    return ",".join(map(str, values))
+
+
 def _parse_alphas(text: str) -> list[str]:
     """Alphas stay decimal strings so reports echo them verbatim."""
     out = []
@@ -270,24 +274,36 @@ def _render_reports(args, reports: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The flags each verify target reads, as flag dest -> harness keyword.  They
+# default to None and a flag left out is not passed on, so the harness holds
+# the only copy of every default.
+_VERIFY_FLAGS = {
+    "theorem1.3": {"n": "n_values", "jobs": "jobs"},
+    "theorem1.4": {"m": "m_values", "jobs": "jobs"},
+    "lemmas": {
+        "targets": "targets", "n_max": "n_max",
+        "rotation_cases": "rotation_cases", "seed": "seed",
+    },
+}
+
+
 def _cmd_verify(args) -> int:
+    own = _VERIFY_FLAGS[args.target]
+    foreign = []
+    for dest in dict.fromkeys(d for flags in _VERIFY_FLAGS.values() for d in flags):
+        value = getattr(args, dest)
+        # Lemma campaigns run serially, which is all that --jobs 1 asks for.
+        if dest not in own and value is not None and (dest, value) != ("jobs", 1):
+            foreign.append("--" + dest.replace("_", "-"))
+    if foreign:
+        raise ValueError(f"verify {args.target} does not take {', '.join(foreign)}")
+    given = {key: getattr(args, dest) for dest, key in own.items() if getattr(args, dest) is not None}
     if args.target == "theorem1.3":
-        reports = [hz.verify_theorem_order(
-            args.n or (5, 6, 7, 8, 9, 10), args.alpha, jobs=args.jobs,
-        )]
+        reports = [hz.verify_theorem_order(alphas=args.alpha, **given)]
     elif args.target == "theorem1.4":
-        reports = [hz.verify_theorem_size(
-            args.m or (6, 8, 9, 10, 11, 12, 13), args.alpha, jobs=args.jobs,
-        )]
+        reports = [hz.verify_theorem_size(alphas=args.alpha, **given)]
     else:
-        targets = args.targets.split(",") if args.targets else None
-        reports = hz.verify_lemma_suite(
-            targets,
-            n_max=args.n_max,
-            alphas=args.alpha,
-            rotation_cases=args.rotation_cases,
-            seed=args.seed,
-        )
+        reports = hz.verify_lemma_suite(alphas=args.alpha, **given)
     _emit(args, _render_reports(args, reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -370,16 +386,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "1e-9; bound slack tolerance 1e-10.",
     )
     p.add_argument("target", choices=("theorem1.3", "theorem1.4", "lemmas"))
-    p.add_argument("--n", type=_parse_int_range, help="orders, e.g. 5..8 (default 5..10, at most 13)")
+    p.add_argument("--n", type=_parse_int_range,
+                   help=f"theorem1.3 orders, e.g. 5..8 (default {_listed(hz.THEOREM_ORDERS)}, "
+                        "at most 13)")
     p.add_argument("--m", type=_parse_int_range,
-                   help="sizes, e.g. 6..13 or 9,11,13 (default 6,8..13, at most 16)")
+                   help=f"theorem1.4 sizes, e.g. 6..13 or 9,11,13 "
+                        f"(default {_listed(hz.THEOREM_SIZES)}, at most 16)")
     p.add_argument("--alpha", type=_parse_alphas,
                    help="comma-separated alpha grid (default 0.50..0.95 step 0.05)")
-    p.add_argument("--targets", help="comma-separated lemma targets (default: all)")
-    p.add_argument("--n-max", type=int, default=8, help="order cap for lemma corpora")
-    p.add_argument("--rotation-cases", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=hz.ROTATION_SEED)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--targets", type=lambda text: text.split(",") if text else [],
+                   help="comma-separated lemma targets (default: all)")
+    p.add_argument("--n-max", type=int,
+                   help=f"order cap for lemma corpora (default {hz.LEMMA_N_MAX})")
+    p.add_argument("--rotation-cases", type=int,
+                   help=f"lemma7 rotation cases (default {hz.ROTATION_CASES})")
+    p.add_argument("--seed", type=int,
+                   help=f"lemma7 corpus seed (default {hz.ROTATION_SEED})")
+    p.add_argument("--jobs", type=int,
                    help="worker processes for theorem campaigns (default 1)")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")

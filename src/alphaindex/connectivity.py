@@ -1,10 +1,14 @@
 """Connectivity predicates and the structure of minimally 2-connected graphs.
 
-Two independent recognizers are provided on purpose.  The deletion-based
-one is the definition (2-connected, and removing any edge breaks that);
-the chord-based one rests on the classical equivalence with "no cycle has
-a chord".  Their agreement on every small graph is a standing cross-check
-exercised by the test suite.
+Two independent recognizers are provided on purpose, and they share no
+walk.  The deletion-based one is the definition: 2-connected (at least
+three vertices, connected, and still connected after deleting any one
+vertex), and removing any edge breaks that; it runs only on a
+breadth-first reach.  The chord-based one rests on the classical
+equivalence with "no cycle has a chord" (Dirac 1967, Plummer 1968) and
+runs only on the Tarjan block walk, which also decides its
+2-connectivity and serves :func:`chording_ears`.  Their agreement on
+every small graph is a standing cross-check exercised by the test suite.
 """
 
 from __future__ import annotations
@@ -36,66 +40,31 @@ class StructuralReport:
 
 
 def is_connected(g: Graph) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = seen
-        for v in iter_bits(frontier):
-            reach |= g.rows[v]
-        frontier = reach & ~seen
-        seen = reach
-    return seen == (1 << g.n) - 1
+    full = (1 << g.n) - 1
+    return _reach(g, 0, full) == full
 
 
-def articulation_points(g: Graph) -> set[int]:
-    """Cut vertices via an iterative depth-first low-link sweep."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    cuts: set[int] = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        root_children = 0
-        stack = [(root, iter(list(iter_bits(g.rows[root]))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    parent[u] = v
-                    if v == root:
-                        root_children += 1
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, iter(list(iter_bits(g.rows[u])))))
-                    advanced = True
-                    break
-                elif u != parent[v]:
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if p != root and low[v] >= disc[p]:
-                        cuts.add(p)
-        if root_children > 1:
-            cuts.add(root)
-    return cuts
+def components(g: Graph) -> list[list[int]]:
+    out: list[list[int]] = []
+    unseen = (1 << g.n) - 1
+    while unseen:
+        seen = _reach(g, (unseen & -unseen).bit_length() - 1, unseen)
+        out.append(list(iter_bits(seen)))
+        unseen &= ~seen
+    return out
 
 
 def is_two_connected(g: Graph) -> bool:
-    if g.n < 3:
+    """At least three vertices, connected, and connected after deleting any
+    one vertex."""
+    if g.n < 3 or not is_connected(g):
         return False
-    if not is_connected(g):
-        return False
-    return not articulation_points(g)
+    full = (1 << g.n) - 1
+    for v in range(g.n):
+        rest = full & ~(1 << v)
+        if _reach(g, 1 if v == 0 else 0, rest) != rest:
+            return False
+    return True
 
 
 def is_minimally_two_connected_by_deletion(g: Graph) -> bool:
@@ -126,7 +95,8 @@ def has_chorded_cycle(g: Graph) -> bool:
 
 
 def is_minimally_two_connected_by_chords(g: Graph) -> bool:
-    if not is_two_connected(g):
+    """2-connected, read off the block walk, and no cycle has a chord."""
+    if g.n < 3 or next(_block_masks(g), 0) != (1 << g.n) - 1:
         return False
     return not has_chorded_cycle(g)
 
@@ -195,6 +165,19 @@ def structural_report(g: Graph) -> StructuralReport:
     return report
 
 
+def _reach(g: Graph, start: int, allowed: int) -> int:
+    """Mask of the vertices reachable from ``start`` inside the mask ``allowed``."""
+    seen = frontier = 1 << start
+    while frontier:
+        reach = seen
+        for v in iter_bits(frontier):
+            reach |= g.rows[v]
+        reach &= allowed
+        frontier = reach & ~seen
+        seen = reach
+    return seen
+
+
 def _share_block(g: Graph, s: int, t: int) -> bool:
     """True when ``s`` and ``t`` lie on a common cycle of ``g``."""
     both = (1 << s) | (1 << t)
@@ -205,7 +188,9 @@ def _block_masks(g: Graph) -> Iterator[int]:
     """Vertex masks of the blocks of ``g`` (bridges included), one at a time.
 
     Tarjan block decomposition with an edge stack, so a caller that stops
-    early skips the rest of the walk.
+    early skips the rest of the walk.  A block that spans all n >= 3
+    vertices is the only block, so the graph is 2-connected exactly when
+    the first block yielded spans them all.
     """
     disc = [-1] * g.n
     low = [0] * g.n
@@ -217,7 +202,7 @@ def _block_masks(g: Graph) -> Iterator[int]:
             continue
         disc[root] = low[root] = timer
         timer += 1
-        stack = [(root, iter(list(iter_bits(g.rows[root]))))]
+        stack = [(root, iter_bits(g.rows[root]))]
         while stack:
             v, it = stack[-1]
             advanced = False
@@ -227,7 +212,7 @@ def _block_masks(g: Graph) -> Iterator[int]:
                     disc[u] = low[u] = timer
                     timer += 1
                     edge_stack.append((v, u))
-                    stack.append((u, iter(list(iter_bits(g.rows[u])))))
+                    stack.append((u, iter_bits(g.rows[u])))
                     advanced = True
                     break
                 elif u != parent[v] and disc[u] < disc[v]:

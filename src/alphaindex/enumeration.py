@@ -51,13 +51,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
-from .connectivity import (
-    chording_ears,
-    is_connected,
-    is_minimally_two_connected_by_chords,
-    is_minimally_two_connected_by_deletion,
-    is_two_connected,
-)
+from .connectivity import chording_ears, is_minimally_two_connected_by_chords, is_two_connected
 from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
 
 MAX_CANONICAL_ORDER = 20

@@ -247,36 +247,19 @@ def parse_graph6(text: str) -> Graph:
     if len(data) - pos > nbytes:
         raise Graph6Error("trailing bytes after bit payload", pos + nbytes)
     rows = [0] * n
-    bit = 0
-    for i in range(nbytes):
-        byte = data[pos + i]
-        for k in range(6):
-            value = (byte >> (5 - k)) & 1
-            if bit >= nbits:
-                if value:
-                    raise Graph6Error("nonzero padding bits", pos + i)
-                continue
-            if value:
-                u, v = _G6_PAIR_CACHE.pair(bit)
+    acc = left = 0  # current byte, and its bits not yet read
+    i = pos
+    for v in range(1, n):
+        for u in range(v):
+            if not left:
+                acc = data[i]
+                i += 1
+                left = 6
+            left -= 1
+            if (acc >> left) & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            bit += 1
+    if acc & ((1 << left) - 1):
+        raise Graph6Error("nonzero padding bits", i - 1)
     return Graph.from_rows(rows)
 
-
-class _PairTable:
-    """Bit index -> upper-triangle pair (u, v) in graph6 column order."""
-
-    def __init__(self):
-        self._pairs: list[tuple[int, int]] = []
-        self._next_v = 1
-
-    def pair(self, index: int) -> tuple[int, int]:
-        while index >= len(self._pairs):
-            v = self._next_v
-            self._pairs.extend((u, v) for u in range(v))
-            self._next_v += 1
-        return self._pairs[index]
-
-
-_G6_PAIR_CACHE = _PairTable()

@@ -53,6 +53,10 @@ THEOREM_ALPHAS = DEFAULT_ALPHAS + [PROBE_ALPHA]
 CERT_ALPHAS = ["0.5", "0.6", "0.75", "0.9"]
 SANDWICH_ALPHAS = ["0.5", "0.75", "0.9"]
 CLOSED_FORM_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9"]
+THEOREM_ORDERS = (5, 6, 7, 8, 9, 10)
+THEOREM_SIZES = (6, 8, 9, 10, 11, 12, 13)
+LEMMA_N_MAX = 8
+ROTATION_CASES = 1000
 ROTATION_SEED = 20250808
 ROTATION_BLOCK_FACTOR = 3  # corpus candidates drawn per rotation case still needed
 
@@ -262,7 +266,7 @@ def _theorem(
 
 
 def verify_theorem_order(
-    n_values: Iterable[int] = (5, 6, 7, 8, 9, 10),
+    n_values: Iterable[int] = THEOREM_ORDERS,
     alphas: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
@@ -279,7 +283,7 @@ def verify_theorem_order(
 
 
 def verify_theorem_size(
-    m_values: Iterable[int] = (6, 8, 9, 10, 11, 12, 13),
+    m_values: Iterable[int] = THEOREM_SIZES,
     alphas: Sequence[str] | None = None,
     jobs: int = 1,
 ) -> VerificationReport:
@@ -318,9 +322,9 @@ def _lemma(*targets: str):
 
 def verify_lemma_suite(
     targets: Sequence[str] | None = None,
-    n_max: int = 8,
+    n_max: int = LEMMA_N_MAX,
     alphas: Sequence[str] | None = None,
-    rotation_cases: int = 1000,
+    rotation_cases: int = ROTATION_CASES,
     seed: int = ROTATION_SEED,
 ) -> list[VerificationReport]:
     chosen = list(targets or LEMMA_TARGETS)

@@ -25,7 +25,10 @@ that fails is re-solved by power iteration and reported to the caller,
 who flags it.  Power iteration stays the
 independent cross-check of the batched values, and a cyclic Jacobi
 full-spectrum solver of a third algorithm class serves as the test
-oracle.
+oracle.  Components, and the connectivity test behind
+:class:`DisconnectedGraphError`, come from the breadth-first reach of
+:mod:`alphaindex.connectivity`, the walk that the deletion recognizer
+runs on; the chord recognizer's block walk stays separate from both.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .connectivity import is_connected
+from .connectivity import components, is_connected
 from .graphs import Graph, GraphError, iter_bits
 
 POWER_TOL = 1e-12
@@ -211,24 +214,6 @@ def lambda_maxes(
             out[i] = rho
     if fallbacks is not None:
         fallbacks.extend(owner[k] for k in failed)
-    return out
-
-
-def components(g: Graph) -> list[list[int]]:
-    out: list[list[int]] = []
-    unseen = (1 << g.n) - 1
-    while unseen:
-        start = (unseen & -unseen).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            reach = seen
-            for v in iter_bits(frontier):
-                reach |= g.rows[v]
-            frontier = reach & ~seen
-            seen = reach
-        out.append(list(iter_bits(seen)))
-        unseen &= ~seen
     return out
 
 

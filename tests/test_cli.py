@@ -136,6 +136,23 @@ def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
     assert "unrecognized arguments: --allow-slow" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flags", [
+    (["theorem1.3", "--n", "5", "--m", "99", "--targets", "bogus", "--rotation-cases", "-5"],
+     "--m, --targets, --rotation-cases"),
+    (["theorem1.4", "--m", "6", "--n", "2"], "--n"),
+    (["theorem1.4", "--m", "6", "--n-max", "5", "--seed", "3"], "--n-max, --seed"),
+    (["lemmas", "--targets", "lemma9", "--m", "99", "--jobs", "7"], "--jobs, --m"),
+    (["lemmas", "--targets", "lemma9", "--jobs", "2"], "--jobs"),
+])
+def test_verify_flag_of_another_target_is_usage_error(capsys, argv, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"verify {argv[0]} does not take {flags}" in captured.err
+
+
 def test_enumerate_allow_slow_is_unrecognized(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate", "--order", "9", "--allow-slow"])

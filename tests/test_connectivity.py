@@ -5,7 +5,6 @@ import pytest
 from alphaindex import connectivity
 from alphaindex.connectivity import (
     LemmaViolationError,
-    articulation_points,
     has_chorded_cycle,
     is_connected,
     is_minimally_two_connected_by_chords,
@@ -36,7 +35,6 @@ def test_two_connected_cycle(c5):
 def test_path_is_not_two_connected():
     p4 = path(4)
     assert not is_two_connected(p4)
-    assert articulation_points(p4) == {1, 2}
 
 
 def test_k23_two_connected(k23):
@@ -121,6 +119,34 @@ def test_recognizers_agree_random_order_8():
         g = random_graph(rng, 8, rng.uniform(0.2, 0.7))
         assert is_minimally_two_connected_by_deletion(g) == \
             is_minimally_two_connected_by_chords(g), g
+
+
+# Classes of 2-connected graphs by order, n = 1..8 (OEIS A002218).
+_TWO_CONNECTED_CLASSES = [0, 0, 1, 3, 10, 56, 468, 7123]
+
+
+def test_two_connected_class_counts():
+    counts = [sum(map(is_two_connected, graphs_by_order(n))) for n in range(1, 9)]
+    assert counts == _TWO_CONNECTED_CLASSES
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the recognizers share no walk")
+
+
+def test_deletion_recognizer_runs_without_the_block_walk(monkeypatch):
+    classes = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    expected = [is_minimally_two_connected_by_chords(g) for g in classes]
+    monkeypatch.setattr(connectivity, "_block_masks", _refuse)
+    assert [is_minimally_two_connected_by_deletion(g) for g in classes] == expected
+
+
+def test_chord_recognizer_runs_without_the_reach(monkeypatch):
+    classes = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    expected = [is_minimally_two_connected_by_deletion(g) for g in classes]
+    for name in ("is_two_connected", "is_connected", "_reach"):
+        monkeypatch.setattr(connectivity, name, _refuse)
+    assert [is_minimally_two_connected_by_chords(g) for g in classes] == expected
 
 
 def test_is_connected_components(c4):
