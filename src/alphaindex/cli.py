@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import sys
@@ -118,7 +119,7 @@ def _emit(args, text: str) -> None:
 def _cmd_rho(args) -> int:
     records = []
     for label, g in _input_graphs(args):
-        result = alpha_index(g, float(args.alpha), tol=args.tol)
+        result = alpha_index(g, float(args.alpha))
         records.append({
             "input": label,
             "graph6": emit_graph6(g),
@@ -274,36 +275,21 @@ def _render_reports(args, reports: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The flags each verify target reads, as flag dest -> harness keyword.  They
-# default to None and a flag left out is not passed on, so the harness holds
-# the only copy of every default.
-_VERIFY_FLAGS = {
-    "theorem1.3": {"n": "n_values", "jobs": "jobs"},
-    "theorem1.4": {"m": "m_values", "jobs": "jobs"},
-    "lemmas": {
-        "targets": "targets", "n_max": "n_max",
-        "rotation_cases": "rotation_cases", "seed": "seed",
-    },
-}
-
-
 def _cmd_verify(args) -> int:
-    own = _VERIFY_FLAGS[args.target]
-    foreign = []
-    for dest in dict.fromkeys(d for flags in _VERIFY_FLAGS.values() for d in flags):
-        value = getattr(args, dest)
-        # Lemma campaigns run serially, which is all that --jobs 1 asks for.
-        if dest not in own and value is not None and (dest, value) != ("jobs", 1):
-            foreign.append("--" + dest.replace("_", "-"))
-    if foreign:
-        raise ValueError(f"verify {args.target} does not take {', '.join(foreign)}")
-    given = {key: getattr(args, dest) for dest, key in own.items() if getattr(args, dest) is not None}
-    if args.target == "theorem1.3":
-        reports = [hz.verify_theorem_order(alphas=args.alpha, **given)]
-    elif args.target == "theorem1.4":
-        reports = [hz.verify_theorem_size(alphas=args.alpha, **given)]
+    # A flag left out is not passed on, so the harness signatures hold every
+    # default and say which target reads which flag (args.campaign: dest -> flag).
+    given = {dest: getattr(args, dest) for dest in args.campaign if getattr(args, dest) is not None}
+    if args.target == "lemmas":
+        run, reads = hz.verify_lemma_suite, hz.lemma_keywords(given.get("targets"))
     else:
-        reports = hz.verify_lemma_suite(alphas=args.alpha, **given)
+        run = hz.verify_theorem_order if args.target == "theorem1.3" else hz.verify_theorem_size
+        reads = inspect.signature(run).parameters
+    unread = [flag for dest, flag in args.campaign.items() if dest in given and dest not in reads]
+    if unread:
+        raise ValueError(f"verify {args.target} does not take {', '.join(unread)}")
+    reports = run(**given)
+    if args.target != "lemmas":
+        reports = [reports]
     _emit(args, _render_reports(args, reports))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -342,8 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rho", help="alpha-index and Perron vector")
     add_graph_input(p)
     p.add_argument("--alpha", required=True, help="alpha in [0, 1), e.g. 0.5")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative eigen-residual tolerance (default 1e-12)")
     add_io(p)
     p.set_defaults(fn=_cmd_rho)
 
@@ -386,28 +370,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "1e-9; bound slack tolerance 1e-10.",
     )
     p.add_argument("target", choices=("theorem1.3", "theorem1.4", "lemmas"))
-    p.add_argument("--n", type=_parse_int_range,
-                   help=f"theorem1.3 orders, e.g. 5..8 (default {_listed(hz.THEOREM_ORDERS)}, "
-                        "at most 13)")
-    p.add_argument("--m", type=_parse_int_range,
-                   help=f"theorem1.4 sizes, e.g. 6..13 or 9,11,13 "
-                        f"(default {_listed(hz.THEOREM_SIZES)}, at most 16)")
-    p.add_argument("--alpha", type=_parse_alphas,
-                   help="comma-separated alpha grid (default 0.50..0.95 step 0.05)")
-    p.add_argument("--targets", type=lambda text: text.split(",") if text else [],
-                   help="comma-separated lemma targets (default: all)")
-    p.add_argument("--n-max", type=int,
-                   help=f"order cap for lemma corpora (default {hz.LEMMA_N_MAX})")
-    p.add_argument("--rotation-cases", type=int,
-                   help=f"lemma7 rotation cases (default {hz.ROTATION_CASES})")
-    p.add_argument("--seed", type=int,
-                   help=f"lemma7 corpus seed (default {hz.ROTATION_SEED})")
-    p.add_argument("--jobs", type=int,
-                   help="worker processes for theorem campaigns (default 1)")
+    # Campaign flags: each dest is the harness keyword it sets.
+    campaign = [
+        p.add_argument("--n", dest="n_values", metavar="N", type=_parse_int_range,
+                       help=f"theorem1.3 orders, e.g. 5..8 "
+                            f"(default {_listed(hz.THEOREM_ORDERS)}, at most 13)"),
+        p.add_argument("--m", dest="m_values", metavar="M", type=_parse_int_range,
+                       help=f"theorem1.4 sizes, e.g. 6..13 or 9,11,13 "
+                            f"(default {_listed(hz.THEOREM_SIZES)}, at most 16)"),
+        p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_parse_alphas,
+                       help="comma-separated alpha grid (default: each target's own; for "
+                            "theorems 0.50..0.95 step 0.05 plus 0.999)"),
+        p.add_argument("--targets", type=lambda text: text.split(",") if text else [],
+                       help="comma-separated lemma targets (default: all)"),
+        p.add_argument("--n-max", type=int,
+                       help=f"order cap for lemma corpora (default {hz.LEMMA_N_MAX})"),
+        p.add_argument("--rotation-cases", type=int,
+                       help=f"lemma7 rotation cases (default {hz.ROTATION_CASES})"),
+        p.add_argument("--seed", type=int,
+                       help=f"lemma7 corpus seed (default {hz.ROTATION_SEED})"),
+    ]
+    p.add_argument("--jobs", type=int, choices=[1],
+                   help="accepts only 1; campaigns run serially")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")
     add_io(p, formats=("text", "json", "csv"))
-    p.set_defaults(fn=_cmd_verify)
+    p.set_defaults(fn=_cmd_verify, campaign={a.dest: a.option_strings[0] for a in campaign})
 
     p = sub.add_parser("convert", help="graph6 passthrough with filtering")
     p.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")

@@ -11,15 +11,19 @@ Every target is built by one function that fills a report and run by
 power iteration, and refuses a report with no cases.  Lemma targets
 register themselves in ``_LEMMAS`` with :func:`_lemma`.
 
+The signatures are the usage contract: a theorem entry point, and each
+lemma builder after ``target``, names exactly the keywords it reads, with
+its default.  A keyword (or flag) that no chosen target names is an error.
+
 Alpha values travel as decimal strings and are echoed verbatim in
 reports, so a grid reads back exactly as it was specified.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -188,8 +192,7 @@ def _sub_margin(case: dict) -> bool:
     return case["gap"] is not None and case["gap"] <= GAP_MARGIN
 
 
-def _order_case(args: tuple) -> list[tuple[dict, str]]:
-    n, alphas = args
+def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_order(n, "minimally_two_connected")
     target = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
     out = []
@@ -205,8 +208,7 @@ def _order_case(args: tuple) -> list[tuple[dict, str]]:
     return out
 
 
-def _size_case(args: tuple) -> list[tuple[dict, str]]:
-    m, alphas = args
+def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_size(m)
     even = m % 2 == 0
     asserted = (even and m >= 6) or (not even and m >= 9)
@@ -246,19 +248,17 @@ def _size_case(args: tuple) -> list[tuple[dict, str]]:
 
 
 def _theorem(
-    target: str, name: str, params: dict, alphas: Sequence[str] | None,
-    case_fn, inputs: list[tuple], jobs: int,
+    target: str, name: str, params: dict, alphas: Sequence[str], case_fn, values: list[int],
 ) -> VerificationReport:
-    """Run ``case_fn`` on ``(value, alphas, *rest)`` for each input tuple
-    ``(value, *rest)``; a case's note is flagged when the case holds."""
-    alphas = list(alphas or THEOREM_ALPHAS)
+    """Run ``case_fn(value, alphas)`` for each value; a case's note is
+    flagged when the case holds."""
+    alphas = list(alphas)
     for s in alphas:
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
     report = VerificationReport(target, params, alphas)
-    chunks = _run_cases(case_fn, [(value, alphas, *rest) for value, *rest in inputs], jobs)
-    for chunk in chunks:
-        for case, violation in chunk:
+    for value in values:
+        for case, violation in case_fn(value, alphas):
             report.add(case, violation)
             if case["ok"] and case["note"]:
                 report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
@@ -267,8 +267,7 @@ def _theorem(
 
 def verify_theorem_order(
     n_values: Iterable[int] = THEOREM_ORDERS,
-    alphas: Sequence[str] | None = None,
-    jobs: int = 1,
+    alphas: Sequence[str] = THEOREM_ALPHAS,
 ) -> VerificationReport:
     """Order theorem: the unique alpha-index maximizer among minimally
     2-connected graphs of order n is K_{2,n-2}, for alpha in [1/2, 1)."""
@@ -276,39 +275,26 @@ def verify_theorem_order(
     for n in n_values:
         if n < 5:
             raise ValueError("the order theorem starts at n = 5")
-    return _run(
-        _theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
-        _order_case, [(n,) for n in n_values], jobs,
-    )
+    return _run(_theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
+                _order_case, n_values)
 
 
 def verify_theorem_size(
     m_values: Iterable[int] = THEOREM_SIZES,
-    alphas: Sequence[str] | None = None,
-    jobs: int = 1,
+    alphas: Sequence[str] = THEOREM_ALPHAS,
 ) -> VerificationReport:
     """Size theorem: the unique maximizer of given size m is K_{2,m/2} for
     even m >= 6 and the subdivided K_{2,(m-1)/2} for odd m >= 9, whose
     alpha-index is pinned by the cubic.  Out-of-hypothesis sizes (such as
     m = 7) are computed and reported without assertion."""
     m_values = sorted(set(int(m) for m in m_values))
-    return _run(
-        _theorem, "theorem1.4", "size theorem", {"m": m_values}, alphas,
-        _size_case, [(m,) for m in m_values], jobs,
-    )
-
-
-def _run_cases(fn, inputs: list, jobs: int) -> list:
-    if jobs <= 1 or len(inputs) <= 1:
-        return [fn(item) for item in inputs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(inputs))) as pool:
-        return list(pool.map(fn, inputs))
+    return _run(_theorem, "theorem1.4", "size theorem", {"m": m_values}, alphas,
+                _size_case, m_values)
 
 
 # -- lemma suite -------------------------------------------------------------
 
-# target -> builder, in suite order.  Each builder is called as
-# build(target, n_max=..., alphas=..., rotation_cases=..., seed=...).
+# target -> builder, in suite order.
 _LEMMAS: dict = {}
 
 
@@ -320,19 +306,35 @@ def _lemma(*targets: str):
     return register
 
 
-def verify_lemma_suite(
-    targets: Sequence[str] | None = None,
-    n_max: int = LEMMA_N_MAX,
-    alphas: Sequence[str] | None = None,
-    rotation_cases: int = ROTATION_CASES,
-    seed: int = ROTATION_SEED,
-) -> list[VerificationReport]:
+def _chosen(targets: Sequence[str] | None) -> list[str]:
     chosen = list(targets or LEMMA_TARGETS)
     for t in chosen:
         if t not in _LEMMAS:
             raise ValueError(f"unknown verification target {t!r}")
+    return chosen
+
+
+def _keywords(build_report) -> list[str]:
+    """The keywords a lemma builder reads: its parameters after ``target``."""
+    return list(inspect.signature(build_report).parameters)[1:]
+
+
+def lemma_keywords(targets: Sequence[str] | None = None) -> set[str]:
+    """The keywords :func:`verify_lemma_suite` reads for these targets
+    (default: all): ``targets`` and those of the chosen builders."""
+    return {"targets"}.union(*(_keywords(_LEMMAS[t]) for t in _chosen(targets)))
+
+
+def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[VerificationReport]:
+    """Run the chosen lemma targets (default: all) in suite order.  Each
+    builder gets only the keywords of ``given`` that its signature names;
+    a keyword that no chosen builder names is an error."""
+    chosen = _chosen(targets)
+    unread = given.keys() - lemma_keywords(chosen)
+    if unread:
+        raise ValueError(f"lemma targets {', '.join(chosen)} do not take {', '.join(sorted(unread))}")
     return [
-        _run(_LEMMAS[t], t, n_max=n_max, alphas=alphas, rotation_cases=rotation_cases, seed=seed)
+        _run(_LEMMAS[t], t, **{k: given[k] for k in _keywords(_LEMMAS[t]) if k in given})
         for t in chosen
     ]
 
@@ -346,12 +348,13 @@ _SLACK = {
 
 
 @_lemma(*_SLACK)
-def _sandwich(target: str, n_max: int, alphas, **_) -> VerificationReport:
-    alphas = list(alphas or SANDWICH_ALPHAS)
-    n_cap = min(n_max, 7)
-    report = VerificationReport(target, {"n": list(range(2, n_cap + 1))}, alphas)
+def _sandwich(
+    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = SANDWICH_ALPHAS,
+) -> VerificationReport:
+    alphas = list(alphas)
+    report = VerificationReport(target, {"n": list(range(2, n_max + 1))}, alphas)
     slack_of = _SLACK[target]
-    for n in range(2, n_cap + 1):
+    for n in range(2, n_max + 1):
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
         for alpha_str in alphas:
             alpha = float(alpha_str)
@@ -381,7 +384,7 @@ _STRUCTURAL = {
 
 
 @_lemma(*_STRUCTURAL)
-def _structural(target: str, n_max: int, **_) -> VerificationReport:
+def _structural(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
         for g in graphs_by_order(n, "minimally_two_connected"):
@@ -392,7 +395,7 @@ def _structural(target: str, n_max: int, **_) -> VerificationReport:
 
 
 @_lemma("lemma5")
-def _lemma5(target: str, n_max: int, **_) -> VerificationReport:
+def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
         extremal_expected = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
@@ -411,7 +414,7 @@ def _lemma5(target: str, n_max: int, **_) -> VerificationReport:
 
 
 @_lemma("lemma6")
-def _lemma6(target: str, n_max: int, **_) -> VerificationReport:
+def _lemma6(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(1, n_max + 1))}, [])
     for n in range(1, n_max + 1):
         classes = graphs_by_order(n)
@@ -460,10 +463,10 @@ def sample_rotation_cases(
     rng: random.Random, n_max: int, count: int,
 ) -> list[tuple[Graph, Rotation, float]]:
     """The next ``count`` candidates of lemma7's corpus, in draw order: a
-    connected graph of order 4..min(n_max, 8), a rotation of it and alpha."""
+    connected graph of order 4..n_max, a rotation of it and alpha."""
     cases = []
     while len(cases) < count:
-        g = sample_connected_graph(rng, 4, max(4, min(n_max, 8)))
+        g = sample_connected_graph(rng, 4, max(4, n_max))
         rot = sample_rotation(rng, g)
         if rot is None:
             continue
@@ -473,7 +476,8 @@ def sample_rotation_cases(
 
 @_lemma("lemma7")
 def _lemma7(
-    target: str, n_max: int, alphas, rotation_cases: int, seed: int, **_,
+    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = DEFAULT_ALPHAS,
+    rotation_cases: int = ROTATION_CASES, seed: int = ROTATION_SEED,
 ) -> VerificationReport:
     """The rotation corpus, then the G(a, b) chain.
 
@@ -485,7 +489,7 @@ def _lemma7(
     """
     if rotation_cases < 1:
         raise ValueError(f"{target} needs at least one rotation case, got {rotation_cases}")
-    alphas = list(alphas or DEFAULT_ALPHAS)
+    alphas = list(alphas)
     report = VerificationReport(
         target, {"random_cases": rotation_cases, "seed": seed, "chain_m": [9, 11, 13]}, alphas,
     )
@@ -557,8 +561,8 @@ def _lemma7(
 
 
 @_lemma("lemma8")
-def _lemma8(target: str, alphas, **_) -> VerificationReport:
-    alphas = list(alphas or DEFAULT_ALPHAS)
+def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
+    alphas = list(alphas)
     fams = [FamilyId("K", (a, b)) for a in range(1, 5) for b in range(1, a + 1)]
     fams += [FamilyId("SK2", (k,)) for k in range(2, 7)]
     fams += [FamilyId("G", (a, b)) for a in range(1, 4) for b in range(a, 5)]
@@ -576,8 +580,8 @@ def _lemma8(target: str, alphas, **_) -> VerificationReport:
 
 
 @_lemma("lemma9")
-def _lemma9(target: str, alphas, **_) -> VerificationReport:
-    alphas = list(alphas or CLOSED_FORM_ALPHAS)
+def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> VerificationReport:
+    alphas = list(alphas)
     report = VerificationReport(target, {"a_max": 12}, alphas)
     anchor = closed_form_complete_bipartite(3, 2, 0.5)
     if abs(anchor - 2.5) > 1e-12:
@@ -600,8 +604,8 @@ def _lemma9(target: str, alphas, **_) -> VerificationReport:
 
 
 @_lemma("lemma10")
-def _lemma10(target: str, alphas, **_) -> VerificationReport:
-    alphas = list(alphas or DEFAULT_ALPHAS)
+def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
+    alphas = list(alphas)
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
     graphs = [build(FamilyId("SK2", ((m - 1) // 2,)))[0] for m in ms]
@@ -619,7 +623,7 @@ def _lemma10(target: str, alphas, **_) -> VerificationReport:
 
 
 @_lemma("lemma11")
-def _lemma11(target: str, **_) -> VerificationReport:
+def _lemma11(target: str) -> VerificationReport:
     ms = ct.odd_range(9, 99)
     grid = ct.alpha_grid("0.50", "0.99", "0.01")
     report = VerificationReport(target, {"m": [9, 99], "step": 2}, grid)
@@ -667,10 +671,11 @@ def _column_sums(report: VerificationReport, variant: str, label: str, eligible:
 
 
 @_lemma("claim-order")
-def _claim_order(target: str, n_max: int, alphas, **_) -> VerificationReport:
+def _claim_order(
+    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = CERT_ALPHAS,
+) -> VerificationReport:
     report = VerificationReport(
-        target, {"n": list(range(5, n_max + 1)), "max_degree": "<= n-3"},
-        list(alphas or CERT_ALPHAS),
+        target, {"n": list(range(5, n_max + 1)), "max_degree": "<= n-3"}, list(alphas),
     )
     for n in range(5, n_max + 1):
         eligible = [
@@ -682,10 +687,9 @@ def _claim_order(target: str, n_max: int, alphas, **_) -> VerificationReport:
 
 
 @_lemma("claim-size")
-def _claim_size(target: str, alphas, **_) -> VerificationReport:
+def _claim_size(target: str, alphas: Sequence[str] = CERT_ALPHAS) -> VerificationReport:
     report = VerificationReport(
-        target, {"m": list(range(6, 13)), "max_degree": "3 <= Delta <= (m-2)/2"},
-        list(alphas or CERT_ALPHAS),
+        target, {"m": list(range(6, 13)), "max_degree": "3 <= Delta <= (m-2)/2"}, list(alphas),
     )
     for m in range(6, 13):
         eligible = [g for g in graphs_by_size(m) if 3 <= max(g.degrees()) <= (m - 2) // 2]
@@ -694,7 +698,7 @@ def _claim_size(target: str, alphas, **_) -> VerificationReport:
 
 
 @_lemma("fact1")
-def _fact1(target: str, **_) -> VerificationReport:
+def _fact1(target: str) -> VerificationReport:
     report = VerificationReport(target, {"m": [9, 11, 13]}, [])
     for m in (9, 11, 13):
         classes = graphs_by_size(m)
@@ -747,14 +751,14 @@ def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) 
 
 
 @_lemma("fact2")
-def _fact2(target: str, **_) -> VerificationReport:
+def _fact2(target: str) -> VerificationReport:
     report = _identity_report(target)
     _identity_case(report, "identity grid", ct.identity_check_f, "-8(m-3)^3 p(x0) vs f")
     return report
 
 
 @_lemma("fact3")
-def _fact3(target: str, **_) -> VerificationReport:
+def _fact3(target: str) -> VerificationReport:
     report = _identity_report(target)
     # The printed identity 4 p(x1) = g is false; it stays asserted, so
     # fact3 fails, next to the identity that exact expansion gives.

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 
 import pytest
@@ -141,8 +143,7 @@ def test_verify_allow_slow_outside_theorem_order_is_usage_error(capsys, target):
      "--m, --targets, --rotation-cases"),
     (["theorem1.4", "--m", "6", "--n", "2"], "--n"),
     (["theorem1.4", "--m", "6", "--n-max", "5", "--seed", "3"], "--n-max, --seed"),
-    (["lemmas", "--targets", "lemma9", "--m", "99", "--jobs", "7"], "--jobs, --m"),
-    (["lemmas", "--targets", "lemma9", "--jobs", "2"], "--jobs"),
+    (["lemmas", "--targets", "lemma9", "--m", "99"], "--m"),
 ])
 def test_verify_flag_of_another_target_is_usage_error(capsys, argv, flags):
     with pytest.raises(SystemExit) as err:
@@ -151,6 +152,42 @@ def test_verify_flag_of_another_target_is_usage_error(capsys, argv, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"verify {argv[0]} does not take {flags}" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["lemmas", "--targets", "lemma9", "--seed", "-1", "--rotation-cases", "0",
+      "--n-max", "99", "--alpha", "0.5"],
+     "verify lemmas does not take --n-max, --rotation-cases, --seed"),
+    (["lemmas", "--targets", "lemma6", "--alpha", "0.5"], "verify lemmas does not take --alpha"),
+    (["theorem1.3", "--n", "5", "--alpha", "0.5", "--jobs", "0"], "--jobs: invalid choice: 0"),
+    (["theorem1.3", "--n", "5", "--alpha", "0.5", "--jobs", "2"], "--jobs: invalid choice: 2"),
+    (["theorem1.3", "--n", "5", "--alpha", "0.5", "--jobs", "-3"], "--jobs: invalid choice: -3"),
+    (["lemmas", "--targets", "lemma9", "--jobs", "2"], "--jobs: invalid choice: 2"),
+], ids=["lemma9-unread", "lemma6-alpha", "jobs-0", "jobs-2", "jobs--3", "lemmas-jobs-2"])
+def test_verify_flag_no_chosen_target_reads_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_verify_flags_match_harness_signatures():
+    parser = cli.build_parser()
+    campaign = parser.parse_args(["verify", "lemmas"]).campaign
+    reads = harness.lemma_keywords().union(
+        inspect.signature(harness.verify_theorem_order).parameters,
+        inspect.signature(harness.verify_theorem_size).parameters,
+    )
+    # Every keyword a builder or theorem entry point reads is settable ...
+    assert reads <= campaign.keys()
+    # ... and every campaign flag is read by some target.
+    assert campaign.keys() <= reads
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    verify = subparsers.choices["verify"]
+    flags = {a.dest for a in verify._actions if a.option_strings}
+    assert flags - {"help", "format", "out", "timings", "jobs"} == campaign.keys()
 
 
 def test_enumerate_allow_slow_is_unrecognized(capsys):
@@ -315,12 +352,3 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 1
     assert "fact3: FAIL" in proc.stdout
-
-
-def test_verify_runs_serially_by_default(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("process pool started without --jobs")
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
-    code, _ = run_cli(capsys, "verify", "theorem1.3", "--n", "5..6", "--format", "json")
-    assert code == 0

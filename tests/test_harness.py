@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from alphaindex.harness import (
     VerificationReport,
     sample_connected_graph,
     sample_rotation,
+    sample_rotation_cases,
     verify_lemma_suite,
     verify_theorem_order,
     verify_theorem_size,
@@ -57,16 +60,6 @@ def test_theorem_size_m7_informational():
     case = report.case_results[0]
     assert case["informational"]
     assert report.flags
-
-
-def test_theorem_jobs_parallel_matches_serial():
-    serial = verify_theorem_order((5, 6), ["0.50", "0.75"], jobs=1)
-    parallel = verify_theorem_order((5, 6), ["0.50", "0.75"], jobs=2)
-    strip = lambda r: [
-        {k: v for k, v in c.items()} for c in r.case_results
-    ]
-    assert strip(serial) == strip(parallel)
-    assert serial.violations == parallel.violations
 
 
 def test_lemma_suite_structural_small():
@@ -162,6 +155,30 @@ def test_unknown_target_rejected():
         verify_lemma_suite(["lemma99"])
 
 
+def test_keyword_no_chosen_builder_reads_rejected():
+    with pytest.raises(ValueError, match="do not take n_max"):
+        verify_lemma_suite(["lemma9"], n_max=6)
+
+
+@pytest.mark.parametrize("target", ["lemma1", "lemma2"])
+def test_sandwich_honours_n_max(monkeypatch, target):
+    # Two classes stand in for the 11,117 connected ones of order 8.
+    real = harness.graphs_by_order
+    order8 = [complete_bipartite(2, 6), cycle(8)]
+    monkeypatch.setattr(
+        harness, "graphs_by_order", lambda n, *rest: order8 if n == 8 else real(n, *rest),
+    )
+    (report,) = verify_lemma_suite([target], n_max=8)
+    assert report.params["n"] == list(range(2, 9))
+    assert [c["classes"] for c in report.case_results if c["case"] == "n=8"] == [2, 2, 2]
+    assert report.passed
+
+
+def test_rotation_corpus_honours_n_max():
+    cases = sample_rotation_cases(random.Random(7), 10, 60)
+    assert max(g.n for g, _, _ in cases) > 8
+
+
 def test_report_serialization_shapes():
     report = verify_theorem_order((5,), ["0.50"])
     payload = report.to_json_dict()
@@ -180,8 +197,6 @@ def test_default_grids():
 
 
 def test_samplers_deterministic():
-    import random
-
     g1 = sample_connected_graph(random.Random(9), 4, 6)
     g2 = sample_connected_graph(random.Random(9), 4, 6)
     assert g1 == g2
