@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int,
                        help="enumerate by order (n <= 13 with --filter min2c, "
-                            "otherwise n <= 9; n = 9 takes minutes)")
+                            "otherwise n <= 9; n = 9 takes about 30 s)")
     group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 16)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
     add_io(p, formats=("graph6", "json"))

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -22,13 +23,50 @@ from alphaindex.graphs import Graph, Graph6Error, emit_graph6, parse_graph6
 
 from conftest import circulant, disjoint_union, random_graph
 
-# Isomorphism classes of simple graphs on n vertices.
-KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+# Isomorphism classes of simple graphs on n vertices (OEIS A000088).
+KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_CLASS_COUNTS.items()))
 def test_all_class_counts(n, count):
     assert len(graphs_by_order(n)) == count
+
+
+def _every_neighbourhood_classes(n_max):
+    """Classes of orders 1..n_max from every neighbourhood of a new vertex on
+    every class one order lower, de-duplicated by canonical form: augmentation
+    without the minimum-degree cut."""
+    levels = [(Graph.from_rows([0]),)]
+    for n in range(2, n_max + 1):
+        seen = {}
+        for parent in levels[-1]:
+            for mask in range(1 << (n - 1)):
+                key = canonical_form(parent.add_vertex(mask))
+                if key not in seen:
+                    seen[key] = parse_graph6(key)
+        levels.append(tuple(seen[key] for key in sorted(seen)))
+    return levels
+
+
+def test_minimum_degree_augmentation_matches_every_neighbourhood():
+    for n, classes in enumerate(_every_neighbourhood_classes(7), start=1):
+        assert enumeration._all_classes(n) == classes, n
+
+
+def test_minimum_degree_augmentation_form_count(monkeypatch):
+    # A fresh cache makes the sweep cold and leaves the shared one as it was.
+    monkeypatch.setattr(enumeration, "_all_classes",
+                        lru_cache(maxsize=None)(enumeration._all_classes.__wrapped__))
+    calls = []
+    relabel = enumeration.canonical_relabel
+
+    def counted(g):
+        calls.append(None)
+        return relabel(g)
+
+    monkeypatch.setattr(enumeration, "canonical_relabel", counted)
+    assert len(enumeration._all_classes(7)) == 1044
+    assert len(calls) == 3131  # 11,290 with every neighbourhood
 
 
 def test_min2c_order4():
