@@ -48,7 +48,6 @@ from .harness import (
     verify_theorem_size,
 )
 from .spectral import (
-    AlphaMatrix,
     CertificateColumnSums,
     ConvergenceError,
     DisconnectedGraphError,

@@ -90,12 +90,12 @@ def _parse_alphas(text: str) -> list[str]:
 
 def _input_graphs(args) -> list[tuple[str, object]]:
     """(label, Graph) pairs from --family, --graph6, --in, or stdin."""
-    if getattr(args, "family", None):
+    if args.family:
         fid = parse_family(args.family)
         return [(str(fid), build(fid)[0])]
-    if getattr(args, "graph6", None):
+    if args.graph6:
         return [(args.graph6, parse_graph6(args.graph6))]
-    stream = open(args.infile) if getattr(args, "infile", None) else sys.stdin
+    stream = open(args.infile) if args.infile else sys.stdin
     try:
         pairs = []
         for line in stream:
@@ -109,7 +109,7 @@ def _input_graphs(args) -> list[tuple[str, object]]:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
@@ -183,47 +183,48 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _cmd_certify(args) -> int:
-    if args.what == "columns":
-        records = []
-        worst = -float("inf")
-        for label, g in _input_graphs(args):
-            cert = column_sum_certificate(g, float(args.alpha), args.variant)
-            worst = max(worst, max(cert.column_sums))
-            records.append({
-                "input": label,
-                "alpha": args.alpha,
-                "variant": cert.variant,
-                "parameter": cert.parameter,
-                "column_sums": list(cert.column_sums),
-                "max": max(cert.column_sums),
-            })
-        if args.format == "json":
-            _emit(args, json.dumps(records, indent=2) + "\n")
-        else:
-            lines = [
-                f"{r['input']}  variant={r['variant']}  alpha={r['alpha']}  "
-                f"max_c_u={r['max']:.6g}  sums={[round(v, 9) for v in r['column_sums']]}"
-                for r in records
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0
-    if args.what == "signs":
-        ms = ct.odd_range(args.m_start, args.m_stop)
-        alphas = ct.alpha_grid(args.alpha_start, args.alpha_stop, args.alpha_step)
-        certs = [ct.sign_grid(p, ms, alphas) for p in args.poly.split(",")]
-        payload = [c.to_json_dict() for c in certs]
-        if args.format == "json":
-            _emit(args, json.dumps(payload, indent=2) + "\n")
-        else:
-            lines = [
-                f"{c['polynomial']}: {'PASS' if c['passed'] else 'FAIL'} "
-                f"(min |value| = {c['min_abs_value']:.6g}, violations = {len(c['violations'])})"
-                for c in payload
-            ]
-            _emit(args, "\n".join(lines) + "\n")
-        return 0 if all(c["passed"] for c in payload) else 1
-    # identities
+def _cmd_columns(args) -> int:
+    records = []
+    for label, g in _input_graphs(args):
+        cert = column_sum_certificate(g, float(args.alpha), args.variant)
+        records.append({
+            "input": label,
+            "alpha": args.alpha,
+            "variant": cert.variant,
+            "parameter": cert.parameter,
+            "column_sums": list(cert.column_sums),
+            "max": max(cert.column_sums),
+        })
+    if args.format == "json":
+        _emit(args, json.dumps(records, indent=2) + "\n")
+    else:
+        lines = [
+            f"{r['input']}  variant={r['variant']}  alpha={r['alpha']}  "
+            f"max_c_u={r['max']:.6g}  sums={[round(v, 9) for v in r['column_sums']]}"
+            for r in records
+        ]
+        _emit(args, "\n".join(lines) + "\n")
+    return 0
+
+
+def _cmd_signs(args) -> int:
+    ms = ct.odd_range(args.m_start, args.m_stop)
+    alphas = ct.alpha_grid(args.alpha_start, args.alpha_stop, args.alpha_step)
+    certs = [ct.sign_grid(p, ms, alphas) for p in args.poly.split(",")]
+    payload = [c.to_json_dict() for c in certs]
+    if args.format == "json":
+        _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        lines = [
+            f"{c['polynomial']}: {'PASS' if c['passed'] else 'FAIL'} "
+            f"(min |value| = {c['min_abs_value']:.6g}, violations = {len(c['violations'])})"
+            for c in payload
+        ]
+        _emit(args, "\n".join(lines) + "\n")
+    return 0 if all(c["passed"] for c in payload) else 1
+
+
+def _cmd_identity(args) -> int:
     ms = ct.odd_range(args.m_start, args.m_stop)
     alphas = ct.alpha_grid(args.alpha_start, args.alpha_stop, args.alpha_step)
     results = []
@@ -320,21 +321,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    def add_graph_input(p):
-        p.add_argument("--family", help="family syntax: K{a},{b} | SK2,{k} | G{a},{b} | C{n}")
-        p.add_argument("--graph6", help="a literal graph6 string")
-        p.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")
+    # Flags that several verbs share are built once, in parsers without help
+    # that the verbs take as parents (argparse copies their actions).
+    graph_input = argparse.ArgumentParser(add_help=False)
+    group = graph_input.add_mutually_exclusive_group()
+    group.add_argument("--family", help="family syntax: K{a},{b} | SK2,{k} | G{a},{b} | C{n}")
+    group.add_argument("--graph6", help="a literal graph6 string")
+    group.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")
+    add_io(graph_input)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--poly", default="f,g", help="which polynomials: f, g, or f,g")
+    grid.add_argument("--m-start", type=int, default=9)
+    grid.add_argument("--m-stop", type=int, default=99)
+    grid.add_argument("--alpha-start", default="0.50")
+    grid.add_argument("--alpha-stop", default="0.99")
+    grid.add_argument("--alpha-step", default="0.01")
+    add_io(grid)
 
-    p = sub.add_parser("rho", help="alpha-index and Perron vector")
-    add_graph_input(p)
+    p = sub.add_parser("rho", parents=[graph_input], help="alpha-index and Perron vector")
     p.add_argument("--alpha", required=True, help="alpha in [0, 1), e.g. 0.5")
-    add_io(p)
     p.set_defaults(fn=_cmd_rho)
 
-    p = sub.add_parser("bounds", help="lower/upper alpha-index bounds plus rho")
-    add_graph_input(p)
+    p = sub.add_parser("bounds", parents=[graph_input], help="lower/upper alpha-index bounds plus rho")
     p.add_argument("--alpha", required=True)
-    add_io(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("enumerate", help="isomorph-free generation")
@@ -348,18 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("certify", help="column sums, sign grids, identities")
-    p.add_argument("what", choices=("columns", "signs", "identity"))
-    add_graph_input(p)
+    modes = p.add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("columns", parents=[graph_input], help="column sums of the proof matrix B")
     p.add_argument("--alpha", default="0.5", help="alpha for column sums")
     p.add_argument("--variant", choices=("order", "size"), default="order")
-    p.add_argument("--poly", default="f,g", help="which polynomials: f, g, or f,g")
-    p.add_argument("--m-start", type=int, default=9)
-    p.add_argument("--m-stop", type=int, default=99)
-    p.add_argument("--alpha-start", default="0.50")
-    p.add_argument("--alpha-stop", default="0.99")
-    p.add_argument("--alpha-step", default="0.01")
-    add_io(p)
-    p.set_defaults(fn=_cmd_certify)
+    p.set_defaults(fn=_cmd_columns)
+    p = modes.add_parser("signs", parents=[grid], help="sign grids of f and g")
+    p.set_defaults(fn=_cmd_signs)
+    p = modes.add_parser("identity", parents=[grid], help="polynomial identities of f and g")
+    p.set_defaults(fn=_cmd_identity)
 
     p = sub.add_parser(
         "verify",

@@ -105,14 +105,7 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
     """Vertex order minimizing the column-major adjacency bitstring over the
     refinement-consistent search tree."""
-    if n == 1:
-        return [0]
-    degree_keys = sorted(set(r.bit_count() for r in rows))
-    rank = {d: i for i, d in enumerate(degree_keys)}
-    cells = [[] for _ in degree_keys]
-    for v in range(n):
-        cells[rank[rows[v].bit_count()]].append(v)
-    cells = _refine(n, rows, [c for c in cells if c])
+    cells = _refine(n, rows, [list(range(n))])
 
     best_cols: tuple[int, ...] | None = None
     best_order: list[int] = []

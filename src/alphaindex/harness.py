@@ -40,10 +40,10 @@ from .graphs import Graph, emit_graph6
 from .spectral import (
     SpectralError,
     alpha_index,
-    alpha_indices,
     column_sum_certificate,
     closed_form_complete_bipartite,
     lower_bound_max_degree,
+    perron_pairs,
     perron_symmetry_check,
     upper_bound_degree_average,
 )
@@ -171,9 +171,10 @@ def _extremal_case(label: str, classes: list[Graph], target: str | None, alpha_s
     confirmed by power iteration.
     """
     alpha = float(alpha_str)
-    fallbacks: list[int] = []
-    rhos = alpha_indices(classes, alpha, fallbacks)
-    scored = sorted(zip(rhos, map(emit_graph6, classes), range(len(classes))), reverse=True)
+    pairs = perron_pairs(classes, alpha)
+    scored = sorted(
+        zip((p.rho for p in pairs), map(emit_graph6, classes), range(len(classes))), reverse=True,
+    )
     for rho, _, i in scored[:2]:
         _confirm(classes[i], alpha, rho)
     return {
@@ -183,7 +184,7 @@ def _extremal_case(label: str, classes: list[Graph], target: str | None, alpha_s
         "expected_graph6": target,
         "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
         "classes": len(classes),
-        "fallbacks": len(fallbacks),
+        "fallbacks": sum(p.fallback for p in pairs),
     }
 
 
@@ -358,19 +359,19 @@ def _sandwich(
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
         for alpha_str in alphas:
             alpha = float(alpha_str)
-            fallbacks: list[int] = []
-            rhos = alpha_indices(classes, alpha, fallbacks)
-            slacks = [slack_of(g, alpha, rho) for g, rho in zip(classes, rhos)]
+            pairs = perron_pairs(classes, alpha)
+            slacks = [slack_of(g, alpha, p.rho) for g, p in zip(classes, pairs)]
             # The verdict rests on the tightest slack, so its rho is confirmed.
             tight = min(range(len(classes)), key=slacks.__getitem__)
-            _confirm(classes[tight], alpha, rhos[tight])
+            _confirm(classes[tight], alpha, pairs[tight].rho)
             bad = [
                 f"n={n}, alpha={alpha_str}, {emit_graph6(g)}: slack {slack:.3e}"
                 for g, slack in zip(classes, slacks) if slack < -GAP_MARGIN
             ]
             report.add({
                 "case": f"n={n}", "alpha": alpha_str, "classes": len(classes),
-                "fallbacks": len(fallbacks), "min_slack": slacks[tight], "ok": not bad,
+                "fallbacks": sum(p.fallback for p in pairs), "min_slack": slacks[tight],
+                "ok": not bad,
             }, *bad)
     return report
 
@@ -501,13 +502,11 @@ def _lemma7(
     while satisfied < rotation_cases:
         block = ROTATION_BLOCK_FACTOR * (rotation_cases - satisfied)
         cases = sample_rotation_cases(rng, n_max, block)
-        failed: list[int] = []
-        checks = rotation_monotonicity_checks(cases, failed)
-        used = 0
-        for (g, rot, alpha), chk in zip(cases, checks):
+        for (g, rot, alpha), chk in zip(cases, rotation_monotonicity_checks(cases)):
             if satisfied == rotation_cases:
                 break
-            used += 1
+            collected += 1
+            fallbacks += chk.fallbacks
             if not chk.perron_precondition:
                 continue
             satisfied += 1
@@ -521,8 +520,6 @@ def _lemma7(
                     f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, alpha={alpha}: "
                     f"near-zero increase {chk.increase:.3e}"
                 )
-        collected += used
-        fallbacks += sum(i < used for i in failed)
     corpus = {
         "case": "random-corpus", "alpha": "0.5|0.75", "attempted": collected,
         "precondition_satisfied": satisfied, "ok": not bad,
@@ -590,15 +587,14 @@ def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> Verifica
     graphs = [build(FamilyId("K", shape))[0] for shape in shapes]
     for alpha_str in alphas:
         alpha = float(alpha_str)
-        fallbacks: list[int] = []
-        rhos = alpha_indices(graphs, alpha, fallbacks)
+        pairs = perron_pairs(graphs, alpha)
         worst = max(
-            abs(closed_form_complete_bipartite(a, b, alpha) - rho)
-            for (a, b), rho in zip(shapes, rhos)
+            abs(closed_form_complete_bipartite(a, b, alpha) - p.rho)
+            for (a, b), p in zip(shapes, pairs)
         )
         report.add({
             "case": "K_{a,b} 1<=b<=a<=12", "alpha": alpha_str, "max_deviation": worst,
-            "fallbacks": len(fallbacks), "ok": worst <= 1e-10,
+            "fallbacks": sum(p.fallback for p in pairs), "ok": worst <= 1e-10,
         }, f"alpha={alpha_str}: max deviation {worst:.3e}")
     return report
 
@@ -609,15 +605,15 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
     graphs = [build(FamilyId("SK2", ((m - 1) // 2,)))[0] for m in ms]
-    fallbacks: dict[str, list[int]] = {s: [] for s in alphas}
-    rhos = {s: alpha_indices(graphs, float(s), fallbacks[s]) for s in alphas}
+    pairs = {s: perron_pairs(graphs, float(s)) for s in alphas}
     for i, m in enumerate(ms):
         for alpha_str in alphas:
             root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))
-            dev = abs(rhos[alpha_str][i] - root)
+            rho, _, fallback = pairs[alpha_str][i]
+            dev = abs(rho - root)
             report.add({
                 "case": f"m={m}", "alpha": alpha_str, "deviation": dev,
-                "fallbacks": int(i in fallbacks[alpha_str]), "ok": dev <= 1e-9,
+                "fallbacks": int(fallback), "ok": dev <= 1e-9,
             }, f"m={m}, alpha={alpha_str}: |rho - root| = {dev:.3e}")
     return report
 

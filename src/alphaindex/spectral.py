@@ -16,13 +16,13 @@ iteration's stall on near-degenerate top pairs (clustered degrees as
 alpha -> 1) needs no detector and no refinement; the products of
 nonnegative matrices involve no cancellation.  :func:`perron_pairs`
 serves campaigns: it stacks the matrices of one order and makes one
-LAPACK ``eigh`` call per order, and :func:`alpha_indices` and
-:func:`lambda_maxes` (per component) take their values from it.  Each
-batched eigenpair is certified (residual within the power-iteration
-tolerance, unit-sum top eigenvector strictly positive, which on an
-irreducible nonnegative matrix singles out the Perron vector); a graph
-that fails is re-solved by power iteration and reported to the caller,
-who flags it.  Power iteration stays the
+LAPACK ``eigh`` call per order, and :func:`lambda_maxes` (per component)
+takes its values from it.  Each batched eigenpair is certified (residual
+within the power-iteration tolerance, unit-sum top eigenvector positive
+up to that tolerance, which on an irreducible nonnegative matrix singles
+out the Perron vector); a graph that fails is re-solved by power
+iteration, and its :class:`Perron` pair carries ``fallback`` so that the
+caller can flag it.  Power iteration stays the
 independent cross-check of the batched values, and a cyclic Jacobi
 full-spectrum solver of a third algorithm class serves as the test
 oracle.  Components, and the connectivity test behind
@@ -34,7 +34,7 @@ runs on; the chord recognizer's block walk stays separate from both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class ConvergenceError(SpectralError):
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaMatrix:
-    alpha: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SpectralResult:
     alpha: float
     rho: float
@@ -82,7 +76,16 @@ class SpectralResult:
     iterations: int
 
 
-def alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:
+class Perron(NamedTuple):
+    """A certified Perron pair; ``fallback`` marks one re-solved by power
+    iteration because the batched eigenpair failed its certificate."""
+
+    rho: float
+    x: np.ndarray  # unit sum
+    fallback: bool
+
+
+def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """alpha*D + (1-alpha)*A; row sums equal the degrees."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -92,7 +95,7 @@ def alpha_matrix(g: Graph, alpha: float) -> AlphaMatrix:
         entries[v, v] = alpha * g.degree(v)
         for u in iter_bits(g.rows[v]):
             entries[v, u] = 1.0 - alpha
-    return AlphaMatrix(alpha, entries)
+    return entries
 
 
 def alpha_index(
@@ -111,7 +114,7 @@ def alpha_index(
         raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
     if not is_connected(g):
         raise DisconnectedGraphError("alpha_index needs a connected graph")
-    a = alpha_matrix(g, alpha).entries
+    a = alpha_matrix(g, alpha)
     p = a + np.eye(g.n)  # primitive for every alpha in [0, 1)
     for iteration in range(max_iterations + 1):
         # x is the 2^iteration-th power iterate from the all-ones vector.
@@ -127,30 +130,22 @@ def alpha_index(
     raise ConvergenceError(residual, max_iterations)
 
 
-def alpha_indices(
-    graphs: Sequence[Graph],
-    alpha: float,
-    fallbacks: list[int] | None = None,
-) -> list[float]:
-    """Alpha-indices of many graphs: the rho column of :func:`perron_pairs`."""
-    return [rho for rho, _ in perron_pairs(graphs, alpha, fallbacks)]
-
-
-def perron_pairs(
-    graphs: Sequence[Graph],
-    alpha: float,
-    fallbacks: list[int] | None = None,
-) -> list[tuple[float, np.ndarray]]:
-    """Perron pairs ``(rho, x)`` of many graphs, one stacked ``eigh`` call
-    per order; ``x`` is the unit-sum Perron vector.
+def perron_pairs(graphs: Sequence[Graph], alpha: float) -> list[Perron]:
+    """:class:`Perron` pairs of many graphs, one stacked ``eigh`` call per
+    order, in input order; ``x`` is the unit-sum Perron vector.
 
     Every eigenpair is certified before it is used, vectorised over the
-    order group: the unit-sum top eigenvector must be strictly positive
-    (on an irreducible nonnegative matrix only the Perron vector is) and
-    must pass the residual test of :func:`alpha_index`.  A graph that
-    fails is re-solved by :func:`alpha_index`; its input position is
-    appended to ``fallbacks`` when a list is given, so a caller can report
-    that the slow path ran.  Pairs come back in input order.
+    order group: it must pass the residual test of :func:`alpha_index`,
+    and the unit-sum top eigenvector must be positive (on an irreducible
+    nonnegative matrix only the Perron vector is).  Positivity is tested
+    against ``-POWER_TOL``, the residual test's own tolerance: ``eigh``
+    resolves eigenvector entries only to about machine epsilon, so a true
+    entry of 1e-19 (far vertices as alpha -> 1) can come back as -1e-16,
+    and a strict ``> 0`` would send such a graph to power iteration for a
+    rounding error.  Power iteration keeps the strict test, since its
+    products of nonnegative matrices cannot round below zero.  A graph
+    that fails is re-solved by :func:`alpha_index` and its pair has
+    ``fallback`` set.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
@@ -161,21 +156,20 @@ def perron_pairs(
         by_order.setdefault(g.n, []).append(i)
     out: list = [None] * len(graphs)
     for positions in by_order.values():
-        a = np.stack([alpha_matrix(graphs[i], alpha).entries for i in positions])
+        a = np.stack([alpha_matrix(graphs[i], alpha) for i in positions])
         w, v = np.linalg.eigh(a)
         rho = w[:, -1]
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
             x = v[:, :, -1]
             x = x / x.sum(axis=1, keepdims=True)  # unit sum; also orients the sign
             residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
-            certified = (x.min(axis=1) > 0.0) & (residual <= POWER_TOL * np.maximum(rho, 1.0))
+            tol = POWER_TOL * np.maximum(rho, 1.0)
+            certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
         for i, value, vector, ok in zip(positions, rho.tolist(), x, certified.tolist()):
             if not ok:
                 result = alpha_index(graphs[i], alpha)
                 value, vector = result.rho, result.perron
-                if fallbacks is not None:
-                    fallbacks.append(i)
-            out[i] = (value, vector)
+            out[i] = Perron(value, vector, not ok)
     return out
 
 
@@ -189,17 +183,13 @@ def lambda_max(g: Graph, alpha: float) -> float:
     return best
 
 
-def lambda_maxes(
-    graphs: Sequence[Graph],
-    alpha: float,
-    fallbacks: list[int] | None = None,
-) -> list[float]:
-    """:func:`lambda_max` of many possibly disconnected graphs.
+def lambda_maxes(graphs: Sequence[Graph], alpha: float) -> list[tuple[float, int]]:
+    """:func:`lambda_max` of many possibly disconnected graphs, each with
+    the number of its components that fell back to power iteration.
 
     Every graph is split into its components, which are solved together by
-    :func:`alpha_indices`; each graph takes the largest of its components'
-    values.  The input position of a graph is appended to ``fallbacks``
-    once for every component of it that fell back to power iteration.
+    :func:`perron_pairs`; each graph takes the largest of its components'
+    values.
     """
     parts: list[Graph] = []
     owner: list[int] = []
@@ -207,14 +197,12 @@ def lambda_maxes(
         for comp in components(g):
             parts.append(g if len(comp) == g.n else induced_subgraph(g, comp))
             owner.append(i)
-    failed: list[int] = []
-    out = [0.0] * len(graphs)
-    for i, rho in zip(owner, alpha_indices(parts, alpha, failed)):
-        if rho > out[i]:
-            out[i] = rho
-    if fallbacks is not None:
-        fallbacks.extend(owner[k] for k in failed)
-    return out
+    best = [0.0] * len(graphs)
+    fallbacks = [0] * len(graphs)
+    for i, pair in zip(owner, perron_pairs(parts, alpha)):
+        best[i] = max(best[i], pair.rho)
+        fallbacks[i] += pair.fallback
+    return list(zip(best, fallbacks))
 
 
 def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
@@ -343,7 +331,7 @@ def column_sum_certificate(g: Graph, alpha: float, variant: str) -> CertificateC
                 + 2.0 * (2.0 * alpha - 1.0) * m
             )
         sums.append(c)
-    a = alpha_matrix(g, alpha).entries
+    a = alpha_matrix(g, alpha)
     if variant == "order":
         b = a @ a - alpha * n * a + 2.0 * (2.0 * alpha - 1.0) * (n - 2) * np.eye(n)
         parameter = n

@@ -6,7 +6,8 @@ When the Perron coordinate of u is at least that of v, the spectral
 radius strictly increases; the monotonicity check measures exactly that
 and is exercised as a property over seeded corpora.  The per-graph check
 runs on power iteration; the batched one solves a whole corpus by
-certified ``eigh`` calls and stays cross-checked against it.
+certified ``eigh`` calls, stays cross-checked against it, and counts on
+each check the solves that fell back to power iteration.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import Graph, GraphError
-from .spectral import alpha_index, lambda_max, lambda_maxes, perron_pairs
+from .graphs import Graph, GraphError, iter_bits
+from .spectral import Perron, alpha_index, lambda_max, lambda_maxes, perron_pairs
 
 PRECONDITION_TOL = 1e-12
 
@@ -36,6 +37,7 @@ class Rotation:
 class RotationCheck:
     increase: float
     perron_precondition: bool
+    fallbacks: int = 0  # batched solves re-done by power iteration
 
 
 def rotate(g: Graph, r: Rotation) -> Graph:
@@ -63,13 +65,7 @@ def rotate(g: Graph, r: Rotation) -> Graph:
 
 def valid_moved_candidates(g: Graph, u: int, v: int) -> list[int]:
     """N(v) minus N(u) and u: the vertices a rotation at (u, v) may move."""
-    mask = g.rows[v] & ~g.rows[u] & ~(1 << u)
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(iter_bits(g.rows[v] & ~g.rows[u] & ~(1 << u)))
 
 
 def rotation_monotonicity_check(g: Graph, r: Rotation, alpha: float) -> RotationCheck:
@@ -87,34 +83,30 @@ def rotation_monotonicity_check(g: Graph, r: Rotation, alpha: float) -> Rotation
 
 def rotation_monotonicity_checks(
     cases: Sequence[tuple[Graph, Rotation, float]],
-    fallbacks: list[int] | None = None,
 ) -> list[RotationCheck]:
     """:func:`rotation_monotonicity_check` of many ``(g, rotation, alpha)``
     cases by certified batched solves, one group per alpha.
 
     Only a case that meets the precondition has its rotated graph solved;
     the others come back with ``increase`` NaN (not measured).  The
-    position of a case is appended to ``fallbacks`` once for every
-    eigen-solve of it that failed its certificate and ran power iteration.
+    ``fallbacks`` of a check count its eigen-solves, of ``g`` and of each
+    component of the rotated graph, that failed their certificate and ran
+    power iteration.
     """
-    out = [RotationCheck(math.nan, False)] * len(cases)
+    out: list = [None] * len(cases)
     by_alpha: dict[float, list[int]] = {}
     for i, (_, _, alpha) in enumerate(cases):
         by_alpha.setdefault(alpha, []).append(i)
     for alpha, positions in by_alpha.items():
-        failed: list[int] = []
-        kept: list[tuple[int, float]] = []
+        kept: list[tuple[int, Perron]] = []
         rotated: list[Graph] = []
-        pairs = perron_pairs([cases[i][0] for i in positions], alpha, failed)
-        for i, (rho, x) in zip(positions, pairs):
+        for i, pair in zip(positions, perron_pairs([cases[i][0] for i in positions], alpha)):
             g, r, _ = cases[i]
-            if x[r.u] >= x[r.v] - PRECONDITION_TOL:
-                kept.append((i, rho))
+            if pair.x[r.u] >= pair.x[r.v] - PRECONDITION_TOL:
+                kept.append((i, pair))
                 rotated.append(rotate(g, r))
-        rotated_failed: list[int] = []
-        for (i, rho), value in zip(kept, lambda_maxes(rotated, alpha, rotated_failed)):
-            out[i] = RotationCheck(increase=value - rho, perron_precondition=True)
-        if fallbacks is not None:
-            fallbacks.extend(positions[k] for k in failed)
-            fallbacks.extend(kept[k][0] for k in rotated_failed)
+            else:
+                out[i] = RotationCheck(math.nan, False, int(pair.fallback))
+        for (i, pair), (value, fallbacks) in zip(kept, lambda_maxes(rotated, alpha)):
+            out[i] = RotationCheck(value - pair.rho, True, pair.fallback + fallbacks)
     return out

@@ -250,7 +250,7 @@ def test_criterion_12_eigensolver_self_consistency():
     for _ in range(500):
         g = hz.sample_connected_graph(rng, 3, 10)
         for alpha in (0.5, 0.8):
-            lam = jacobi_eigenvalues(alpha_matrix(g, alpha).entries)[-1]
+            lam = jacobi_eigenvalues(alpha_matrix(g, alpha))[-1]
             rho = alpha_index(g, alpha).rho
             worst = max(worst, abs(lam - rho))
     report(

@@ -257,6 +257,30 @@ def test_certify_columns(capsys):
     assert max(rec["column_sums"]) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["certify", "signs", "--variant", "size"],
+    ["certify", "identity", "--family", "K2,3"],
+    ["certify", "signs", "--variant", "size", "--alpha", "0.3", "--family", "K2,3"],
+    ["certify", "columns", "--family", "K2,5", "--poly", "f"],
+])
+def test_certify_rejects_flags_of_other_modes(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("sub", ["rho", "bounds"])
+def test_graph_inputs_are_mutually_exclusive(capsys, sub, tmp_path):
+    src = tmp_path / "in.g6"
+    src.write_text("DFw\n")
+    for inputs in (["--family", "K2,3", "--graph6", "DFw"], ["--graph6", "DFw", "--in", str(src)]):
+        with pytest.raises(SystemExit) as err:
+            main([sub, *inputs, "--alpha", "0.5"])
+        assert err.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_convert_stdin(capsys, monkeypatch, tmp_path):
     src = tmp_path / "in.g6"
     src.write_text("Cl\nBw\nCl\n")
@@ -308,7 +332,7 @@ def test_internal_numerical_failure_exit_3(capsys, monkeypatch):
     def unconfirmed(*args, **kwargs):
         raise SpectralError("batched rho disagrees with power iteration")
 
-    monkeypatch.setattr(harness, "alpha_indices", unconfirmed)
+    monkeypatch.setattr(harness, "perron_pairs", unconfirmed)
     with pytest.raises(SystemExit) as err:
         main(["verify", "theorem1.3", "--n", "5", "--alpha", "0.5", "--jobs", "1"])
     assert err.value.code == 3

@@ -13,7 +13,6 @@ from alphaindex.spectral import (
     POWER_MAX_ITERATIONS,
     DisconnectedGraphError,
     alpha_index,
-    alpha_indices,
     alpha_matrix,
     closed_form_complete_bipartite,
     column_sum_certificate,
@@ -41,17 +40,17 @@ def connected_sample(rng, n_lo=2, n_hi=10):
 
 def test_alpha_matrix_triangle_half():
     k3 = cycle(3)
-    m = alpha_matrix(k3, 0.5).entries
+    m = alpha_matrix(k3, 0.5)
     assert np.allclose(np.diag(m), 1.0)
     off = m[~np.eye(3, dtype=bool)]
     assert np.allclose(off, 0.5)
 
 
 def test_alpha_matrix_endpoints(k23):
-    a0 = alpha_matrix(k23, 0.0).entries
+    a0 = alpha_matrix(k23, 0.0)
     assert np.all(np.diag(a0) == 0)
     assert a0.sum() == 2 * k23.m
-    a1 = alpha_matrix(k23, 1.0).entries
+    a1 = alpha_matrix(k23, 1.0)
     assert np.all(a1 == np.diag(k23.degrees()))
 
 
@@ -60,7 +59,7 @@ def test_alpha_matrix_row_sums_are_degrees():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         for a in (0.0, 0.3, 0.5, 0.9, 1.0):
-            sums = alpha_matrix(g, a).entries.sum(axis=1)
+            sums = alpha_matrix(g, a).sum(axis=1)
             assert np.allclose(sums, g.degrees(), atol=1e-12)
 
 
@@ -127,14 +126,14 @@ def test_power_matches_jacobi_on_seeded_corpus():
     for _ in range(100):
         g = connected_sample(rng)
         for a in (0.5, 0.8):
-            lam = jacobi_eigenvalues(alpha_matrix(g, a).entries)[-1]
+            lam = jacobi_eigenvalues(alpha_matrix(g, a))[-1]
             rho = alpha_index(g, a).rho
             worst = max(worst, abs(lam - rho))
     assert worst <= 1e-10
 
 
 def test_jacobi_known_spectrum(c4):
-    values = jacobi_eigenvalues(alpha_matrix(c4, 0.0).entries)
+    values = jacobi_eigenvalues(alpha_matrix(c4, 0.0))
     assert np.allclose(values, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -143,7 +142,7 @@ def test_near_degenerate_top_pair_converges():
     theta = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                                   (7, 8), (8, 0), (0, 9), (9, 10), (10, 4)])
     result = alpha_index(theta, 0.999)
-    lam = jacobi_eigenvalues(alpha_matrix(theta, 0.999).entries)[-1]
+    lam = jacobi_eigenvalues(alpha_matrix(theta, 0.999))[-1]
     assert abs(result.rho - lam) < 1e-10
     assert result.perron.min() > 0
 
@@ -310,17 +309,15 @@ def connected_classes():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.999])
 def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
-    fallbacks = []
-    values = alpha_indices(connected_classes, alpha, fallbacks)
     pairs = perron_pairs(connected_classes, alpha)
+    values = [p.rho for p in pairs]
     assert len(values) == len(connected_classes) == 996
-    assert fallbacks == []
-    assert [rho for rho, _ in pairs] == values
-    for g, rho, (_, x) in zip(connected_classes, values, pairs):
+    assert not any(p.fallback for p in pairs)
+    for g, (rho, x, _) in zip(connected_classes, pairs):
         assert type(rho) is float
         tol = 1e-12 * max(rho, 1.0)
         power = alpha_index(g, alpha)
-        spectrum = jacobi_eigenvalues(alpha_matrix(g, alpha).entries)
+        spectrum = jacobi_eigenvalues(alpha_matrix(g, alpha))
         assert abs(rho - power.rho) <= tol
         assert abs(rho - spectrum[-1]) <= tol
         # A unit-sum vector with residual r is within 2 n r / gap of the
@@ -330,18 +327,18 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
         assert np.max(np.abs(x - power.perron)) <= 1e-9 + 2 * g.n * power.residual / gap
     # The P4 rotation of the transforms tests (K3 + K1) and a single vertex.
     extra = [Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]), Graph.from_rows([0])]
-    maxima = lambda_maxes(connected_classes + extra, alpha)
-    assert maxima[:-2] == values
+    maxima, fallbacks = zip(*lambda_maxes(connected_classes + extra, alpha))
+    assert list(maxima[:-2]) == values and not any(fallbacks)
     assert maxima[-2:] == pytest.approx([lambda_max(g, alpha) for g in extra], abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.999])
 def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
     graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m)]
-    for g, rho in zip(graphs, alpha_indices(graphs, alpha)):
+    for g, (rho, _, _) in zip(graphs, perron_pairs(graphs, alpha)):
         # A batched value that failed its certificate is itself power iteration,
         # so the eigvalsh top eigenvalue is the independent reference as well.
-        top = np.linalg.eigvalsh(alpha_matrix(g, alpha).entries)[-1]
+        top = np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1]
         result = alpha_index(g, alpha)
         assert abs(result.rho - rho) <= 1e-12 * max(rho, 1.0)
         assert abs(result.rho - top) <= 1e-12 * max(rho, 1.0)
@@ -349,21 +346,29 @@ def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
         assert result.iterations <= POWER_MAX_ITERATIONS
 
 
+def test_no_fallback_on_the_largest_ear_classes_near_alpha_one():
+    # At alpha = 0.999 eigh returns Perron entries of 1e-19..3e-15 as small
+    # negatives; positivity is certified to the residual's tolerance, so
+    # these pairs stay batched instead of falling back to power iteration.
+    graphs = graphs_by_size(15) + graphs_by_size(16)
+    assert not any(p.fallback for p in perron_pairs(graphs, 0.999))
+
+
 def test_alpha_indices_keep_input_order():
     rng = random.Random(2024)
     graphs = [connected_sample(rng, 1, 9) for _ in range(40)]
     assert len({g.n for g in graphs}) > 3
-    values = alpha_indices(graphs, 0.6)
+    values = [p.rho for p in perron_pairs(graphs, 0.6)]
     assert values == pytest.approx([alpha_index(g, 0.6).rho for g in graphs], abs=1e-12)
-    assert alpha_indices([], 0.6) == []
+    assert perron_pairs([], 0.6) == []
 
 
 def test_alpha_indices_reject_disconnected_and_bad_alpha(c4):
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        alpha_indices([c4, two_edges], 0.5)
+        perron_pairs([c4, two_edges], 0.5)
     with pytest.raises(ValueError):
-        alpha_indices([c4], 1.0)
+        perron_pairs([c4], 1.0)
 
 
 def _swap_top_and_bottom(w, v):
@@ -395,15 +400,11 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
         return corrupt(w, v) if a.shape[1] == 6 else (w, v)  # the order-6 group only
 
     monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    fallbacks = []
-    values = alpha_indices(graphs, 0.5, fallbacks)
-    assert sorted(fallbacks) == [2, 3]  # K_{1,5} and K_{2,4} have order 6
-    assert values == pytest.approx(expected, abs=1e-12)
-
-    pair_fallbacks = []
-    pairs = perron_pairs(graphs, 0.5, pair_fallbacks)
-    assert sorted(pair_fallbacks) == [2, 3]
-    for g, (rho, x) in zip(graphs, pairs):
+    pairs = perron_pairs(graphs, 0.5)
+    # K_{1,5} and K_{2,4} have order 6
+    assert [p.fallback for p in pairs] == [False, False, True, True]
+    assert [p.rho for p in pairs] == pytest.approx(expected, abs=1e-12)
+    for g, (rho, x, _) in zip(graphs, pairs):
         reference = alpha_index(g, 0.5)
         assert abs(rho - reference.rho) <= 1e-12
         assert np.max(np.abs(x - reference.perron)) <= 1e-9
@@ -412,29 +413,31 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     # of a component of its rotation, falls back, and the checks still agree
     # with the per-graph power-iteration check.
     cases = sample_rotation_cases(random.Random(7), 6, 60)
-    corpus_fallbacks = []
-    checks = rotation_monotonicity_checks(cases, corpus_fallbacks)
+    checks = rotation_monotonicity_checks(cases)
     expected_fallbacks = []
-    for i, ((g, rot, alpha), chk) in enumerate(zip(cases, checks)):
+    for (g, rot, alpha), chk in zip(cases, checks):
         ref = rotation_monotonicity_check(g, rot, alpha)
         assert chk.perron_precondition == ref.perron_precondition
-        expected_fallbacks += [i] * (g.n == 6)
+        expected = int(g.n == 6)
         if ref.perron_precondition:
             assert abs(chk.increase - ref.increase) <= CROSS_CHECK_TOL
-            expected_fallbacks += [i for comp in components(rotate(g, rot)) if len(comp) == 6]
-    assert expected_fallbacks and sorted(corpus_fallbacks) == expected_fallbacks
+            expected += sum(len(comp) == 6 for comp in components(rotate(g, rot)))
+        expected_fallbacks.append(expected)
+    assert any(expected_fallbacks)
+    assert [chk.fallbacks for chk in checks] == expected_fallbacks
 
     # The campaign counts the fallbacks of the draws it consumed and flags
     # them in _run's wording; the corpus case keeps its fields.
     (report,) = verify_lemma_suite(["lemma7"], n_max=6, rotation_cases=15, seed=7)
     corpus = report.case_results[0]
     assert set(corpus) == {"case", "alpha", "attempted", "precondition_satisfied", "ok"}
-    consumed = []
-    rotation_monotonicity_checks(
-        sample_rotation_cases(random.Random(7), 6, corpus["attempted"]), consumed,
+    consumed = sum(
+        chk.fallbacks for chk in rotation_monotonicity_checks(
+            sample_rotation_cases(random.Random(7), 6, corpus["attempted"]),
+        )
     )
     assert consumed
     assert report.flags == [
-        f"random-corpus, alpha=0.5|0.75: {len(consumed)} batched eigen-solves failed "
+        f"random-corpus, alpha=0.5|0.75: {consumed} batched eigen-solves failed "
         "the certificate and were re-solved by power iteration"
     ]
