@@ -38,7 +38,14 @@ Two generators are provided:
   block minus its cut vertex) to the interior of y's
   (``connectivity.chording_ears``).  The minimally 2-connected classes of
   an order are the union of its cells over ``n <= m <= 2n - 4``, those of
-  a size the union over ``n <= m``.
+  a size the union over ``n <= m``.  Each class in a cell keeps the
+  automorphisms its canonical search recorded, carried to its canonical
+  labels, and a parent's ear pairs ``{u, v}`` are expanded once per orbit
+  of the group they generate.  This is exact: an automorphism s of G maps
+  ``G + ear(u, v, L)`` onto ``G + ear(s(u), s(v), L)``, so a pair in the
+  orbit of an expanded one gives an isomorphic child.  Any subgroup of
+  Aut(G) is therefore safe, and a generator set that misses part of the
+  group costs speed only.
 * brute force by order, for the ``all`` and ``two_connected`` filters -
   canonical augmentation: each class on ``n - 1`` vertices gains one new
   vertex for every neighbourhood that gives the new vertex minimum degree
@@ -85,15 +92,21 @@ def canonical_form(g: Graph) -> str:
 
 def canonical_relabel(g: Graph) -> Graph:
     """The canonically labeled copy of ``g``."""
+    return g.relabel(_canonical_labeling(g)[0])
+
+
+def _canonical_labeling(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """``perm`` with ``perm[v]`` the canonical label of ``v``, and the
+    automorphisms of ``g`` that the canonical search recorded."""
     if g.n > MAX_CANONICAL_ORDER:
         raise EnumerationLimitError(
             f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
         )
-    order = _canonical_order(g.n, g.rows)
+    order, automorphisms = _canonical_order(g.n, g.rows)
     perm = [0] * g.n
     for position, v in enumerate(order):
         perm[v] = position
-    return g.relabel(tuple(perm))
+    return tuple(perm), automorphisms
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -102,9 +115,10 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
+def _canonical_order(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
     """Vertex order minimizing the column-major adjacency bitstring over the
-    refinement-consistent search tree."""
+    refinement-consistent search tree, and the automorphisms recorded on
+    the way (``gamma[v]`` the image of ``v``)."""
     cells = _refine(n, rows, [list(range(n))])
 
     best_cols: tuple[int, ...] | None = None
@@ -174,7 +188,7 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> list[int]:
         return n
 
     descend(cells, [], [], False)
-    return best_order
+    return best_order, automorphisms
 
 
 def _orbit(v: int, generators: list[list[int]]) -> int:
@@ -314,30 +328,66 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
 # -- ear generation (minimally 2-connected, by order and size) ---------------
 
 
+Generators = tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _ear_classes(n: int, m: int) -> tuple[Graph, ...]:
+def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators], ...]:
     """Minimally 2-connected classes of order ``n`` and size ``m``, sorted by
-    canonical form.
+    canonical form, each with automorphisms of its canonical graph.
 
     Each ear of length L adds L - 1 vertices and L edges, so the parents of
     a cell all sit in cells ``(n - L + 1, m - L)``, one excess edge lower.
+    A parent's ear pairs are expanded once per orbit of its generators.
     """
     if not 3 <= n <= m <= max(n, 2 * n - 4):
         return ()
-    seen: dict[str, Graph] = {}
+    seen: dict[str, tuple[Graph, Generators]] = {}
+
+    def add(child: Graph) -> None:
+        perm, automorphisms = _canonical_labeling(child)
+        h = child.relabel(perm)
+        key = emit_graph6(h)
+        if key not in seen:
+            seen[key] = (h, tuple(_conjugate(gamma, perm) for gamma in automorphisms))
+
     if n == m:
-        h = canonical_relabel(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
-        seen[emit_graph6(h)] = h
+        add(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
     for length in range(2, n - 2):
         # A parent needs a non-adjacent pair, so at least 4 vertices.
-        for g in _ear_classes(n - length + 1, m - length):
+        for g, generators in _ear_classes(n - length + 1, m - length):
             full = (1 << g.n) - 1
+            expanded: set[tuple[int, int]] = set()
             for u, closing in enumerate(chording_ears(g)):
                 # v > u, not adjacent to u, and every old edge stays essential.
                 for v in iter_bits(full & ~((2 << u) - 1) & ~(closing | g.rows[u])):
-                    h = canonical_relabel(_add_ear(g, u, v, length))
-                    seen[emit_graph6(h)] = h
+                    if (u, v) not in expanded:
+                        expanded |= _pair_orbit(u, v, generators)
+                        add(_add_ear(g, u, v, length))
     return tuple(seen[key] for key in sorted(seen))
+
+
+def _conjugate(gamma: list[int], perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The automorphism ``gamma`` of a graph, carried to its relabeling by
+    ``perm``."""
+    sigma = [0] * len(perm)
+    for v, w in enumerate(gamma):
+        sigma[perm[v]] = perm[w]
+    return tuple(sigma)
+
+
+def _pair_orbit(u: int, v: int, generators: Generators) -> set[tuple[int, int]]:
+    """Orbit of the unordered pair ``{u, v}``, as sorted tuples, under the
+    group the permutations generate."""
+    orbit, frontier = {(u, v)}, [(u, v)]
+    while frontier:
+        a, b = frontier.pop()
+        for s in generators:
+            image = (s[a], s[b]) if s[a] < s[b] else (s[b], s[a])
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return orbit
 
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
@@ -352,8 +402,8 @@ def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
     return Graph._trusted(g.n + length - 1, tuple(rows), g.m + length)
 
 
-def _union(cells: Iterable[tuple[Graph, ...]]) -> list[Graph]:
-    return sorted((g for cell in cells for g in cell), key=emit_graph6)
+def _union(cells: Iterable[tuple[tuple[Graph, Generators], ...]]) -> list[Graph]:
+    return sorted((g for cell in cells for g, _ in cell), key=emit_graph6)
 
 
 def graphs_by_size(m: int) -> list[Graph]:

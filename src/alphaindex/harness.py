@@ -162,10 +162,12 @@ def _confirm(g: Graph, alpha: float, rho: float) -> None:
 # -- theorem campaigns -------------------------------------------------------
 
 
-def _extremal_case(label: str, classes: list[Graph], target: str | None, alpha_str: str) -> dict:
-    """A theorem case up to its verdict: the argmax canonical form, the gap
-    to the runner-up, and the number of batched solves that failed their
-    certificate.
+def _extremal_case(
+    label: str, classes: list[Graph], forms: list[str], target: str | None, alpha_str: str,
+) -> dict:
+    """A theorem case up to its verdict: the argmax canonical form (``forms``
+    holds the classes' graph6 strings), the gap to the runner-up, and the
+    number of batched solves that failed their certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
     confirmed by power iteration.
@@ -173,7 +175,7 @@ def _extremal_case(label: str, classes: list[Graph], target: str | None, alpha_s
     alpha = float(alpha_str)
     pairs = perron_pairs(classes, alpha)
     scored = sorted(
-        zip((p.rho for p in pairs), map(emit_graph6, classes), range(len(classes))), reverse=True,
+        zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True,
     )
     for rho, _, i in scored[:2]:
         _confirm(classes[i], alpha, rho)
@@ -195,10 +197,11 @@ def _sub_margin(case: dict) -> bool:
 
 def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_order(n, "minimally_two_connected")
+    forms = [emit_graph6(g) for g in classes]
     target = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
     out = []
     for alpha_str in alphas:
-        case = _extremal_case(f"n={n}", classes, target, alpha_str)
+        case = _extremal_case(f"n={n}", classes, forms, target, alpha_str)
         ok = case["argmax_graph6"] == target
         case.update(ok=ok, note="gap below strictness margin" if ok and _sub_margin(case) else "")
         out.append((
@@ -211,6 +214,7 @@ def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
 
 def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_size(m)
+    forms = [emit_graph6(g) for g in classes]
     even = m % 2 == 0
     asserted = (even and m >= 6) or (not even and m >= 9)
     if even:
@@ -222,7 +226,7 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     out = []
     for alpha_str in alphas:
         alpha = float(alpha_str)
-        case = _extremal_case(f"m={m}", classes, target, alpha_str)
+        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str)
         ok = True
         note = ""
         root_dev = None

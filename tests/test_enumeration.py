@@ -19,7 +19,7 @@ from alphaindex.enumeration import (
     is_isomorphic,
 )
 from alphaindex.families import complete_bipartite, cycle, gab, subdivided_k2
-from alphaindex.graphs import Graph, Graph6Error, emit_graph6, parse_graph6
+from alphaindex.graphs import Graph, Graph6Error, emit_graph6, iter_bits, parse_graph6
 
 from conftest import circulant, disjoint_union, random_graph
 
@@ -240,6 +240,70 @@ def test_ear_generation_runs_no_chord_test(monkeypatch):
     assert len(graphs_by_order(10, "minimally_two_connected")) == 68
 
 
+def _every_ear_pair_cells(m_max):
+    """Ear cells ``(n, m)`` of sizes 3..m_max from every ear pair of every
+    parent, de-duplicated by canonical form: ear generation without the
+    pruning by the parent's automorphisms."""
+    cells = {}
+    for m in range(3, m_max + 1):
+        for n in range(3, m + 1):
+            seen = {}
+            if n == m:
+                h = canonical_relabel(cycle(n))
+                seen[emit_graph6(h)] = h
+            for length in range(2, n - 2):
+                for g in cells.get((n - length + 1, m - length), ()):
+                    for u, closing in enumerate(chording_ears(g)):
+                        for v in range(u + 1, g.n):
+                            if not ((closing | g.rows[u]) >> v) & 1:
+                                h = canonical_relabel(enumeration._add_ear(g, u, v, length))
+                                seen[emit_graph6(h)] = h
+            cells[n, m] = tuple(seen[key] for key in sorted(seen))
+    return cells
+
+
+def test_ear_pair_pruning_matches_every_ear_pair():
+    for (n, m), cell in _every_ear_pair_cells(12).items():
+        assert tuple(h for h, _ in enumeration._ear_classes(n, m)) == cell, (n, m)
+
+
+def _is_automorphism(g, sigma):
+    return sorted(sigma) == list(range(g.n)) and all(
+        g.rows[sigma[v]] == sum(1 << sigma[w] for w in iter_bits(g.rows[v]))
+        for v in range(g.n)
+    )
+
+
+def test_ear_cell_generators_are_automorphisms():
+    entries = [e for m in range(3, 13) for n in range(3, m + 1)
+               for e in enumeration._ear_classes(n, m)]
+    assert sum(len(generators) for _, generators in entries) > len(entries)
+    for n in range(3, enumeration.MAX_SIZE + 1):
+        (h, generators), = [e for e in enumeration._ear_classes(n, n) if max(e[0].degrees()) == 2]
+        assert h == canonical_relabel(cycle(n))
+        entries.append((h, generators))
+    for h, generators in entries:
+        for sigma in generators:
+            assert _is_automorphism(h, sigma), (emit_graph6(h), sigma)
+
+
+def test_ear_pair_pruning_canonical_count(monkeypatch):
+    # A fresh cache makes the sweep cold and leaves the shared one as it was.
+    monkeypatch.setattr(enumeration, "_ear_classes",
+                        lru_cache(maxsize=None)(enumeration._ear_classes.__wrapped__))
+    calls = []
+    search = enumeration._canonical_order
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_order", counted)
+    counts = [len(graphs_by_size(m)) for m in range(3, 14)]
+    assert counts == [1, 1, 1, 2, 2, 4, 6, 11, 18, 39, 70]
+    assert len(calls) <= 360  # 924 with every ear pair
+
+
 def _brute_force_min2c(n, recognizer):
     return [emit_graph6(g) for g in enumeration._all_classes(n) if recognizer(g)]
 
@@ -265,7 +329,7 @@ def test_min2c_by_order_matches_brute_force(recognizer):
         assert got == _brute_force_min2c(n, recognizer), n
 
 
-@pytest.mark.parametrize("n,count", [(9, 28), (10, 68)])
+@pytest.mark.parametrize("n,count", [(9, 28), (10, 68), (11, 184), (12, 526)])
 def test_min2c_by_order_past_brute_force(n, count):
     classes = graphs_by_order(n, "minimally_two_connected")
     assert len(classes) == count
