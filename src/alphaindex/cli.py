@@ -298,14 +298,16 @@ def _cmd_verify(args) -> int:
 def _cmd_convert(args) -> int:
     stream = open(args.infile) if args.infile else sys.stdin
     try:
-        graphs = list(ingest_graph6(stream, _FILTER_NAMES[args.filter]))
+        kept = list(ingest_graph6(stream, _FILTER_NAMES[args.filter]))
     finally:
         if stream is not sys.stdin:
             stream.close()
     if args.canonical:
-        _emit(args, "".join(canonical_form(g) + "\n" for g in graphs))
+        # A form is None only past the canonical cap, where canonical_form
+        # raises the usage error.
+        _emit(args, "".join((form or canonical_form(g)) + "\n" for g, form in kept))
     else:
-        _emit(args, "".join(emit_graph6(g) + "\n" for g in graphs))
+        _emit(args, "".join(emit_graph6(g) + "\n" for g, _ in kept))
     return 0
 
 

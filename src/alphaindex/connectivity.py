@@ -5,9 +5,10 @@ walk.  The deletion-based one is the definition: 2-connected (at least
 three vertices, connected, and still connected after deleting any one
 vertex), and removing any edge breaks that; it runs only on a
 breadth-first reach.  The chord-based one rests on the classical
-equivalence with "no cycle has a chord" (Dirac 1967, Plummer 1968) and
-runs only on the Tarjan block walk, which also decides its
-2-connectivity and serves :func:`chording_ears`.  Their agreement on
+equivalence with "no cycle has a chord" (Dirac 1967, Plummer 1968): it
+first rejects an edge whose ends have two common neighbours (the chord of
+a 4-cycle), then runs only on the Tarjan block walk, which also decides
+its 2-connectivity and serves :func:`chording_ears`.  Their agreement on
 every small graph is a standing cross-check exercised by the test suite.
 """
 
@@ -95,7 +96,14 @@ def has_chorded_cycle(g: Graph) -> bool:
 
 
 def is_minimally_two_connected_by_chords(g: Graph) -> bool:
-    """2-connected, read off the block walk, and no cycle has a chord."""
+    """2-connected, read off the block walk, and no cycle has a chord.
+
+    An edge uv whose ends have two common neighbours w, w' is the chord of
+    the 4-cycle u w v w', which rejects most dense graphs before the walk.
+    """
+    for u, v in g.edges():
+        if (g.rows[u] & g.rows[v]).bit_count() >= 2:
+            return False
     if g.n < 3 or next(_block_masks(g), 0) != (1 << g.n) - 1:
         return False
     return not has_chorded_cycle(g)

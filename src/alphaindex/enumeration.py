@@ -61,6 +61,7 @@ Two generators are provided:
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .connectivity import chording_ears, is_minimally_two_connected_by_chords, is_two_connected
@@ -332,9 +333,10 @@ Generators = tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
-def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators], ...]:
+def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     """Minimally 2-connected classes of order ``n`` and size ``m``, sorted by
-    canonical form, each with automorphisms of its canonical graph.
+    canonical form, each with automorphisms of its canonical graph and its
+    canonical form.
 
     Each ear of length L adds L - 1 vertices and L edges, so the parents of
     a cell all sit in cells ``(n - L + 1, m - L)``, one excess edge lower.
@@ -342,20 +344,20 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators], ...]:
     """
     if not 3 <= n <= m <= max(n, 2 * n - 4):
         return ()
-    seen: dict[str, tuple[Graph, Generators]] = {}
+    seen: dict[str, tuple[Graph, Generators, str]] = {}
 
     def add(child: Graph) -> None:
         perm, automorphisms = _canonical_labeling(child)
         h = child.relabel(perm)
         key = emit_graph6(h)
         if key not in seen:
-            seen[key] = (h, tuple(_conjugate(gamma, perm) for gamma in automorphisms))
+            seen[key] = (h, tuple(_conjugate(gamma, perm) for gamma in automorphisms), key)
 
     if n == m:
         add(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
     for length in range(2, n - 2):
         # A parent needs a non-adjacent pair, so at least 4 vertices.
-        for g, generators in _ear_classes(n - length + 1, m - length):
+        for g, generators, _ in _ear_classes(n - length + 1, m - length):
             full = (1 << g.n) - 1
             expanded: set[tuple[int, int]] = set()
             for u, closing in enumerate(chording_ears(g)):
@@ -402,8 +404,8 @@ def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:
     return Graph._trusted(g.n + length - 1, tuple(rows), g.m + length)
 
 
-def _union(cells: Iterable[tuple[tuple[Graph, Generators], ...]]) -> list[Graph]:
-    return sorted((g for cell in cells for g, _ in cell), key=emit_graph6)
+def _union(cells: Iterable[tuple[tuple[Graph, Generators, str], ...]]) -> list[Graph]:
+    return [g for g, _, _ in sorted((e for cell in cells for e in cell), key=itemgetter(2))]
 
 
 def graphs_by_size(m: int) -> list[Graph]:
@@ -425,12 +427,15 @@ def graphs_by_size(m: int) -> list[Graph]:
 # -- graph6 stream ingestion -------------------------------------------------
 
 
-def ingest_graph6(lines: Iterable[str], filter: str = "all") -> Iterator[Graph]:
+def ingest_graph6(
+    lines: Iterable[str], filter: str = "all"
+) -> Iterator[tuple[Graph, str | None]]:
     """Parse, filter, and de-duplicate a graph6 stream.
 
-    De-duplication uses canonical forms up to the canonical-order cap;
-    larger graphs pass through untouched (the generator is trusted).
-    Parse errors carry the 1-based line number.
+    Yields each kept graph with its canonical form, the one de-duplication
+    computed.  Past the canonical-order cap graphs pass through untouched
+    with form ``None`` (the generator is trusted).  Parse errors carry the
+    1-based line number.
     """
     predicate = _FILTERS[filter]
     seen: set[str] = set()
@@ -444,12 +449,13 @@ def ingest_graph6(lines: Iterable[str], filter: str = "all") -> Iterator[Graph]:
             raise Graph6Error(f"line {lineno}: {exc.message}", exc.offset) from exc
         if not predicate(g):
             continue
+        form = None
         if g.n <= MAX_CANONICAL_ORDER:
-            key = canonical_form(g)
-            if key in seen:
+            form = canonical_form(g)
+            if form in seen:
                 continue
-            seen.add(key)
-        yield g
+            seen.add(form)
+        yield g, form
 
 
 __all__ = [

@@ -39,7 +39,7 @@ class Graph:
     Loop-freeness and symmetry are enforced at construction time.  Edits
     check their arguments and build their result through ``_trusted``,
     which skips that check: a valid graph edited by valid arguments is
-    valid by construction.
+    valid by construction, and so is a graph ``parse_graph6`` decodes.
     """
 
     n: int
@@ -187,6 +187,9 @@ def iter_bits(mask: int) -> Iterator[int]:
 # packed big-endian six to a byte, each byte offset by 63, padding bits zero.
 
 _G6_LONG_LIMIT = 258047
+# Each data character -> its six payload bits, the first one last, so that
+# the reversed payload reads as one binary integer in stream order.
+_G6_BITS = str.maketrans({chr(63 + k): format(k, "06b")[::-1] for k in range(64)})
 
 
 def emit_graph6(g: Graph) -> str:
@@ -222,44 +225,42 @@ def parse_graph6(text: str) -> Graph:
         line = line[len(">>graph6<<"):]
     if not line:
         raise Graph6Error("empty graph6 string", 0)
-    data = [ord(c) - 63 for c in line]
-    for i, value in enumerate(data):
-        if not 0 <= value <= 63:
-            raise Graph6Error(f"character {line[i]!r} outside graph6 range", i)
-    if data[0] == 63:  # '~' long-form size prefix
-        if len(data) < 4:
+    if not "?" <= min(line) or not max(line) <= "~":
+        i = next(i for i, c in enumerate(line) if not "?" <= c <= "~")
+        raise Graph6Error(f"character {line[i]!r} outside graph6 range", i)
+    if line[0] == "~":  # long-form size prefix
+        if len(line) < 4:
             raise Graph6Error("truncated long-form order", len(line))
-        if data[1] == 63:
+        if line[1] == "~":
             raise Graph6Error("8-byte graph6 orders are not supported", 1)
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = ((ord(line[1]) - 63) << 12) | ((ord(line[2]) - 63) << 6) | (ord(line[3]) - 63)
         if n <= 62:
             raise Graph6Error("long-form used for an order that fits one byte", 0)
         pos = 4
     else:
-        n = data[0]
+        n = ord(line[0]) - 63
         if n < 1:
             raise Graph6Error("order must be at least 1", 0)
         pos = 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos < nbytes:
+    if len(line) - pos < nbytes:
         raise Graph6Error("truncated bit payload", len(line))
-    if len(data) - pos > nbytes:
+    if len(line) - pos > nbytes:
         raise Graph6Error("trailing bytes after bit payload", pos + nbytes)
+    # The payload as one integer whose bit k is the k-th bit of the stream:
+    # column v is then the next v-bit field, bit u of it the edge uv.
+    payload = int(line[:pos - 1:-1].translate(_G6_BITS) or "0", 2)
+    if payload >> nbits:
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     rows = [0] * n
-    acc = left = 0  # current byte, and its bits not yet read
-    i = pos
+    m = 0
     for v in range(1, n):
-        for u in range(v):
-            if not left:
-                acc = data[i]
-                i += 1
-                left = 6
-            left -= 1
-            if (acc >> left) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    if acc & ((1 << left) - 1):
-        raise Graph6Error("nonzero padding bits", i - 1)
-    return Graph.from_rows(rows)
-
+        column = payload & ((1 << v) - 1)
+        payload >>= v
+        rows[v] = column
+        m += column.bit_count()
+        for u in iter_bits(column):
+            rows[u] |= 1 << v
+    # Symmetric and loop-free by construction, as with the edits.
+    return Graph._trusted(n, tuple(rows), m)

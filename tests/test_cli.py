@@ -1,14 +1,16 @@
 import argparse
 import inspect
 import json
+import random
 
 import pytest
 
-from alphaindex import cli, harness
+from alphaindex import cli, enumeration, harness
 from alphaindex.cli import main
+from alphaindex.connectivity import is_minimally_two_connected_by_deletion
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import complete_bipartite, cycle
-from alphaindex.graphs import emit_graph6
+from alphaindex.graphs import emit_graph6, parse_graph6
 from alphaindex.spectral import ConvergenceError, SpectralError
 
 
@@ -308,6 +310,34 @@ def test_convert_canonical_up_to_order_20(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["convert", "--in", str(src), "--canonical"])
     assert err.value.code == 2
+
+
+def test_convert_canonical_labels_each_accepted_graph_once(capsys, monkeypatch, tmp_path):
+    rng = random.Random(21)
+    graphs = [cycle(7), complete_bipartite(2, 4), complete_bipartite(3, 3)]
+    lines = []
+    for _ in range(3):
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            lines.append(emit_graph6(g.relabel(tuple(perm))))
+    src = tmp_path / "in.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    calls = []
+    search = enumeration._canonical_order
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_order", counted)
+    code, out = run_cli(capsys, "convert", "--in", str(src), "--filter", "min2c", "--canonical")
+    assert code == 0
+    accepted = [line for line in lines if is_minimally_two_connected_by_deletion(parse_graph6(line))]
+    assert len(accepted) == 6  # K_{3,3} has chorded cycles
+    assert len(calls) == len(accepted)
+    monkeypatch.setattr(enumeration, "_canonical_order", search)
+    assert out.split() == [canonical_form(parse_graph6(line)) for line in accepted[:2]]
 
 
 def test_usage_error_exit_2(capsys):

@@ -13,7 +13,7 @@ from alphaindex.connectivity import (
     structural_report,
     triangle_free,
 )
-from alphaindex.enumeration import graphs_by_order
+from alphaindex.enumeration import _add_ear, graphs_by_order
 from alphaindex.families import complete_bipartite
 from alphaindex.graphs import Graph
 
@@ -147,6 +147,45 @@ def test_chord_recognizer_runs_without_the_reach(monkeypatch):
     for name in ("is_two_connected", "is_connected", "_reach"):
         monkeypatch.setattr(connectivity, name, _refuse)
     assert [is_minimally_two_connected_by_chords(g) for g in classes] == expected
+
+
+def test_diamond_rejects_before_the_block_walk(monkeypatch, k4):
+    dense = random_graph(random.Random(12), 12, 0.4)
+    assert any((dense.rows[u] & dense.rows[v]).bit_count() >= 2 for u, v in dense.edges())
+    calls = []
+    block_masks = connectivity._block_masks
+
+    def counted(g):
+        calls.append(g)
+        return block_masks(g)
+
+    monkeypatch.setattr(connectivity, "_block_masks", counted)
+    assert not is_minimally_two_connected_by_chords(k4)
+    assert not is_minimally_two_connected_by_chords(dense)
+    assert calls == []
+    assert is_minimally_two_connected_by_chords(complete_bipartite(2, 5))
+    assert calls
+
+
+def _cycle_plus_ears(rng, n):
+    g = cycle(rng.randint(5, n - 2))
+    while g.n < n:
+        u, v = rng.sample(range(g.n), 2)
+        if not g.adjacent(u, v):
+            g = _add_ear(g, u, v, rng.randint(2, min(4, n - g.n + 1)))
+    return g
+
+
+def test_recognizers_agree_on_seeded_graphs():
+    rng = random.Random(1968)
+    graphs = [random_graph(rng, rng.randint(9, 13), p)
+              for _ in range(100) for p in (0.15, 0.25, 0.4)]
+    # G(n, p) at these densities is never minimally 2-connected; ears often are.
+    graphs += [_cycle_plus_ears(rng, rng.randint(9, 13)) for _ in range(100)]
+    verdicts = [is_minimally_two_connected_by_deletion(g) for g in graphs]
+    assert 20 <= sum(verdicts) <= 80
+    for g, minimal in zip(graphs, verdicts):
+        assert is_minimally_two_connected_by_chords(g) == minimal, g
 
 
 def test_is_connected_components(c4):

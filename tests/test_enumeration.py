@@ -264,7 +264,7 @@ def _every_ear_pair_cells(m_max):
 
 def test_ear_pair_pruning_matches_every_ear_pair():
     for (n, m), cell in _every_ear_pair_cells(12).items():
-        assert tuple(h for h, _ in enumeration._ear_classes(n, m)) == cell, (n, m)
+        assert tuple(h for h, _, _ in enumeration._ear_classes(n, m)) == cell, (n, m)
 
 
 def _is_automorphism(g, sigma):
@@ -277,12 +277,13 @@ def _is_automorphism(g, sigma):
 def test_ear_cell_generators_are_automorphisms():
     entries = [e for m in range(3, 13) for n in range(3, m + 1)
                for e in enumeration._ear_classes(n, m)]
-    assert sum(len(generators) for _, generators in entries) > len(entries)
+    assert sum(len(generators) for _, generators, _ in entries) > len(entries)
     for n in range(3, enumeration.MAX_SIZE + 1):
-        (h, generators), = [e for e in enumeration._ear_classes(n, n) if max(e[0].degrees()) == 2]
-        assert h == canonical_relabel(cycle(n))
-        entries.append((h, generators))
-    for h, generators in entries:
+        (h, generators, form), = [e for e in enumeration._ear_classes(n, n)
+                                  if max(e[0].degrees()) == 2]
+        assert h == canonical_relabel(cycle(n)) and form == emit_graph6(h)
+        entries.append((h, generators, form))
+    for h, generators, _ in entries:
         for sigma in generators:
             assert _is_automorphism(h, sigma), (emit_graph6(h), sigma)
 
@@ -302,6 +303,18 @@ def test_ear_pair_pruning_canonical_count(monkeypatch):
     counts = [len(graphs_by_size(m)) for m in range(3, 14)]
     assert counts == [1, 1, 1, 2, 2, 4, 6, 11, 18, 39, 70]
     assert len(calls) <= 360  # 924 with every ear pair
+
+
+def test_union_reuses_the_cell_forms(monkeypatch):
+    expected = [emit_graph6(g) for g in graphs_by_size(12)]
+    forms = [emit_graph6(g) for g in graphs_by_order(9, "minimally_two_connected")]
+
+    def refuse(g):
+        raise AssertionError("class re-encoded after its cell was built")
+
+    monkeypatch.setattr(enumeration, "emit_graph6", refuse)
+    assert graphs_by_size(12) == [parse_graph6(form) for form in expected]
+    assert graphs_by_order(9, "minimally_two_connected") == [parse_graph6(f) for f in forms]
 
 
 def _brute_force_min2c(n, recognizer):
@@ -361,7 +374,8 @@ def test_ingest_round_trip_matches_builtin():
                 lines.append(emit_graph6(g.relabel(tuple(perm))))
         rng.shuffle(lines)
         got = list(ingest_graph6(lines, "minimally_two_connected"))
-        assert {canonical_form(g) for g in got} == {emit_graph6(g) for g in builtin}
+        assert all(form == canonical_form(g) for g, form in got)
+        assert {form for _, form in got} == {emit_graph6(g) for g in builtin}
         assert len(got) == len(builtin)  # de-duplicated
 
 
@@ -373,7 +387,7 @@ def test_ingest_malformed_line_number():
     lines = ["Cl", "B~", "Cl"]
     out = []
     with pytest.raises(Graph6Error, match="line 2"):
-        for g in ingest_graph6(lines):
+        for g, _ in ingest_graph6(lines):
             out.append(g)
     assert len(out) == 1  # prior output preserved
 
@@ -381,4 +395,4 @@ def test_ingest_malformed_line_number():
 def test_ingest_filter_applied(c4):
     lines = [emit_graph6(c4), "A_"]
     got = list(ingest_graph6(lines, "two_connected"))
-    assert len(got) == 1 and got[0].n == 4
+    assert len(got) == 1 and got[0][0].n == 4

@@ -73,6 +73,48 @@ def test_long_form_round_trip():
     assert parse_graph6(text) == g
 
 
+def _parse_bit_by_bit(text):
+    """The decoder ``parse_graph6`` replaced: one payload bit at a time, in
+    stream order, with the counted construction.  Oracle use only."""
+    data = [ord(c) - 63 for c in text]
+    if data[0] == 63:
+        n, i = (data[1] << 12) | (data[2] << 6) | data[3], 4
+    else:
+        n, i = data[0], 1
+    rows = [0] * n
+    acc = left = 0
+    for v in range(1, n):
+        for u in range(v):
+            if not left:
+                acc, i, left = data[i], i + 1, 6
+            left -= 1
+            if (acc >> left) & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph.from_rows(rows)
+
+
+def test_parse_matches_bit_by_bit_decoder():
+    rng = random.Random(15)
+    for n in range(1, 71):
+        for p in (0.1, 0.5, 0.9):
+            text = emit_graph6(random_graph(rng, n, p))
+            assert text.startswith("~") == (n >= 63)
+            g, oracle = parse_graph6(text), _parse_bit_by_bit(text)
+            assert (g.rows, g.m) == (oracle.rows, oracle.m), text
+            assert Graph.from_rows(g.rows) == g, text
+
+
+def test_long_form_nonzero_padding_offset():
+    # 63 * 62 / 2 = 1953 payload bits fill 326 bytes, leaving 3 padding bits.
+    text = emit_graph6(random_graph(random.Random(3), 63, 0.2))
+    assert len(text) == 4 + 326
+    bad = text[:-1] + chr(63 + ((ord(text[-1]) - 63) | 1))
+    with pytest.raises(Graph6Error, match="nonzero padding") as err:
+        parse_graph6(bad)
+    assert err.value.offset == len(text) - 1
+
+
 def test_header_optional_prefix(c4):
     assert parse_graph6(">>graph6<<Cl") == c4
 
