@@ -15,12 +15,9 @@ from .certificates import (
     sk_cubic,
 )
 from .connectivity import (
-    LemmaViolationError,
-    StructuralReport,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
     is_two_connected,
-    structural_report,
 )
 from .enumeration import (
     EnumerationLimitError,
@@ -36,10 +33,8 @@ from .graphs import (
     Graph6Error,
     GraphError,
     NonEdgeError,
-    VertexProfile,
     emit_graph6,
     parse_graph6,
-    profile,
 )
 from .harness import (
     VerificationReport,

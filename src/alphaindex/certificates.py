@@ -17,7 +17,7 @@ independently and report the relative error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 IDENTITY_RTOL = 1e-9
 ROOT_WIDTH = 1e-13
@@ -237,6 +237,7 @@ def sign_grid(
     want_positive = polynomial == "f"
     alpha_strs = tuple(str(a) for a in alphas)
     m_tuple = tuple(int(m) for m in m_values)
+    _require_points(m_tuple, alpha_strs)
     for m in m_tuple:
         if m < 9:
             raise ValueError(f"sign grid needs m >= 9, got {m}")
@@ -256,6 +257,34 @@ def sign_grid(
     return SignCertificate(polynomial, m_tuple, alpha_strs, min_abs, tuple(violations))
 
 
+def identity_grid(
+    check: Callable[[float, int], float],
+    m_values: Sequence[int],
+    alphas: Sequence[str],
+) -> tuple[float, list[tuple[int, str, float]]]:
+    """Run an identity check over a grid, m outer and alpha inner.
+
+    Returns the worst relative error and the ``(m, alpha, error)`` points
+    whose error exceeds ``IDENTITY_RTOL``, in grid order.
+    """
+    _require_points(m_values, alphas)
+    worst = 0.0
+    failures = []
+    for m in m_values:
+        for alpha_str in alphas:
+            err = check(float(alpha_str), m)
+            worst = max(worst, err)
+            if err > IDENTITY_RTOL:
+                failures.append((m, alpha_str, err))
+    return worst, failures
+
+
+def _require_points(m_values: Sequence[int], alphas: Sequence[str]) -> None:
+    """An empty grid checks nothing, so it must not read as a pass."""
+    if not m_values or not alphas:
+        raise ValueError(f"empty grid: {len(m_values)} m values and {len(alphas)} alphas")
+
+
 def odd_range(start: int, stop: int) -> list[int]:
     """Odd integers in [start, stop], for grid construction."""
     first = start if start % 2 == 1 else start + 1
@@ -264,9 +293,19 @@ def odd_range(start: int, stop: int) -> list[int]:
 
 def alpha_grid(start: str = "0.50", stop: str = "0.99", step: str = "0.01") -> list[str]:
     """Decimal-string alpha grid; strings keep report output reproducible."""
-    from decimal import Decimal
+    from decimal import Decimal, InvalidOperation
 
-    lo, hi, delta = Decimal(start), Decimal(stop), Decimal(step)
+    try:
+        lo, hi, delta = Decimal(start), Decimal(stop), Decimal(step)
+        finite = all(d.is_finite() for d in (lo, hi, delta))
+    except InvalidOperation:
+        finite = False
+    if not finite:
+        raise ValueError(
+            f"alpha grid needs finite decimals, got {start!r}, {stop!r}, step {step!r}"
+        )
+    if delta <= 0:
+        raise ValueError(f"alpha grid step must be positive, got {step!r}")
     out = []
     value = lo
     while value <= hi:

@@ -21,12 +21,13 @@ one nondeterministic field).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import inspect
 import io
 import json
 import sys
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from . import certificates as ct
 from . import harness as hz
@@ -95,17 +96,13 @@ def _input_graphs(args) -> list[tuple[str, object]]:
         return [(str(fid), build(fid)[0])]
     if args.graph6:
         return [(args.graph6, parse_graph6(args.graph6))]
-    stream = open(args.infile) if args.infile else sys.stdin
-    try:
-        pairs = []
-        for line in stream:
-            line = line.strip()
-            if line:
-                pairs.append((line, parse_graph6(line)))
-        return pairs
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
+    with _graph6_lines(args) as stream:
+        return [(line, parse_graph6(line)) for line in map(str.strip, stream) if line]
+
+
+def _graph6_lines(args) -> contextlib.AbstractContextManager[TextIO]:
+    """The --in file, or stdin when none is given (stdin is left open)."""
+    return open(args.infile) if args.infile else contextlib.nullcontext(sys.stdin)
 
 
 def _emit(args, text: str) -> None:
@@ -228,15 +225,11 @@ def _cmd_identity(args) -> int:
     ms = ct.odd_range(args.m_start, args.m_stop)
     alphas = ct.alpha_grid(args.alpha_start, args.alpha_stop, args.alpha_step)
     results = []
-    ok = True
     for poly in args.poly.split(","):
         if poly not in _IDENTITY_CHECKS:
             raise ValueError(f"unknown identity polynomial {poly!r}; choose from f, g")
-        check = _IDENTITY_CHECKS[poly]
-        worst = max(check(float(a), m) for a in alphas for m in ms)
-        passed = worst <= ct.IDENTITY_RTOL
-        ok = ok and passed
-        results.append({"polynomial": poly, "max_rel_error": worst, "passed": passed})
+        worst, failures = ct.identity_grid(_IDENTITY_CHECKS[poly], ms, alphas)
+        results.append({"polynomial": poly, "max_rel_error": worst, "passed": not failures})
     if args.format == "json":
         _emit(args, json.dumps(results, indent=2) + "\n")
     else:
@@ -246,7 +239,7 @@ def _cmd_identity(args) -> int:
             for r in results
         ]
         _emit(args, "\n".join(lines) + "\n")
-    return 0 if ok else 1
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 def _render_reports(args, reports: list) -> str:
@@ -296,12 +289,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    stream = open(args.infile) if args.infile else sys.stdin
-    try:
+    with _graph6_lines(args) as stream:
         kept = list(ingest_graph6(stream, _FILTER_NAMES[args.filter]))
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
     if args.canonical:
         # A form is None only past the canonical cap, where canonical_form
         # raises the usage error.

@@ -14,30 +14,9 @@ every small graph is a standing cross-check exercised by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .graphs import Graph, iter_bits
-
-
-class LemmaViolationError(RuntimeError):
-    """A structural implication that must hold was observed to fail.
-
-    This signals an implementation bug, never bad input: the implications
-    asserted by :func:`structural_report` are theorems about minimally
-    2-connected graphs.
-    """
-
-
-@dataclass(frozen=True)
-class StructuralReport:
-    is_connected: bool
-    is_two_connected: bool
-    is_minimally_two_connected: bool
-    min_degree_is_two: bool
-    triangle_free: bool
-    edge_bound_slack: int  # 2n - 4 - m
-    has_chorded_cycle: bool
 
 
 def is_connected(g: Graph) -> bool:
@@ -146,31 +125,6 @@ def triangle_free(g: Graph) -> bool:
         if g.rows[u] & g.rows[v]:
             return False
     return True
-
-
-def structural_report(g: Graph) -> StructuralReport:
-    min2c = is_minimally_two_connected_by_deletion(g)
-    report = StructuralReport(
-        is_connected=is_connected(g),
-        is_two_connected=is_two_connected(g),
-        is_minimally_two_connected=min2c,
-        min_degree_is_two=min(g.degrees()) == 2,
-        triangle_free=triangle_free(g),
-        edge_bound_slack=2 * g.n - 4 - g.m,
-        has_chorded_cycle=has_chorded_cycle(g),
-    )
-    if report.is_minimally_two_connected and g.n >= 4:
-        if not report.min_degree_is_two:
-            raise LemmaViolationError("minimally 2-connected graph with min degree != 2")
-        if not report.triangle_free:
-            raise LemmaViolationError("minimally 2-connected graph with a triangle")
-        if report.edge_bound_slack < 0:
-            raise LemmaViolationError("minimally 2-connected graph with more than 2n-4 edges")
-        if report.has_chorded_cycle:
-            raise LemmaViolationError("minimally 2-connected graph with a chorded cycle")
-    if report.is_minimally_two_connected and not report.is_two_connected:
-        raise LemmaViolationError("minimal 2-connectivity without 2-connectivity")
-    return report
 
 
 def _reach(g: Graph, start: int, allowed: int) -> int:

@@ -1,11 +1,8 @@
 """Parametric constructors for the named graph families, with orbit data.
 
-Each builder fixes an explicit vertex layout and pairs the graph with the
-orbit partition of its known automorphisms, so Perron-coordinate symmetry
-can be checked block by block.  Witness permutations are constructed from
-the layout (never searched for): for any two vertices in one block,
-``witness_permutation`` returns an explicit adjacency-preserving
-relabeling mapping one to the other.
+Each builder fixes an explicit vertex layout and pairs the graph with a
+partition of its vertices into blocks, each inside one automorphism orbit,
+so Perron-coordinate symmetry can be checked block by block.
 
 Layouts:
 
@@ -23,7 +20,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .enumeration import is_isomorphic  # noqa: F401  (re-exported module API)
 from .graphs import Graph
 
 
@@ -44,6 +40,13 @@ class FamilyId:
 
 @dataclass(frozen=True)
 class OrbitPartition:
+    """Blocks that each lie inside one automorphism orbit.
+
+    A block need not be a whole orbit: ``SK2,2`` is C5, whose five vertices
+    form one orbit split over three blocks, and ``G1,b`` is isomorphic to
+    ``SK2,b+1``, whose hubs are the hub 0 and v2 of ``G1,b``.
+    """
+
     blocks: tuple[tuple[int, ...], ...]
 
 
@@ -115,65 +118,6 @@ def build(fid: FamilyId) -> tuple[Graph, OrbitPartition]:
         g = Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
         return g, OrbitPartition((tuple(range(n)),))
     raise ValueError(f"unknown family kind {fid.kind!r}")
-
-
-def witness_permutation(fid: FamilyId, u: int, v: int) -> tuple[int, ...]:
-    """An automorphism of build(fid) mapping u to v, for same-block pairs."""
-    g, orbits = build(fid)
-    block = next((b for b in orbits.blocks if u in b and v in b), None)
-    if block is None:
-        raise ValueError(f"{u} and {v} are not in a common orbit block of {fid}")
-    n = g.n
-    perm = list(range(n))
-    if u == v:
-        return tuple(perm)
-    if fid.kind == "C":
-        shift = (v - u) % n
-        return tuple((x + shift) % n for x in range(n))
-    if fid.kind == "K":
-        a, b = fid.params
-        side = (u < a) == (v < a)
-        if side:
-            perm[u], perm[v] = v, u
-            return tuple(perm)
-        # a == b here: swap the sides, aligning u with v.
-        lo, hi = (u, v) if u < a else (v, u)
-        offset = (hi - a) - lo
-        for x in range(a):
-            perm[x] = a + (x + offset) % a
-            perm[a + x] = (x - offset) % a
-        return tuple(perm)
-    if fid.kind == "SK2":
-        if block == (0, 1) or block == (2, 3):
-            # Hub swap carries the subdivision path along.
-            perm[0], perm[1] = 1, 0
-            perm[2], perm[3] = 3, 2
-            return tuple(perm)
-        perm[u], perm[v] = v, u
-        return tuple(perm)
-    # G(a, b)
-    a, b = fid.params
-    v1, v2 = a + b + 1, a + b + 2
-    in_first = lambda x: 1 <= x <= a
-    if u not in (v1, v2) and (in_first(u) == in_first(v)):
-        perm[u], perm[v] = v, u
-        return tuple(perm)
-    # a == b here: swap v1 with v2 and pair the spoke groups, rotated so
-    # that u lands on v when u and v sit in different groups.
-    if u in (v1, v2):
-        offset = 0
-    else:
-        i, j = (u - 1, v - a - 1) if in_first(u) else (v - 1, u - a - 1)
-        offset = (j - i) % a
-    perm[v1], perm[v2] = v2, v1
-    for x in range(a):
-        perm[1 + x] = a + 1 + (x + offset) % a
-        perm[a + 1 + x] = 1 + (x - offset) % a
-    return tuple(perm)
-
-
-def is_automorphism(g: Graph, perm: tuple[int, ...]) -> bool:
-    return g.relabel(perm) == g
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

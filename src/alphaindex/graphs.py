@@ -156,23 +156,6 @@ class Graph:
         return Graph._trusted(self.n, tuple(rows), self.m)
 
 
-@dataclass(frozen=True)
-class VertexProfile:
-    """Degree sequence together with its extremes."""
-
-    degrees: tuple[int, ...]
-    min_degree: int
-    max_degree: int
-
-
-def profile(g: Graph) -> VertexProfile:
-    degs = g.degrees()
-    prof = VertexProfile(degs, min(degs), max(degs))
-    if sum(degs) != 2 * g.m:
-        raise GraphError("degree sum disagrees with edge count")
-    return prof
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

@@ -722,32 +722,21 @@ def _identity_report(target: str) -> VerificationReport:
 def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) -> bool:
     """Run one identity check over odd m in 9..99 and the report's alpha grid."""
     ms = ct.odd_range(9, 99)
-    grid = report.alpha_grid
-    worst = 0.0
-    failing = 0
-    exemplars: list[str] = []
-    for m in ms:
-        for alpha_str in grid:
-            err = check(float(alpha_str), m)
-            if err > worst:
-                worst = err
-            if err > ct.IDENTITY_RTOL:
-                failing += 1
-                if len(exemplars) < 5:
-                    exemplars.append(
-                        f"alpha={alpha_str}, m={m}: {lhs_name} relative error {err:.3e}"
-                    )
-    ok = worst <= ct.IDENTITY_RTOL
+    points = len(ms) * len(report.alpha_grid)
+    worst, failures = ct.identity_grid(check, ms, report.alpha_grid)
     report.add({
         "case": case, "alpha": "grid", "max_rel_error": worst,
-        "grid_points": len(ms) * len(grid), "failing_points": failing,
-        "ok": ok,
+        "grid_points": points, "failing_points": len(failures),
+        "ok": not failures,
     }, (
-        f"{lhs_name}: {failing} of {len(ms) * len(grid)} grid points exceed "
+        f"{lhs_name}: {len(failures)} of {points} grid points exceed "
         f"{ct.IDENTITY_RTOL:g} (max relative error {worst:.3e}); "
-        "examples: " + "; ".join(exemplars)
+        "examples: " + "; ".join(
+            f"alpha={alpha_str}, m={m}: {lhs_name} relative error {err:.3e}"
+            for m, alpha_str, err in failures[:5]
+        )
     ))
-    return ok
+    return not failures
 
 
 @_lemma("fact2")

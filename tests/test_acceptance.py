@@ -20,8 +20,10 @@ import time
 from alphaindex import certificates as ct
 from alphaindex import harness as hz
 from alphaindex.connectivity import (
+    has_chorded_cycle,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
+    triangle_free,
 )
 from alphaindex.enumeration import canonical_form, graphs_by_order, graphs_by_size
 from alphaindex.families import complete_bipartite, subdivided_k2
@@ -184,25 +186,22 @@ def test_criterion_07_recognizer_cross_oracle():
 
 
 def test_criterion_08_structural_lemmas():
-    from alphaindex.connectivity import structural_report
-
     reports = hz.verify_lemma_suite(["lemma3", "lemma4", "lemma5"], n_max=8)
     ok = all(r.passed for r in reports)
-    # structural_report re-derives minimality from the deletion definition
-    # and raises on any violated implication, chord-freeness included.
+    # Re-derive minimality from the deletion definition, then check each
+    # implication on the same classes, chord-freeness included.
     swept = 0
     for n in range(4, 9):
         for g in graphs_by_order(n, "minimally_two_connected"):
-            rep = structural_report(g)
             swept += 1
-            ok = ok and rep.is_minimally_two_connected and not rep.has_chorded_cycle
-            ok = ok and rep.min_degree_is_two and rep.triangle_free
-            ok = ok and rep.edge_bound_slack >= 0
+            ok = ok and is_minimally_two_connected_by_deletion(g) and not has_chorded_cycle(g)
+            ok = ok and min(g.degrees()) == 2 and triangle_free(g)
+            ok = ok and 2 * g.n - 4 - g.m >= 0
     counted = sum(r.cases for r in reports)
     report(
         "criterion 8 (structural lemmas 3-6 implications, min2c n=4..8)",
         ok,
-        f"{counted} lemma checks + {swept} structural reports, violations: "
+        f"{counted} lemma checks + {swept} classes swept, violations: "
         + str(sum(len(r.violations) for r in reports)),
     )
 

@@ -14,6 +14,7 @@ from alphaindex.certificates import (
     identity_check_f,
     identity_check_g,
     identity_check_g_derived,
+    identity_grid,
     largest_real_root,
     odd_range,
     sign_grid,
@@ -174,6 +175,25 @@ def test_sign_grid_validates_region():
         sign_grid("h", [9], ["0.5"])
 
 
+def test_empty_grids_are_rejected():
+    for ms, alphas in (([], ["0.5"]), ([9], [])):
+        with pytest.raises(ValueError, match="empty grid"):
+            sign_grid("f", ms, alphas)
+        with pytest.raises(ValueError, match="empty grid"):
+            identity_grid(identity_check_f, ms, alphas)
+
+
+def test_identity_grid_reports_worst_and_failures_in_grid_order():
+    worst, failures = identity_grid(identity_check_f, [9, 11], ["0.5", "0.75"])
+    assert failures == [] and worst == max(
+        identity_check_f(a, m) for m in (9, 11) for a in (0.5, 0.75)
+    )
+    worst, failures = identity_grid(identity_check_g, [9, 11], ["0.5", "0.75"])
+    assert [(m, a) for m, a, _ in failures] == [(9, "0.5"), (9, "0.75"), (11, "0.5"), (11, "0.75")]
+    assert failures[0][2] == identity_check_g(0.5, 9)
+    assert worst == max(err for _, _, err in failures)
+
+
 def test_sign_grid_json_round_trip():
     cert = sign_grid("f", [9, 11], ["0.5", "0.75"])
     payload = cert.to_json_dict()
@@ -192,6 +212,19 @@ def test_grid_helpers():
     assert odd_range(8, 15) == [9, 11, 13, 15]
     grid = alpha_grid("0.50", "0.99", "0.01")
     assert len(grid) == 50 and grid[0] == "0.50" and grid[-1] == "0.99"
+    assert alpha_grid("0.9", "0.5") == []
+
+
+@pytest.mark.parametrize("start,stop,step", [
+    ("0.50", "0.99", "0"),
+    ("0.50", "0.99", "-0.01"),
+    ("0.50", "0.99", "abc"),
+    ("0.50", "Infinity", "0.01"),
+    ("NaN", "0.99", "0.01"),
+])
+def test_alpha_grid_rejects_bad_bounds_and_steps(start, stop, step):
+    with pytest.raises(ValueError):
+        alpha_grid(start, stop, step)
 
 
 def test_cubic_evaluate():

@@ -249,6 +249,22 @@ def test_certify_identity_rejects_unknown_poly(capsys, poly):
     assert "unknown identity polynomial 'h'" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["signs", "identity"])
+@pytest.mark.parametrize("flags,message", [
+    (["--alpha-step", "0"], "step must be positive"),
+    (["--alpha-step", "-0.01"], "step must be positive"),
+    (["--alpha-step", "abc"], "needs finite decimals"),
+    (["--m-start", "12", "--m-stop", "10"], "empty grid"),
+])
+def test_certify_bad_grid_is_usage_error(capsys, mode, flags, message):
+    with pytest.raises(SystemExit) as err:
+        main(["certify", mode, *flags])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_certify_columns(capsys):
     code, out = run_cli(
         capsys, "certify", "columns", "--family", "K2,5", "--alpha", "0.6",

@@ -4,13 +4,11 @@ import pytest
 
 from alphaindex import connectivity
 from alphaindex.connectivity import (
-    LemmaViolationError,
     has_chorded_cycle,
     is_connected,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
     is_two_connected,
-    structural_report,
     triangle_free,
 )
 from alphaindex.enumeration import _add_ear, graphs_by_order
@@ -73,24 +71,21 @@ def test_pendant_breaks_two_connectivity(c4):
 
 
 def test_structural_report_k23(k23):
-    rep = structural_report(k23)
-    assert rep.is_minimally_two_connected
-    assert rep.min_degree_is_two
-    assert rep.triangle_free
-    assert rep.edge_bound_slack == 0
-    assert not rep.has_chorded_cycle
+    assert is_minimally_two_connected_by_deletion(k23)
+    assert min(k23.degrees()) == 2
+    assert triangle_free(k23)
+    assert 2 * k23.n - 4 - k23.m == 0
+    assert not has_chorded_cycle(k23)
 
 
 def test_structural_report_c5(c5):
-    rep = structural_report(c5)
-    assert rep.is_minimally_two_connected
-    assert rep.edge_bound_slack == 1
+    assert is_minimally_two_connected_by_deletion(c5)
+    assert 2 * c5.n - 4 - c5.m == 1
 
 
 def test_structural_report_k4(k4):
-    rep = structural_report(k4)
-    assert not rep.is_minimally_two_connected
-    assert not rep.triangle_free
+    assert not is_minimally_two_connected_by_deletion(k4)
+    assert not triangle_free(k4)
 
 
 def test_triangle_detection(k4, k23):
@@ -99,11 +94,9 @@ def test_triangle_detection(k4, k23):
 
 
 def test_k3_is_minimal_triangle():
-    # Order 3 sits outside the triangle-free implication; the report must
-    # not raise on it.
+    # Order 3 sits outside the triangle-free implication.
     k3 = cycle(3)
-    rep = structural_report(k3)
-    assert rep.is_minimally_two_connected and not rep.triangle_free
+    assert is_minimally_two_connected_by_deletion(k3) and not triangle_free(k3)
 
 
 def test_recognizers_agree_up_to_order_6():

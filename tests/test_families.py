@@ -1,17 +1,15 @@
 import pytest
 
-from alphaindex.connectivity import is_minimally_two_connected_by_deletion
+from alphaindex.connectivity import is_minimally_two_connected_by_deletion, triangle_free
+from alphaindex.enumeration import canonical_form, is_isomorphic
 from alphaindex.families import (
     FamilyId,
     build,
     complete_bipartite,
     cycle,
     gab,
-    is_automorphism,
-    is_isomorphic,
     parse_family,
     subdivided_k2,
-    witness_permutation,
 )
 
 
@@ -74,24 +72,31 @@ def test_orbit_merges_when_sides_equal():
     assert len(orbits.blocks) == 2
 
 
-def test_witnesses_are_automorphisms():
+def _marked_form(g, u):
+    """Canonical form of g with a new triangle hung on u.
+
+    For a triangle-free g that triangle is the only one, so the forms of u
+    and v agree exactly when some automorphism of g maps u to v.
+    """
+    x = g.n  # the first new vertex
+    return canonical_form(g.add_vertex(1 << u).add_vertex((1 << u) | (1 << x)))
+
+
+def test_orbit_blocks_lie_inside_one_orbit():
     fams = [FamilyId("K", (a, b)) for a in range(1, 5) for b in range(1, 5)]
     fams += [FamilyId("SK2", (k,)) for k in range(2, 6)]
     fams += [FamilyId("G", (a, b)) for a in range(1, 4) for b in range(a, 5)]
-    fams += [FamilyId("C", (n,)) for n in range(3, 9)]
+    fams += [FamilyId("C", (n,)) for n in range(4, 9)]
     for fid in fams:
         g, orbits = build(fid)
+        assert triangle_free(g), fid
         for block in orbits.blocks:
-            for u in block:
-                for v in block:
-                    perm = witness_permutation(fid, u, v)
-                    assert is_automorphism(g, perm)
-                    assert perm[u] == v
+            assert len({_marked_form(g, u) for u in block}) == 1, (fid, block)
 
 
-def test_witness_rejects_cross_block():
-    with pytest.raises(ValueError):
-        witness_permutation(FamilyId("SK2", (4,)), 0, 4)
+def test_marked_forms_separate_orbits():
+    g, _ = build(FamilyId("SK2", (4,)))
+    assert _marked_form(g, 0) != _marked_form(g, 4)  # a hub and a common neighbour
 
 
 def test_family_members_minimally_two_connected():

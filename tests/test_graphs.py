@@ -10,7 +10,6 @@ from alphaindex.graphs import (
     NonEdgeError,
     emit_graph6,
     parse_graph6,
-    profile,
 )
 
 from conftest import random_graph
@@ -152,18 +151,18 @@ def test_add_edge_value_semantics(c4):
 
 
 def test_profile_k23(k23):
-    p = profile(k23)
-    assert sorted(p.degrees) == [2, 2, 2, 3, 3]
-    assert p.min_degree == 2 and p.max_degree == 3
+    degrees = k23.degrees()
+    assert sorted(degrees) == [2, 2, 2, 3, 3]
+    assert min(degrees) == 2 and max(degrees) == 3
 
 
 def test_profile_cycle_regular():
     c7 = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
-    assert set(profile(c7).degrees) == {2}
+    assert set(c7.degrees()) == {2}
 
 
 def test_profile_sk24(sk24):
-    assert sorted(profile(sk24).degrees) == [2, 2, 2, 2, 2, 4, 4]
+    assert sorted(sk24.degrees()) == [2, 2, 2, 2, 2, 4, 4]
     assert sk24.m == 9
 
 
