@@ -5,7 +5,6 @@ rotations, and theorem/lemma verification campaigns."""
 
 from .certificates import (
     Cubic,
-    SignCertificate,
     eval_f,
     eval_g,
     identity_check_f,
@@ -43,7 +42,6 @@ from .harness import (
     verify_theorem_size,
 )
 from .spectral import (
-    CertificateColumnSums,
     ConvergenceError,
     DisconnectedGraphError,
     SpectralError,

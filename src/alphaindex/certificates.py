@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 IDENTITY_RTOL = 1e-9
 ROOT_WIDTH = 1e-13
+MAX_ALPHA_POINTS = 100_000  # the default grid 0.50..0.99 step 0.01 has 50
 
 # f(alpha, m): coefficients of m^5 .. m^0, each an integer polynomial in
 # alpha with coefficients listed by ascending power of alpha.
@@ -90,13 +91,11 @@ def f_at_m9_factored(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class Cubic:
-    """Monic cubic x^3 + c2 x^2 + c1 x + c0, tagged with its (m, alpha)."""
+    """Monic cubic x^3 + c2 x^2 + c1 x + c0."""
 
     c2: float
     c1: float
     c0: float
-    m: int
-    alpha: float
 
     def evaluate(self, x: float) -> float:
         return ((x + self.c2) * x + self.c1) * x + self.c0
@@ -118,50 +117,44 @@ def sk_cubic(m: int, alpha: float) -> Cubic:
     c2 = -((m + 5) * alpha / 2.0 + 1.0)
     c1 = (m + 5) * alpha * alpha / 2.0 + 5.0 * (m - 1) * alpha / 2.0 + 2.0 - m
     c0 = -2.0 * m * alpha * alpha - (m - 5) * alpha + (m - 3.0)
-    return Cubic(c2, c1, c0, m, alpha)
+    return Cubic(c2, c1, c0)
 
 
 def largest_real_root(cubic: Cubic) -> float:
-    """Maximal real root by bracketed bisection over monotone pieces.
+    """Maximal real root by bisection of the one bracket that holds it.
 
-    The critical points of the derivative split the line into monotone
-    intervals, so the rightmost sign change can be isolated exactly; each
-    bracket is bisected to width 1e-13.  Bisection is authoritative; no
-    Newton polish is applied.
+    Every real root lies in [-bound, bound] (Cauchy).  Right of the larger
+    critical point c_hi the cubic increases, so f(c_hi) < 0 puts the
+    largest root in [c_hi, bound], and f(c_hi) = 0 makes c_hi a double
+    root and the answer.  f(c_hi) > 0 leaves no root right of the smaller
+    critical point c_lo (the middle piece decreases to f(c_hi)), so the
+    only one lies in [-bound, c_lo].  With no critical point the cubic is
+    increasing on [-bound, bound].  The bracket is bisected to width
+    1e-13; bisection is authoritative and no Newton polish is applied.
     """
     bound = 1.0 + max(abs(cubic.c2), abs(cubic.c1), abs(cubic.c0))
+    lo, hi = -bound, bound
     disc = cubic.c2 * cubic.c2 - 3.0 * cubic.c1
-    pieces: list[tuple[float, float]]
-    if disc <= 0.0:
-        pieces = [(-bound, bound)]
-    else:
+    if disc > 0.0:
         r = disc**0.5
-        crit_lo = (-cubic.c2 - r) / 3.0
-        crit_hi = (-cubic.c2 + r) / 3.0
-        pieces = [(crit_hi, bound), (crit_lo, crit_hi), (-bound, crit_lo)]
-    for lo, hi in pieces:
-        flo, fhi = cubic.evaluate(lo), cubic.evaluate(hi)
-        if flo == 0.0 and fhi == 0.0:
-            return hi  # the whole piece collapses (repeated root at a critical point)
-        if fhi == 0.0:
-            return hi
-        if flo == 0.0:
-            if lo == -bound:
-                continue
-            return lo
-        if flo * fhi > 0.0:
-            continue
-        while hi - lo > ROOT_WIDTH * max(1.0, abs(hi)):
-            mid = 0.5 * (lo + hi)
-            fmid = cubic.evaluate(mid)
-            if fmid == 0.0:
-                return mid
-            if (fmid > 0.0) == (fhi > 0.0):
-                hi, fhi = mid, fmid
-            else:
-                lo, flo = mid, fmid
-        return 0.5 * (lo + hi)
-    raise ArithmeticError("cubic with no bracketable real root")  # unreachable
+        c_hi = (-cubic.c2 + r) / 3.0
+        f_hi = cubic.evaluate(c_hi)
+        if f_hi == 0.0:
+            return c_hi
+        if f_hi < 0.0:
+            lo = c_hi
+        else:
+            hi = (-cubic.c2 - r) / 3.0
+    while hi - lo > ROOT_WIDTH * max(1.0, abs(hi)):
+        mid = 0.5 * (lo + hi)
+        fmid = cubic.evaluate(mid)
+        if fmid == 0.0:
+            return mid
+        if fmid > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def f_identity_lhs(alpha: float, m: int) -> float:
@@ -198,63 +191,37 @@ def identity_check_g_derived(alpha: float, m: int) -> float:
     return _relative_error(g_identity_lhs(alpha, m), eval_g_derived(alpha, m))
 
 
-@dataclass(frozen=True)
-class SignCertificate:
-    polynomial: str  # "f" | "g"
-    m_values: tuple[int, ...]
-    alphas: tuple[str, ...]
-    min_abs_value: float
-    violations: tuple[tuple[int, str, float], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_dict(self) -> dict:
-        return {
-            "polynomial": self.polynomial,
-            "m_values": list(self.m_values),
-            "alphas": list(self.alphas),
-            "min_abs_value": self.min_abs_value,
-            "violations": [list(v) for v in self.violations],
-            "passed": self.passed,
-        }
-
-
 def sign_grid(
     polynomial: str,
     m_values: Sequence[int],
-    alphas: Sequence[str | float],
-) -> SignCertificate:
-    """Evaluate f (must be > 0) or g (must be < 0) on a grid.
+    alphas: Sequence[str],
+) -> tuple[float, list[tuple[int, str, float]]]:
+    """Evaluate f (must be > 0) or g (must be < 0) on a grid, m outer.
 
     The grid must sit inside the claimed region m >= 9, alpha in [1/2, 1).
-    Alphas are echoed as the decimal strings they were given as.
+    Returns the least |value| and the ``(m, alpha, value)`` points of the
+    wrong sign, in grid order, with alpha the decimal string it was given as.
     """
     if polynomial not in ("f", "g"):
         raise ValueError(f"unknown sign polynomial {polynomial!r}")
     evaluate = eval_f if polynomial == "f" else eval_g
     want_positive = polynomial == "f"
-    alpha_strs = tuple(str(a) for a in alphas)
-    m_tuple = tuple(int(m) for m in m_values)
-    _require_points(m_tuple, alpha_strs)
-    for m in m_tuple:
+    _require_points(m_values, alphas)
+    for m in m_values:
         if m < 9:
             raise ValueError(f"sign grid needs m >= 9, got {m}")
-    for s in alpha_strs:
-        a = float(s)
-        if not 0.5 <= a < 1.0:
+    for s in alphas:
+        if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"sign grid needs alpha in [1/2, 1), got {s}")
     violations = []
     min_abs = float("inf")
-    for m in m_tuple:
-        for s in alpha_strs:
+    for m in m_values:
+        for s in alphas:
             value = evaluate(float(s), m)
-            if abs(value) < min_abs:
-                min_abs = abs(value)
+            min_abs = min(min_abs, abs(value))
             if (value > 0.0) != want_positive or value == 0.0:
                 violations.append((m, s, value))
-    return SignCertificate(polynomial, m_tuple, alpha_strs, min_abs, tuple(violations))
+    return min_abs, violations
 
 
 def identity_grid(
@@ -306,6 +273,10 @@ def alpha_grid(start: str = "0.50", stop: str = "0.99", step: str = "0.01") -> l
         )
     if delta <= 0:
         raise ValueError(f"alpha grid step must be positive, got {step!r}")
+    if (hi - lo) / delta >= MAX_ALPHA_POINTS:
+        raise ValueError(
+            f"alpha grid {start}..{stop} step {step} has more than {MAX_ALPHA_POINTS} points"
+        )
     out = []
     value = lo
     while value <= hi:

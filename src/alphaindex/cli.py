@@ -10,9 +10,10 @@ Verbs, one per module capability:
 * ``convert``    - graph6 stream passthrough with filtering and de-duplication
 
 Exit codes: 0 success / all checks passed, 1 verification violations,
-2 usage errors, 3 internal numerical failures (a power iteration that does
-not converge, or a batched eigenvalue that power iteration does not
-confirm), which say nothing about the claim under test.  Identical
+2 usage errors (files that cannot be read or written included), 3
+internal numerical failures (a power iteration that does not converge, or
+a batched eigenvalue that power iteration does not confirm), which say
+nothing about the claim under test.  Identical
 invocations produce identical output; pass ``--timings`` to include
 wall-clock milliseconds in reports (off by default, since timing is the
 one nondeterministic field).
@@ -113,6 +114,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _print_records(args, records: list[dict], line) -> None:
+    """The records as a JSON list, or one ``line(record)`` each as text."""
+    if args.format == "json":
+        _emit(args, json.dumps(records, indent=2) + "\n")
+    else:
+        _emit(args, "\n".join(map(line, records)) + "\n")
+
+
 def _cmd_rho(args) -> int:
     records = []
     for label, g in _input_graphs(args):
@@ -126,15 +135,11 @@ def _cmd_rho(args) -> int:
             "residual": result.residual,
             "iterations": result.iterations,
         })
-    if args.format == "json":
-        _emit(args, json.dumps(records, indent=2) + "\n")
-    else:
-        lines = []
-        for r in records:
-            lines.append(f"{r['input']}  alpha={r['alpha']}  rho={r['rho']:.12f}")
-            lines.append("  perron = [" + ", ".join(f"{x:.12f}" for x in r["perron"]) + "]")
-            lines.append(f"  residual={r['residual']:.3e}  iterations={r['iterations']}")
-        _emit(args, "\n".join(lines) + "\n")
+    _print_records(args, records, lambda r: (
+        f"{r['input']}  alpha={r['alpha']}  rho={r['rho']:.12f}\n"
+        f"  perron = [{', '.join(f'{x:.12f}' for x in r['perron'])}]\n"
+        f"  residual={r['residual']:.3e}  iterations={r['iterations']}"
+    ))
     return 0
 
 
@@ -149,15 +154,10 @@ def _cmd_bounds(args) -> int:
             "rho": alpha_index(g, alpha).rho,
             "upper": upper_bound_degree_average(g, alpha),
         })
-    if args.format == "json":
-        _emit(args, json.dumps(records, indent=2) + "\n")
-    else:
-        lines = [
-            f"{r['input']}  alpha={r['alpha']}  "
-            f"lower={r['lower']:.12f}  rho={r['rho']:.12f}  upper={r['upper']:.12f}"
-            for r in records
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    _print_records(args, records, lambda r: (
+        f"{r['input']}  alpha={r['alpha']}  "
+        f"lower={r['lower']:.12f}  rho={r['rho']:.12f}  upper={r['upper']:.12f}"
+    ))
     return 0
 
 
@@ -183,42 +183,41 @@ def _cmd_enumerate(args) -> int:
 def _cmd_columns(args) -> int:
     records = []
     for label, g in _input_graphs(args):
-        cert = column_sum_certificate(g, float(args.alpha), args.variant)
+        sums = column_sum_certificate(g, float(args.alpha), args.variant)
         records.append({
             "input": label,
             "alpha": args.alpha,
-            "variant": cert.variant,
-            "parameter": cert.parameter,
-            "column_sums": list(cert.column_sums),
-            "max": max(cert.column_sums),
+            "variant": args.variant,
+            "parameter": g.n if args.variant == "order" else g.m,
+            "column_sums": list(sums),
+            "max": max(sums),
         })
-    if args.format == "json":
-        _emit(args, json.dumps(records, indent=2) + "\n")
-    else:
-        lines = [
-            f"{r['input']}  variant={r['variant']}  alpha={r['alpha']}  "
-            f"max_c_u={r['max']:.6g}  sums={[round(v, 9) for v in r['column_sums']]}"
-            for r in records
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    _print_records(args, records, lambda r: (
+        f"{r['input']}  variant={r['variant']}  alpha={r['alpha']}  "
+        f"max_c_u={r['max']:.6g}  sums={[round(v, 9) for v in r['column_sums']]}"
+    ))
     return 0
 
 
 def _cmd_signs(args) -> int:
     ms = ct.odd_range(args.m_start, args.m_stop)
     alphas = ct.alpha_grid(args.alpha_start, args.alpha_stop, args.alpha_step)
-    certs = [ct.sign_grid(p, ms, alphas) for p in args.poly.split(",")]
-    payload = [c.to_json_dict() for c in certs]
-    if args.format == "json":
-        _emit(args, json.dumps(payload, indent=2) + "\n")
-    else:
-        lines = [
-            f"{c['polynomial']}: {'PASS' if c['passed'] else 'FAIL'} "
-            f"(min |value| = {c['min_abs_value']:.6g}, violations = {len(c['violations'])})"
-            for c in payload
-        ]
-        _emit(args, "\n".join(lines) + "\n")
-    return 0 if all(c["passed"] for c in payload) else 1
+    records = []
+    for poly in args.poly.split(","):
+        min_abs, violations = ct.sign_grid(poly, ms, alphas)
+        records.append({
+            "polynomial": poly,
+            "m_values": ms,
+            "alphas": alphas,
+            "min_abs_value": min_abs,
+            "violations": violations,
+            "passed": not violations,
+        })
+    _print_records(args, records, lambda r: (
+        f"{r['polynomial']}: {'PASS' if r['passed'] else 'FAIL'} "
+        f"(min |value| = {r['min_abs_value']:.6g}, violations = {len(r['violations'])})"
+    ))
+    return 0 if all(r["passed"] for r in records) else 1
 
 
 def _cmd_identity(args) -> int:
@@ -230,15 +229,10 @@ def _cmd_identity(args) -> int:
             raise ValueError(f"unknown identity polynomial {poly!r}; choose from f, g")
         worst, failures = ct.identity_grid(_IDENTITY_CHECKS[poly], ms, alphas)
         results.append({"polynomial": poly, "max_rel_error": worst, "passed": not failures})
-    if args.format == "json":
-        _emit(args, json.dumps(results, indent=2) + "\n")
-    else:
-        lines = [
-            f"identity {r['polynomial']}: {'PASS' if r['passed'] else 'FAIL'} "
-            f"(max relative error {r['max_rel_error']:.3e})"
-            for r in results
-        ]
-        _emit(args, "\n".join(lines) + "\n")
+    _print_records(args, results, lambda r: (
+        f"identity {r['polynomial']}: {'PASS' if r['passed'] else 'FAIL'} "
+        f"(max relative error {r['max_rel_error']:.3e})"
+    ))
     return 0 if all(r["passed"] for r in results) else 1
 
 
@@ -409,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, Graph6Error, EnumerationLimitError, ValueError) as exc:
+    except (GraphError, Graph6Error, EnumerationLimitError, ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
     except SpectralError as exc:  # ConvergenceError included
         parser.exit(3, f"internal error: {exc}\n")

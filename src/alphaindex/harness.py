@@ -628,12 +628,12 @@ def _lemma11(target: str) -> VerificationReport:
     grid = ct.alpha_grid("0.50", "0.99", "0.01")
     report = VerificationReport(target, {"m": [9, 99], "step": 2}, grid)
     for poly in ("f", "g"):
-        cert = ct.sign_grid(poly, ms, grid)
+        min_abs, violations = ct.sign_grid(poly, ms, grid)
         report.add({
             "case": f"sign {poly}", "alpha": "grid",
-            "min_abs_value": cert.min_abs_value,
-            "violations": len(cert.violations), "ok": cert.passed,
-        }, *(f"{poly}(alpha={alpha_str}, m={m}) = {value}" for m, alpha_str, value in cert.violations))
+            "min_abs_value": min_abs,
+            "violations": len(violations), "ok": not violations,
+        }, *(f"{poly}(alpha={alpha_str}, m={m}) = {value}" for m, alpha_str, value in violations))
     worst = 0.0
     for alpha_str in ("0.5", "0.7", "0.9"):
         alpha = float(alpha_str)
@@ -659,7 +659,7 @@ def _column_sums(report: VerificationReport, variant: str, label: str, eligible:
     """One case per alpha: every column sum of every eligible graph is <= 0."""
     for alpha_str in report.alpha_grid:
         alpha = float(alpha_str)
-        tops = [max(column_sum_certificate(g, alpha, variant).column_sums) for g in eligible]
+        tops = [max(column_sum_certificate(g, alpha, variant)) for g in eligible]
         bad = [
             f"{label}, alpha={alpha_str}, {emit_graph6(g)}: c_u = {top:.3e} > 0"
             for g, top in zip(eligible, tops) if top > 1e-12

@@ -284,64 +284,39 @@ def lower_bound_max_degree(g: Graph, alpha: float) -> float:
     return alpha * delta + (1.0 - alpha) ** 2 / alpha
 
 
-@dataclass(frozen=True)
-class CertificateColumnSums:
-    variant: str  # "order" | "size"
-    alpha: float
-    parameter: int  # n for the order variant, m for the size variant
-    column_sums: tuple[float, ...]
-
-
-def column_sum_certificate(g: Graph, alpha: float, variant: str) -> CertificateColumnSums:
+def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float, ...]:
     """Column sums of the proof matrix B, by closed expansion.
 
-    order: B = A_alpha^2 - alpha*n*A_alpha + 2(2alpha-1)(n-2) I
-    size:  B = 2 A_alpha^2 - (m+4)*alpha*A_alpha + 2(2alpha-1)*m I
-
+    Both variants are B = p A_alpha^2 - q alpha A_alpha + 2(2alpha-1) r I,
+    with (p, q, r) = (1, n, n-2) for order and (2, m+4, m) for size.
     Since column sums of A_alpha are the degrees and c_u(A_alpha^2) =
-    alpha*d(u)^2 + (1-alpha) * sum_{uv in E} d(v), the order variant
-    collapses to
+    alpha*d(u)^2 + (1-alpha)*S(u), where S(u) = sum_{uv in E} d(v),
 
-        c_u = alpha*d(u)^2 + (1-alpha)*S(u) - alpha*n*d(u) + 2(2alpha-1)(n-2)
+        c_u = p (alpha*d(u)^2 + (1-alpha)*S(u)) - q*alpha*d(u) + 2(2alpha-1) r.
 
-    and the size variant to its doubled analogue with -(m+4)*alpha*d(u)
-    + 2(2alpha-1)*m.  The expansion is cross-checked against the literal
-    matrix column sums; on K_{2,n-2} every c_u vanishes identically,
-    which is the equality case of the order claim.
+    The expansion is cross-checked against the literal matrix column sums;
+    on K_{2,n-2} every order c_u vanishes identically, which is the
+    equality case of the order claim.
     """
-    if variant not in ("order", "size"):
+    if variant == "order":
+        p, q, r = 1, g.n, g.n - 2
+    elif variant == "size":
+        p, q, r = 2, g.m + 4, g.m
+    else:
         raise ValueError(f"unknown certificate variant {variant!r}")
     degs = g.degrees()
-    n, m = g.n, g.m
-    sums = []
-    for u in range(n):
-        s = sum(degs[v] for v in iter_bits(g.rows[u]))
-        if variant == "order":
-            c = (
-                alpha * degs[u] ** 2
-                + (1.0 - alpha) * s
-                - alpha * n * degs[u]
-                + 2.0 * (2.0 * alpha - 1.0) * (n - 2)
-            )
-        else:
-            c = (
-                2.0 * alpha * degs[u] ** 2
-                + 2.0 * (1.0 - alpha) * s
-                - (m + 4) * alpha * degs[u]
-                + 2.0 * (2.0 * alpha - 1.0) * m
-            )
-        sums.append(c)
+    shift = 2.0 * (2.0 * alpha - 1.0) * r
+    sums = tuple(
+        p * (alpha * degs[u] ** 2 + (1.0 - alpha) * sum(degs[v] for v in iter_bits(g.rows[u])))
+        - q * alpha * degs[u]
+        + shift
+        for u in range(g.n)
+    )
     a = alpha_matrix(g, alpha)
-    if variant == "order":
-        b = a @ a - alpha * n * a + 2.0 * (2.0 * alpha - 1.0) * (n - 2) * np.eye(n)
-        parameter = n
-    else:
-        b = 2.0 * (a @ a) - (m + 4) * alpha * a + 2.0 * (2.0 * alpha - 1.0) * m * np.eye(n)
-        parameter = m
-    literal = b.sum(axis=0)
+    literal = (p * (a @ a) - q * alpha * a + shift * np.eye(g.n)).sum(axis=0)
     if np.max(np.abs(literal - np.array(sums))) > COLUMN_SUM_CROSS_TOL:
         raise SpectralError("column-sum expansion disagrees with the literal matrix")
-    return CertificateColumnSums(variant, alpha, parameter, tuple(sums))
+    return sums
 
 
 def perron_symmetry_check(g: Graph, orbits, alpha: float, tol: float = 1e-9) -> bool:

@@ -1,8 +1,11 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from alphaindex.certificates import (
+    MAX_ALPHA_POINTS,
     Cubic,
     alpha_grid,
     eval_f,
@@ -47,10 +50,39 @@ def test_sk_cubic_even_size_rejected():
 
 
 def test_largest_root_factored_products():
-    assert abs(largest_real_root(Cubic(-8.0, 19.0, -12.0, 9, 0.0)) - 4.0) < 1e-12
-    assert abs(largest_real_root(Cubic(0.0, 0.0, 0.0, 9, 0.0))) < 1e-12
-    # Even-multiplicity largest root: (x-1)(x-3)^2.
-    assert abs(largest_real_root(Cubic(-7.0, 15.0, -9.0, 9, 0.0)) - 3.0) < 1e-12
+    # (x-1)(x-3)(x-4): f(c_hi) < 0, the root lies right of c_hi.
+    assert abs(largest_real_root(Cubic(-8.0, 19.0, -12.0)) - 4.0) < 1e-12
+    assert abs(largest_real_root(Cubic(0.0, 0.0, 0.0))) < 1e-12
+    # Even-multiplicity largest root: (x-1)(x-3)^2, f(c_hi) == 0 at c_hi = 3.
+    assert abs(largest_real_root(Cubic(-7.0, 15.0, -9.0)) - 3.0) < 1e-12
+
+
+def test_largest_root_without_critical_point():
+    # x^3 + x - 2 = (x-1)(x^2+x+2) is increasing everywhere.
+    assert abs(largest_real_root(Cubic(0.0, 1.0, -2.0)) - 1.0) < 1e-12
+
+
+def test_largest_root_left_of_both_critical_points():
+    # (x+2)(x^2+1) = x^3 + 2x^2 + x + 2: f(c_hi) > 0, the one real root is left of c_lo.
+    assert abs(largest_real_root(Cubic(2.0, 1.0, 2.0)) - (-2.0)) < 1e-12
+
+
+def test_largest_root_matches_numpy_roots():
+    # Independent oracle: companion-matrix roots of seeded monic cubics
+    # whose real roots are at least 0.5 apart (or single, with a complex pair).
+    rng = random.Random(1717)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            roots = sorted(rng.uniform(-20.0, 20.0) for _ in range(3))
+            if min(b - a for a, b in zip(roots, roots[1:])) < 0.5:
+                continue
+            coeffs = np.poly(roots)
+        else:
+            re, im = rng.uniform(-20.0, 20.0), rng.uniform(0.5, 10.0)
+            coeffs = np.polymul([1.0, -rng.uniform(-20.0, 20.0)], [1.0, -2.0 * re, re * re + im * im])
+        cubic = Cubic(*map(float, coeffs[1:]))
+        expected = max(r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9)
+        assert abs(largest_real_root(cubic) - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 def test_largest_root_matches_eigensolver():
@@ -155,15 +187,20 @@ def test_g_bound_value_negative_on_grid():
 
 
 def test_sign_grid_f():
-    cert = sign_grid("f", odd_range(9, 99), alpha_grid("0.50", "0.99", "0.01"))
-    assert cert.passed and not cert.violations
-    assert cert.min_abs_value == 728.0
+    assert sign_grid("f", odd_range(9, 99), alpha_grid("0.50", "0.99", "0.01")) == (728.0, [])
 
 
 def test_sign_grid_g():
-    cert = sign_grid("g", odd_range(9, 99), alpha_grid("0.50", "0.99", "0.01"))
-    assert cert.passed
-    assert cert.min_abs_value == 1010.375
+    assert sign_grid("g", odd_range(9, 99), alpha_grid("0.50", "0.99", "0.01")) == (1010.375, [])
+
+
+def test_sign_grid_reports_wrong_signs_in_grid_order(monkeypatch):
+    from alphaindex import certificates as ct
+
+    monkeypatch.setattr(ct, "eval_f", lambda alpha, m: m - 10.0)
+    assert sign_grid("f", [9, 11], ["0.5", "0.75"]) == (
+        1.0, [(9, "0.5", -1.0), (9, "0.75", -1.0)],
+    )
 
 
 def test_sign_grid_validates_region():
@@ -194,13 +231,6 @@ def test_identity_grid_reports_worst_and_failures_in_grid_order():
     assert worst == max(err for _, _, err in failures)
 
 
-def test_sign_grid_json_round_trip():
-    cert = sign_grid("f", [9, 11], ["0.5", "0.75"])
-    payload = cert.to_json_dict()
-    assert payload["polynomial"] == "f" and payload["passed"] is True
-    assert payload["alphas"] == ["0.5", "0.75"]
-
-
 def test_f_increasing_in_m():
     for a in (0.5, 0.75, 0.99):
         values = [eval_f(a, m) for m in odd_range(9, 99)]
@@ -227,7 +257,15 @@ def test_alpha_grid_rejects_bad_bounds_and_steps(start, stop, step):
         alpha_grid(start, stop, step)
 
 
+def test_alpha_grid_refuses_more_than_the_point_cap():
+    assert len(alpha_grid("0", "0.99999", "0.00001")) == MAX_ALPHA_POINTS
+    with pytest.raises(ValueError, match="more than 100000 points"):
+        alpha_grid("0", "1", "0.00001")
+    with pytest.raises(ValueError, match="more than"):
+        alpha_grid("0.50", "0.99", "1e-9")
+
+
 def test_cubic_evaluate():
-    c = Cubic(-4.5, 4.75, -0.5, 9, 0.5)
+    c = Cubic(-4.5, 4.75, -0.5)
     assert c.evaluate(0.0) == -0.5
     assert abs(c.evaluate(2.75) - (-0.671875)) < 1e-15

@@ -230,6 +230,17 @@ def test_certify_signs(capsys):
     assert "f: PASS" in out and "g: PASS" in out
 
 
+def test_certify_signs_json(capsys):
+    code, out = run_cli(capsys, "certify", "signs", "--poly", "f", "--m-stop", "11",
+                        "--alpha-stop", "0.75", "--alpha-step", "0.25", "--format", "json")
+    assert code == 0
+    [rec] = json.loads(out)
+    assert set(rec) == {"polynomial", "m_values", "alphas", "min_abs_value", "violations", "passed"}
+    assert rec["polynomial"] == "f" and rec["m_values"] == [9, 11]
+    assert rec["alphas"] == ["0.50", "0.75"]
+    assert rec["violations"] == [] and rec["passed"] is True
+
+
 def test_certify_identity_f_passes_g_fails(capsys):
     code, out = run_cli(capsys, "certify", "identity", "--poly", "f",
                         "--m-stop", "25")
@@ -255,6 +266,7 @@ def test_certify_identity_rejects_unknown_poly(capsys, poly):
     (["--alpha-step", "-0.01"], "step must be positive"),
     (["--alpha-step", "abc"], "needs finite decimals"),
     (["--m-start", "12", "--m-stop", "10"], "empty grid"),
+    (["--alpha-step", "1e-9"], "more than 100000 points"),
 ])
 def test_certify_bad_grid_is_usage_error(capsys, mode, flags, message):
     with pytest.raises(SystemExit) as err:
@@ -363,6 +375,22 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["enumerate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--in", "{missing}", "--alpha", "0.5"],
+    ["convert", "--in", "{missing}"],
+    ["rho", "--in", "{dir}", "--alpha", "0.5"],
+    ["enumerate", "--order", "4", "--out", "{missing}/x"],
+])
+def test_file_errors_are_usage_errors(capsys, tmp_path, argv):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    with pytest.raises(SystemExit) as err:
+        main([arg.format(**paths) for arg in argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno")
 
 
 def test_internal_numerical_failure_exit_3(capsys, monkeypatch):

@@ -247,19 +247,19 @@ def test_edge_addition_strictly_increases_rho():
 def test_column_sums_vanish_on_k2b(k23):
     # K_{2,n-2} is the equality case: every column of B sums to zero.
     for a in (0.5, 0.6, 0.75, 0.9):
-        cert = column_sum_certificate(k23, a, "order")
-        assert cert.parameter == 5
-        assert max(abs(v) for v in cert.column_sums) < 1e-12
+        sums = column_sum_certificate(k23, a, "order")
+        assert len(sums) == 5
+        assert max(abs(v) for v in sums) < 1e-12
     k24 = complete_bipartite(2, 4)
     for a in (0.5, 0.7):
-        cert = column_sum_certificate(k24, a, "size")
-        assert cert.parameter == 8
-        assert max(abs(v) for v in cert.column_sums) < 1e-12
+        sums = column_sum_certificate(k24, a, "size")
+        assert len(sums) == 6
+        assert max(abs(v) for v in sums) < 1e-12
 
 
 def test_column_sums_c5_strictly_negative(c5):
-    cert = column_sum_certificate(c5, 0.6, "order")
-    assert all(abs(v - (-0.8)) < 1e-12 for v in cert.column_sums)
+    sums = column_sum_certificate(c5, 0.6, "order")
+    assert all(abs(v - (-0.8)) < 1e-12 for v in sums)
 
 
 def test_column_sums_cross_checked_on_random_graphs():
