@@ -26,7 +26,7 @@ from .enumeration import (
     ingest_graph6,
     is_isomorphic,
 )
-from .families import FamilyId, OrbitPartition, build, parse_family
+from .families import build
 from .graphs import (
     Graph,
     Graph6Error,

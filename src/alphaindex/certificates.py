@@ -21,7 +21,10 @@ from typing import Callable, Sequence
 
 IDENTITY_RTOL = 1e-9
 ROOT_WIDTH = 1e-13
-MAX_ALPHA_POINTS = 100_000  # the default grid 0.50..0.99 step 0.01 has 50
+# The f/g grid: odd m in 9..99, alpha 0.50..0.99 step 0.01 (50 points).
+GRID_M = (9, 99)
+GRID_ALPHA = ("0.50", "0.99", "0.01")
+MAX_ALPHA_POINTS = 100_000
 
 # f(alpha, m): coefficients of m^5 .. m^0, each an integer polynomial in
 # alpha with coefficients listed by ascending power of alpha.
@@ -258,9 +261,9 @@ def odd_range(start: int, stop: int) -> list[int]:
     return list(range(first, stop + 1, 2))
 
 
-def alpha_grid(start: str = "0.50", stop: str = "0.99", step: str = "0.01") -> list[str]:
+def alpha_grid(start: str, stop: str, step: str) -> list[str]:
     """Decimal-string alpha grid; strings keep report output reproducible."""
-    from decimal import Decimal, InvalidOperation
+    from decimal import Decimal, InvalidOperation, Overflow
 
     try:
         lo, hi, delta = Decimal(start), Decimal(stop), Decimal(step)
@@ -273,13 +276,18 @@ def alpha_grid(start: str = "0.50", stop: str = "0.99", step: str = "0.01") -> l
         )
     if delta <= 0:
         raise ValueError(f"alpha grid step must be positive, got {step!r}")
-    if (hi - lo) / delta >= MAX_ALPHA_POINTS:
+    try:
+        if (hi - lo) / delta >= MAX_ALPHA_POINTS:
+            raise ValueError(
+                f"alpha grid {start}..{stop} step {step} has more than {MAX_ALPHA_POINTS} points"
+            )
+        out = []
+        value = lo
+        while value <= hi:
+            out.append(str(value))
+            value += delta
+    except Overflow:
         raise ValueError(
-            f"alpha grid {start}..{stop} step {step} has more than {MAX_ALPHA_POINTS} points"
-        )
-    out = []
-    value = lo
-    while value <= hi:
-        out.append(str(value))
-        value += delta
+            f"alpha grid {start}..{stop} step {step} overflows decimal arithmetic"
+        ) from None
     return out

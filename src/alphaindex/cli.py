@@ -27,19 +27,23 @@ import csv
 import inspect
 import io
 import json
+import re
 import sys
 from typing import Sequence, TextIO
 
 from . import certificates as ct
 from . import harness as hz
 from .enumeration import (
+    MAX_BUILTIN_ORDER,
+    MAX_MIN2C_ORDER,
+    MAX_SIZE,
     EnumerationLimitError,
     canonical_form,
     graphs_by_order,
     graphs_by_size,
     ingest_graph6,
 )
-from .families import build, parse_family
+from .families import build
 from .graphs import Graph6Error, GraphError, emit_graph6, parse_graph6
 from .spectral import (
     SpectralError,
@@ -58,19 +62,25 @@ _FILTER_NAMES = {
 _IDENTITY_CHECKS = {"f": ct.identity_check_f, "g": ct.identity_check_g}
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """Accept "5..8" and "6,8,10" (and mixtures separated by commas)."""
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
-    if not out:
+def _parse_int_range(text: str) -> list[range]:
+    """Accept "5..8" and "6,8,10" (and mixtures separated by commas); the
+    ranges stay unexpanded until :func:`_capped` has checked them."""
+    out: list[range] = []
+    for part in map(str.strip, text.split(",")):
+        if part:
+            lo, hi = part.split("..", 1) if ".." in part else (part, part)
+            out.append(range(int(lo), int(hi) + 1))
+    if not any(out):
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return sorted(set(out))
+    return out
+
+
+def _capped(ranges: list[range], cap: int, flag: str) -> list[int]:
+    """The sorted values of ``ranges``, once each lies in 1..cap."""
+    for r in ranges:
+        if r and (r[0] < 1 or r[-1] > cap):
+            raise ValueError(f"{flag} {r[0]}..{r[-1]} leaves 1..{cap}, the generator's range")
+    return sorted(set().union(*ranges))
 
 
 def _listed(values: Sequence[int]) -> str:
@@ -93,8 +103,9 @@ def _parse_alphas(text: str) -> list[str]:
 def _input_graphs(args) -> list[tuple[str, object]]:
     """(label, Graph) pairs from --family, --graph6, --in, or stdin."""
     if args.family:
-        fid = parse_family(args.family)
-        return [(str(fid), build(fid)[0])]
+        g, _ = build(args.family)
+        # The label is the text without spaces or leading zeros: " K02,3" is K2,3.
+        return [(re.sub(r"\d+", lambda d: str(int(d[0])), args.family.strip()), g)]
     if args.graph6:
         return [(args.graph6, parse_graph6(args.graph6))]
     with _graph6_lines(args) as stream:
@@ -275,6 +286,9 @@ def _cmd_verify(args) -> int:
     unread = [flag for dest, flag in args.campaign.items() if dest in given and dest not in reads]
     if unread:
         raise ValueError(f"verify {args.target} does not take {', '.join(unread)}")
+    for dest, cap in (("n_values", MAX_MIN2C_ORDER), ("m_values", MAX_SIZE)):
+        if dest in given:
+            given[dest] = _capped(given[dest], cap, args.campaign[dest])
     reports = run(**given)
     if args.target != "lemmas":
         reports = [reports]
@@ -316,11 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(graph_input)
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--poly", default="f,g", help="which polynomials: f, g, or f,g")
-    grid.add_argument("--m-start", type=int, default=9)
-    grid.add_argument("--m-stop", type=int, default=99)
-    grid.add_argument("--alpha-start", default="0.50")
-    grid.add_argument("--alpha-stop", default="0.99")
-    grid.add_argument("--alpha-step", default="0.01")
+    grid.add_argument("--m-start", type=int, default=ct.GRID_M[0])
+    grid.add_argument("--m-stop", type=int, default=ct.GRID_M[1])
+    grid.add_argument("--alpha-start", default=ct.GRID_ALPHA[0])
+    grid.add_argument("--alpha-stop", default=ct.GRID_ALPHA[1])
+    grid.add_argument("--alpha-step", default=ct.GRID_ALPHA[2])
     add_io(grid)
 
     p = sub.add_parser("rho", parents=[graph_input], help="alpha-index and Perron vector")
@@ -334,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="isomorph-free generation")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int,
-                       help="enumerate by order (n <= 13 with --filter min2c, "
-                            "otherwise n <= 9; n = 9 takes about 30 s)")
-    group.add_argument("--size", type=int, help="enumerate minimally 2-connected graphs by size (m <= 16)")
+                       help=f"enumerate by order (n <= {MAX_MIN2C_ORDER} with --filter min2c, "
+                            f"otherwise n <= {MAX_BUILTIN_ORDER}; n = 9 takes about 30 s)")
+    group.add_argument("--size", type=int,
+                       help=f"enumerate minimally 2-connected graphs by size (m <= {MAX_SIZE})")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
     add_io(p, formats=("graph6", "json"))
     p.set_defaults(fn=_cmd_enumerate)
@@ -365,10 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = [
         p.add_argument("--n", dest="n_values", metavar="N", type=_parse_int_range,
                        help=f"theorem1.3 orders, e.g. 5..8 "
-                            f"(default {_listed(hz.THEOREM_ORDERS)}, at most 13)"),
+                            f"(default {_listed(hz.THEOREM_ORDERS)}, at most {MAX_MIN2C_ORDER})"),
         p.add_argument("--m", dest="m_values", metavar="M", type=_parse_int_range,
                        help=f"theorem1.4 sizes, e.g. 6..13 or 9,11,13 "
-                            f"(default {_listed(hz.THEOREM_SIZES)}, at most 16)"),
+                            f"(default {_listed(hz.THEOREM_SIZES)}, at most {MAX_SIZE})"),
         p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_parse_alphas,
                        help="comma-separated alpha grid (default: each target's own; for "
                             "theorems 0.50..0.95 step 0.05 plus 0.999)"),

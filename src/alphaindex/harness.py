@@ -34,8 +34,14 @@ from .connectivity import (
     is_minimally_two_connected_by_deletion,
     triangle_free,
 )
-from .enumeration import canonical_form, graphs_by_order, graphs_by_size
-from .families import FamilyId, build
+from .enumeration import (
+    MAX_BUILTIN_ORDER,
+    MAX_MIN2C_ORDER,
+    canonical_form,
+    graphs_by_order,
+    graphs_by_size,
+)
+from .families import build, complete_bipartite, gab, subdivided_k2
 from .graphs import Graph, emit_graph6
 from .spectral import (
     SpectralError,
@@ -63,6 +69,8 @@ LEMMA_N_MAX = 8
 ROTATION_CASES = 1000
 ROTATION_SEED = 20250808
 ROTATION_BLOCK_FACTOR = 3  # corpus candidates drawn per rotation case still needed
+ROTATION_TRIES = 20  # (u, v) draws per graph before a rotation draw gives up
+EDGE_P_RANGE = (0.25, 0.75)  # a sampled graph's edge probability is uniform on this
 
 
 @dataclass
@@ -198,7 +206,7 @@ def _sub_margin(case: dict) -> bool:
 def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_order(n, "minimally_two_connected")
     forms = [emit_graph6(g) for g in classes]
-    target = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
+    target = canonical_form(complete_bipartite(2, n - 2))
     out = []
     for alpha_str in alphas:
         case = _extremal_case(f"n={n}", classes, forms, target, alpha_str)
@@ -218,9 +226,9 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     even = m % 2 == 0
     asserted = (even and m >= 6) or (not even and m >= 9)
     if even:
-        target = canonical_form(build(FamilyId("K", (2, m // 2)))[0])
+        target = canonical_form(complete_bipartite(2, m // 2))
     elif m >= 5:
-        target = canonical_form(build(FamilyId("SK2", ((m - 1) // 2,)))[0])
+        target = canonical_form(subdivided_k2((m - 1) // 2))
     else:
         target = None
     out = []
@@ -233,7 +241,7 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
         if asserted:
             ok = case["argmax_graph6"] == target
             if not even:
-                rho = alpha_index(build(FamilyId("SK2", ((m - 1) // 2,)))[0], alpha).rho
+                rho = alpha_index(subdivided_k2((m - 1) // 2), alpha).rho
                 root = ct.largest_real_root(ct.sk_cubic(m, alpha))
                 root_dev = abs(rho - root)
                 if root_dev > 1e-9:
@@ -299,14 +307,18 @@ def verify_theorem_size(
 
 # -- lemma suite -------------------------------------------------------------
 
-# target -> builder, in suite order.
+# target -> builder, in suite order; target -> the order cap of the
+# generator that builds its corpus up to ``n_max``.
 _LEMMAS: dict = {}
+_ORDER_CAPS: dict = {}
 
 
-def _lemma(*targets: str):
+def _lemma(*targets: str, order_cap: int | None = None):
     def register(build_report):
         for target in targets:
             _LEMMAS[target] = build_report
+            if order_cap is not None:
+                _ORDER_CAPS[target] = order_cap
         return build_report
     return register
 
@@ -338,6 +350,10 @@ def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[Ve
     unread = given.keys() - lemma_keywords(chosen)
     if unread:
         raise ValueError(f"lemma targets {', '.join(chosen)} do not take {', '.join(sorted(unread))}")
+    n_max = given.get("n_max", LEMMA_N_MAX)
+    for t in chosen:
+        if n_max > _ORDER_CAPS.get(t, n_max):
+            raise ValueError(f"{t} generates classes up to order {_ORDER_CAPS[t]}, got n_max {n_max}")
     return [
         _run(_LEMMAS[t], t, **{k: given[k] for k in _keywords(_LEMMAS[t]) if k in given})
         for t in chosen
@@ -352,7 +368,7 @@ _SLACK = {
 }
 
 
-@_lemma(*_SLACK)
+@_lemma(*_SLACK, order_cap=MAX_BUILTIN_ORDER)
 def _sandwich(
     target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = SANDWICH_ALPHAS,
 ) -> VerificationReport:
@@ -388,7 +404,7 @@ _STRUCTURAL = {
 }
 
 
-@_lemma(*_STRUCTURAL)
+@_lemma(*_STRUCTURAL, order_cap=MAX_MIN2C_ORDER)
 def _structural(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
@@ -399,11 +415,11 @@ def _structural(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     return report
 
 
-@_lemma("lemma5")
+@_lemma("lemma5", order_cap=MAX_MIN2C_ORDER)
 def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
-        extremal_expected = canonical_form(build(FamilyId("K", (2, n - 2)))[0])
+        extremal_expected = canonical_form(complete_bipartite(2, n - 2))
         at_bound = []
         for g in graphs_by_order(n, "minimally_two_connected"):
             if g.m > 2 * n - 4:
@@ -418,7 +434,7 @@ def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     return report
 
 
-@_lemma("lemma6")
+@_lemma("lemma6", order_cap=MAX_BUILTIN_ORDER)
 def _lemma6(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(1, n_max + 1))}, [])
     for n in range(1, n_max + 1):
@@ -433,14 +449,11 @@ def _lemma6(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     return report
 
 
-def sample_connected_graph(
-    rng: random.Random, n_lo: int = 4, n_hi: int = 8,
-    p_lo: float = 0.25, p_hi: float = 0.75,
-) -> Graph:
+def sample_connected_graph(rng: random.Random, n_lo: int = 4, n_hi: int = 8) -> Graph:
     """Seeded Erdos-Renyi draw, redrawn until connected."""
     while True:
         n = rng.randint(n_lo, n_hi)
-        p = rng.uniform(p_lo, p_hi)
+        p = rng.uniform(*EDGE_P_RANGE)
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
@@ -449,8 +462,8 @@ def sample_connected_graph(
             return g
 
 
-def sample_rotation(rng: random.Random, g: Graph, tries: int = 20) -> Rotation | None:
-    for _ in range(tries):
+def sample_rotation(rng: random.Random, g: Graph) -> Rotation | None:
+    for _ in range(ROTATION_TRIES):
         u = rng.randrange(g.n)
         v = rng.randrange(g.n)
         if u == v:
@@ -538,8 +551,8 @@ def _lemma7(
             alpha = float(alpha_str)
             rhos = {}
             for a in range(1, k // 2 + 1):
-                rhos[a] = alpha_index(build(FamilyId("G", (a, k - a)))[0], alpha).rho
-            sk_rho = alpha_index(build(FamilyId("SK2", (k,)))[0], alpha).rho
+                rhos[a] = alpha_index(gab(a, k - a), alpha).rho
+            sk_rho = alpha_index(subdivided_k2(k), alpha).rho
             bad = []
             if abs(rhos[1] - sk_rho) > 1e-9:
                 bad.append(f"m={m}, alpha={alpha_str}: G(1,{k-1}) rho {rhos[1]} != SK rho {sk_rho}")
@@ -564,18 +577,18 @@ def _lemma7(
 @_lemma("lemma8")
 def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
     alphas = list(alphas)
-    fams = [FamilyId("K", (a, b)) for a in range(1, 5) for b in range(1, a + 1)]
-    fams += [FamilyId("SK2", (k,)) for k in range(2, 7)]
-    fams += [FamilyId("G", (a, b)) for a in range(1, 4) for b in range(a, 5)]
-    fams += [FamilyId("C", (n,)) for n in range(3, 11)]
-    report = VerificationReport(target, {"families": [str(f) for f in fams]}, alphas)
-    for fid in fams:
-        g, orbits = build(fid)
+    fams = [f"K{a},{b}" for a in range(1, 5) for b in range(1, a + 1)]
+    fams += [f"SK2,{k}" for k in range(2, 7)]
+    fams += [f"G{a},{b}" for a in range(1, 4) for b in range(a, 5)]
+    fams += [f"C{n}" for n in range(3, 11)]
+    report = VerificationReport(target, {"families": fams}, alphas)
+    for fam in fams:
+        g, blocks = build(fam)
         for alpha_str in alphas:
-            ok = perron_symmetry_check(g, orbits, float(alpha_str))
+            ok = perron_symmetry_check(g, blocks, float(alpha_str))
             report.add(
-                {"case": str(fid), "alpha": alpha_str, "ok": ok},
-                f"{fid}, alpha={alpha_str}: orbit coordinates differ",
+                {"case": fam, "alpha": alpha_str, "ok": ok},
+                f"{fam}, alpha={alpha_str}: orbit coordinates differ",
             )
     return report
 
@@ -588,7 +601,7 @@ def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> Verifica
     if abs(anchor - 2.5) > 1e-12:
         report.violations.append(f"anchor rho_1/2(K_2,3) = {anchor!r}, expected 2.5")
     shapes = [(a, b) for a in range(1, 13) for b in range(1, a + 1)]
-    graphs = [build(FamilyId("K", shape))[0] for shape in shapes]
+    graphs = [complete_bipartite(a, b) for a, b in shapes]
     for alpha_str in alphas:
         alpha = float(alpha_str)
         pairs = perron_pairs(graphs, alpha)
@@ -608,7 +621,7 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     alphas = list(alphas)
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
-    graphs = [build(FamilyId("SK2", ((m - 1) // 2,)))[0] for m in ms]
+    graphs = [subdivided_k2((m - 1) // 2) for m in ms]
     pairs = {s: perron_pairs(graphs, float(s)) for s in alphas}
     for i, m in enumerate(ms):
         for alpha_str in alphas:
@@ -622,13 +635,17 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     return report
 
 
+def _grid_report(target: str) -> VerificationReport:
+    """An empty report over the f/g grid."""
+    return VerificationReport(target, {"m": list(ct.GRID_M), "step": 2}, ct.alpha_grid(*ct.GRID_ALPHA))
+
+
 @_lemma("lemma11")
 def _lemma11(target: str) -> VerificationReport:
-    ms = ct.odd_range(9, 99)
-    grid = ct.alpha_grid("0.50", "0.99", "0.01")
-    report = VerificationReport(target, {"m": [9, 99], "step": 2}, grid)
+    report = _grid_report(target)
+    ms = ct.odd_range(*ct.GRID_M)
     for poly in ("f", "g"):
-        min_abs, violations = ct.sign_grid(poly, ms, grid)
+        min_abs, violations = ct.sign_grid(poly, ms, report.alpha_grid)
         report.add({
             "case": f"sign {poly}", "alpha": "grid",
             "min_abs_value": min_abs,
@@ -670,7 +687,7 @@ def _column_sums(report: VerificationReport, variant: str, label: str, eligible:
         }, *bad)
 
 
-@_lemma("claim-order")
+@_lemma("claim-order", order_cap=MAX_MIN2C_ORDER)
 def _claim_order(
     target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = CERT_ALPHAS,
 ) -> VerificationReport:
@@ -713,15 +730,9 @@ def _fact1(target: str) -> VerificationReport:
     return report
 
 
-def _identity_report(target: str) -> VerificationReport:
-    return VerificationReport(
-        target, {"m": [9, 99], "step": 2}, ct.alpha_grid("0.50", "0.99", "0.01"),
-    )
-
-
 def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) -> bool:
-    """Run one identity check over odd m in 9..99 and the report's alpha grid."""
-    ms = ct.odd_range(9, 99)
+    """Run one identity check over the f/g grid."""
+    ms = ct.odd_range(*ct.GRID_M)
     points = len(ms) * len(report.alpha_grid)
     worst, failures = ct.identity_grid(check, ms, report.alpha_grid)
     report.add({
@@ -741,14 +752,14 @@ def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) 
 
 @_lemma("fact2")
 def _fact2(target: str) -> VerificationReport:
-    report = _identity_report(target)
+    report = _grid_report(target)
     _identity_case(report, "identity grid", ct.identity_check_f, "-8(m-3)^3 p(x0) vs f")
     return report
 
 
 @_lemma("fact3")
 def _fact3(target: str) -> VerificationReport:
-    report = _identity_report(target)
+    report = _grid_report(target)
     # The printed identity 4 p(x1) = g is false; it stays asserted, so
     # fact3 fails, next to the identity that exact expansion gives.
     _identity_case(report, "identity grid", ct.identity_check_g, "4 p(x1) vs g")
@@ -759,7 +770,7 @@ def _fact3(target: str) -> VerificationReport:
     # The inequality the size-theorem proof actually rests on: p(x1) < 0.
     worst = max(
         ct.g_identity_lhs(float(alpha_str), m)
-        for m in ct.odd_range(9, 99)
+        for m in ct.odd_range(*ct.GRID_M)
         for alpha_str in report.alpha_grid
     )
     report.add(

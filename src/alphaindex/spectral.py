@@ -45,6 +45,7 @@ POWER_TOL = 1e-12
 POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
 JACOBI_OFFDIAG_NORM = 1e-13
 COLUMN_SUM_CROSS_TOL = 1e-9
+SYMMETRY_TOL = 1e-9
 
 
 class SpectralError(RuntimeError):
@@ -319,11 +320,11 @@ def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float,
     return sums
 
 
-def perron_symmetry_check(g: Graph, orbits, alpha: float, tol: float = 1e-9) -> bool:
-    """Whether Perron coordinates agree within each orbit block."""
+def perron_symmetry_check(g: Graph, blocks: Sequence[Sequence[int]], alpha: float) -> bool:
+    """Whether Perron coordinates agree within each block of vertices."""
     perron = alpha_index(g, alpha).perron
-    for block in orbits.blocks:
+    for block in blocks:
         values = [perron[v] for v in block]
-        if max(values) - min(values) > tol:
+        if max(values) - min(values) > SYMMETRY_TOL:
             return False
     return True

@@ -242,7 +242,7 @@ def test_grid_helpers():
     assert odd_range(8, 15) == [9, 11, 13, 15]
     grid = alpha_grid("0.50", "0.99", "0.01")
     assert len(grid) == 50 and grid[0] == "0.50" and grid[-1] == "0.99"
-    assert alpha_grid("0.9", "0.5") == []
+    assert alpha_grid("0.9", "0.5", "0.01") == []
 
 
 @pytest.mark.parametrize("start,stop,step", [

@@ -27,6 +27,12 @@ def test_rho_family(capsys):
     assert "perron" in out
 
 
+def test_rho_family_label_is_normalised(capsys):
+    code, out = run_cli(capsys, "rho", "--family", " K02,3", "--alpha", "0.5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["input"] == "K2,3"
+
+
 def test_rho_json(capsys):
     code, out = run_cli(capsys, "rho", "--family", "K2,3", "--alpha", "0.5", "--format", "json")
     assert code == 0
@@ -120,6 +126,37 @@ def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{target} has no cases" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["theorem1.3", "--n", "5..1000000000"], "--n 5..1000000000 leaves 1..13"),
+    (["theorem1.3", "--n=-1000000000..5"], "--n -1000000000..5 leaves 1..13"),
+    (["theorem1.3", "--n", "13..14"], "--n 13..14 leaves 1..13"),
+    (["theorem1.4", "--m", "6,16..17"], "--m 16..17 leaves 1..16"),
+    (["lemmas", "--targets", "lemma3", "--n-max", "1000000000"],
+     "lemma3 generates classes up to order 13, got n_max 1000000000"),
+    (["lemmas", "--targets", "lemma6", "--n-max", "1000000000"],
+     "lemma6 generates classes up to order 9"),
+    (["lemmas", "--targets", "lemma9,lemma1", "--n-max", "10"],
+     "lemma1 generates classes up to order 9"),
+    (["lemmas", "--targets", "lemma2", "--n-max", "10"], "lemma2 generates classes up to order 9"),
+    (["lemmas", "--targets", "lemma4", "--n-max", "14"], "lemma4 generates classes up to order 13"),
+    (["lemmas", "--targets", "lemma5", "--n-max", "14"], "lemma5 generates classes up to order 13"),
+    (["lemmas", "--targets", "claim-order", "--n-max", "14"],
+     "claim-order generates classes up to order 13"),
+])
+def test_verify_range_past_generator_cap_is_usage_error(capsys, monkeypatch, argv, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("generation started before the cap check")
+
+    monkeypatch.setattr(harness, "graphs_by_order", no_work)
+    monkeypatch.setattr(harness, "graphs_by_size", no_work)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("cases", ["0", "-3"])
@@ -267,6 +304,8 @@ def test_certify_identity_rejects_unknown_poly(capsys, poly):
     (["--alpha-step", "abc"], "needs finite decimals"),
     (["--m-start", "12", "--m-stop", "10"], "empty grid"),
     (["--alpha-step", "1e-9"], "more than 100000 points"),
+    (["--alpha-step", "1e999999999"], "overflows decimal arithmetic"),
+    (["--alpha-step", "1e-999999999"], "overflows decimal arithmetic"),
 ])
 def test_certify_bad_grid_is_usage_error(capsys, mode, flags, message):
     with pytest.raises(SystemExit) as err:

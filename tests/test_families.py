@@ -2,37 +2,30 @@ import pytest
 
 from alphaindex.connectivity import is_minimally_two_connected_by_deletion, triangle_free
 from alphaindex.enumeration import canonical_form, is_isomorphic
-from alphaindex.families import (
-    FamilyId,
-    build,
-    complete_bipartite,
-    cycle,
-    gab,
-    parse_family,
-    subdivided_k2,
-)
+from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
+from alphaindex.graphs import Graph
 
 
-def test_parse_family_syntax():
-    assert parse_family("K2,3") == FamilyId("K", (2, 3))
-    assert parse_family("SK2,4") == FamilyId("SK2", (4,))
-    assert parse_family("G1,3") == FamilyId("G", (1, 3))
-    assert parse_family("C7") == FamilyId("C", (7,))
-    for bad in ("K2", "SK2", "G4", "C", "Q5", "K2,3,4", "SK3,4"):
-        with pytest.raises(ValueError):
-            parse_family(bad)
+def test_build_syntax():
+    assert build("K2,3")[0] == Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assert build("C7")[0] == Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)])
+    for text, order, size in (("SK2,4", 7, 9), ("G1,3", 7, 9)):
+        g, _ = build(text)
+        assert (g.n, g.m) == (order, size)
+    for bad in ("K2", "SK2", "G4", "C", "Q5", "K2,3,4", "SK3,4", "C7,3", "SK2,3,4", ""):
+        with pytest.raises(ValueError, match="unrecognized family syntax"):
+            build(bad)
 
 
-def test_family_str_round_trip():
-    for text in ("K2,3", "SK2,4", "G1,3", "C7"):
-        assert str(parse_family(text)) == text
+def test_build_ignores_spaces_and_leading_zeros():
+    for text, plain in ((" K02,3", "K2,3"), ("SK2,04 ", "SK2,4"), ("G01,003", "G1,3"), ("\tC007", "C7")):
+        assert build(text) == build(plain)
 
 
 def test_parameter_validation():
-    for fid in (FamilyId("K", (0, 3)), FamilyId("SK2", (1,)),
-                FamilyId("G", (2, 1)), FamilyId("G", (0, 2)), FamilyId("C", (2,))):
+    for text in ("K0,3", "SK2,1", "G2,1", "G0,2", "C2"):
         with pytest.raises(ValueError):
-            build(fid)
+            build(text)
 
 
 def test_gab_isomorphic_to_subdivided_at_size_9():
@@ -60,16 +53,16 @@ def test_gab_counts():
 
 
 def test_orbit_blocks_cover(sk24):
-    g, orbits = build(FamilyId("SK2", (4,)))
-    flattened = sorted(v for block in orbits.blocks for v in block)
+    g, blocks = build("SK2,4")
+    flattened = sorted(v for block in blocks for v in block)
     assert flattened == list(range(g.n))
 
 
 def test_orbit_merges_when_sides_equal():
-    _, orbits = build(FamilyId("K", (3, 3)))
-    assert len(orbits.blocks) == 1
-    _, orbits = build(FamilyId("K", (2, 3)))
-    assert len(orbits.blocks) == 2
+    _, blocks = build("K3,3")
+    assert len(blocks) == 1
+    _, blocks = build("K2,3")
+    assert len(blocks) == 2
 
 
 def _marked_form(g, u):
@@ -83,19 +76,19 @@ def _marked_form(g, u):
 
 
 def test_orbit_blocks_lie_inside_one_orbit():
-    fams = [FamilyId("K", (a, b)) for a in range(1, 5) for b in range(1, 5)]
-    fams += [FamilyId("SK2", (k,)) for k in range(2, 6)]
-    fams += [FamilyId("G", (a, b)) for a in range(1, 4) for b in range(a, 5)]
-    fams += [FamilyId("C", (n,)) for n in range(4, 9)]
-    for fid in fams:
-        g, orbits = build(fid)
-        assert triangle_free(g), fid
-        for block in orbits.blocks:
-            assert len({_marked_form(g, u) for u in block}) == 1, (fid, block)
+    fams = [f"K{a},{b}" for a in range(1, 5) for b in range(1, 5)]
+    fams += [f"SK2,{k}" for k in range(2, 6)]
+    fams += [f"G{a},{b}" for a in range(1, 4) for b in range(a, 5)]
+    fams += [f"C{n}" for n in range(4, 9)]
+    for fam in fams:
+        g, blocks = build(fam)
+        assert triangle_free(g), fam
+        for block in blocks:
+            assert len({_marked_form(g, u) for u in block}) == 1, (fam, block)
 
 
 def test_marked_forms_separate_orbits():
-    g, _ = build(FamilyId("SK2", (4,)))
+    g, _ = build("SK2,4")
     assert _marked_form(g, 0) != _marked_form(g, 4)  # a hub and a common neighbour
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from alphaindex.connectivity import is_connected
 from alphaindex.enumeration import MAX_SIZE, graphs_by_order, graphs_by_size
-from alphaindex.families import FamilyId, build, complete_bipartite, cycle, subdivided_k2
+from alphaindex.families import build, complete_bipartite, cycle, subdivided_k2
 from alphaindex.graphs import Graph, GraphError
 from alphaindex.harness import CROSS_CHECK_TOL, sample_rotation_cases, verify_lemma_suite
 from alphaindex.spectral import (
@@ -277,21 +277,15 @@ def test_column_sum_variant_checked(c4):
 
 def test_perron_symmetry_families():
     for text, alphas in (("SK2,4", (0.7,)), ("K3,3", (0.5, 0.9)), ("C8", (0.5, 0.9))):
-        from alphaindex.families import parse_family
-
-        g, orbits = build(parse_family(text))
+        g, blocks = build(text)
         for a in alphas:
-            assert perron_symmetry_check(g, orbits, a)
+            assert perron_symmetry_check(g, blocks, a)
 
 
 def test_perron_symmetry_detects_asymmetry(c5):
-    from alphaindex.families import OrbitPartition
-
-    bad = OrbitPartition(blocks=((0, 1), (2, 3, 4)))
     path4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    fake = OrbitPartition(blocks=((0, 1),))
-    assert not perron_symmetry_check(path4, fake, 0.5)
-    assert perron_symmetry_check(c5, bad, 0.5)  # vertex-transitive: any blocks pass
+    assert not perron_symmetry_check(path4, ((0, 1),), 0.5)
+    assert perron_symmetry_check(c5, ((0, 1), (2, 3, 4)), 0.5)  # vertex-transitive: any blocks pass
 
 
 def test_components_and_induced():
