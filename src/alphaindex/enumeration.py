@@ -22,6 +22,24 @@ fixing the prefix carries one sibling's subtree onto another's with the
 same bitstrings.  The minimum bitstring, which alone determines the
 canonical graph, is therefore the one the unpruned search would find.
 
+graph6 ingestion runs the full search only on a graph it cannot match to
+a class already stored.  A graph is keyed by
+its signature: the order and the quotient of its refined unit partition,
+label-invariant because refinement orders cells by invariants alone.  A
+graph whose signature belongs to exactly one stored class is matched
+against that class's minimum bitstring, its target (testing isomorphism
+against a known leaf, as in McKay and Piperno 2014).  The match walks the
+same tree and compares each column code with the target's: a larger code
+prunes the child; a smaller one means the graph's minimum lies below the
+target, so it is not in the class; and a branch node commits to the first
+child whose forced vertices keep the prefix equal, never backtracking, so
+a failed match costs O(n |cell|) refinements.  A complete equal leaf is an
+isomorphism onto the class's canonical graph, so a match is exact.  A miss
+is possible (the committed child may hold no equal leaf), as is a new
+signature or one that two stored classes share; each falls back to the
+full search, whose form the set of seen forms checks as before, so a miss
+costs one search and never a wrong line.
+
 Two generators are provided:
 
 * ears - one cached cell of minimally 2-connected classes per order ``n``
@@ -103,11 +121,17 @@ def _canonical_labeling(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
         raise EnumerationLimitError(
             f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
         )
-    order, automorphisms = _canonical_order(g.n, g.rows)
-    perm = [0] * g.n
+    cells = _refine(g.n, g.rows, [list(range(g.n))])
+    order, automorphisms, _ = _canonical_order(g.n, g.rows, cells)
+    return _positions(order), automorphisms
+
+
+def _positions(order: list[int]) -> tuple[int, ...]:
+    """``perm`` with ``perm[order[i]] == i``."""
+    perm = [0] * len(order)
     for position, v in enumerate(order):
         perm[v] = position
-    return tuple(perm), automorphisms
+    return tuple(perm)
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -116,21 +140,17 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g) == canonical_form(h)
 
 
-def _canonical_order(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[list[int]]]:
+def _canonical_order(
+    n: int, rows: tuple[int, ...], cells: list[list[int]]
+) -> tuple[list[int], list[list[int]], tuple[int, ...]]:
     """Vertex order minimizing the column-major adjacency bitstring over the
-    refinement-consistent search tree, and the automorphisms recorded on
-    the way (``gamma[v]`` the image of ``v``)."""
-    cells = _refine(n, rows, [list(range(n))])
-
+    refinement-consistent search tree rooted at ``cells``, the refined unit
+    partition; the automorphisms recorded on the way (``gamma[v]`` the image
+    of ``v``); and the minimum bitstring itself, one column code per
+    position, which determines the canonical graph."""
     best_cols: tuple[int, ...] | None = None
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
-
-    def column(v: int, order: list[int]) -> int:
-        code = 0
-        for u in order:
-            code = (code << 1) | ((rows[v] >> u) & 1)
-        return code
 
     def descend(cells: list[list[int]], order: list[int], cols: list[int], beats: bool) -> int:
         """Search the subtree; return the position to resume at (``n``: carry on)."""
@@ -140,7 +160,7 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[lis
             """Append forced vertices, pruning against the incumbent."""
             nonlocal beats
             for v in vertices:
-                cols.append(column(v, order))
+                cols.append(_column(rows[v], order))
                 order.append(v)
                 if not beats and best_cols is not None:
                     ref = best_cols[len(cols) - 1]
@@ -150,9 +170,7 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[lis
                         beats = True
             return True
 
-        idx = 0
-        while idx < len(cells) and len(cells[idx]) == 1:
-            idx += 1
+        idx = _forced(cells)
         if not take([cell[0] for cell in cells[:idx]]):
             return n
         remaining = cells[idx:]
@@ -189,7 +207,71 @@ def _canonical_order(n: int, rows: tuple[int, ...]) -> tuple[list[int], list[lis
         return n
 
     descend(cells, [], [], False)
-    return best_order, automorphisms
+    return best_order, automorphisms, best_cols
+
+
+def _column(row: int, order: list[int]) -> int:
+    """Adjacency of a vertex with neighbour mask ``row`` to ``order``, as
+    bits, the first vertex of ``order`` the most significant."""
+    code = 0
+    for u in order:
+        code = (code << 1) | ((row >> u) & 1)
+    return code
+
+
+def _matches(n: int, rows: tuple[int, ...], cells: list[list[int]], target: tuple[int, ...]) -> bool:
+    """Whether the greedy walk of the search tree rooted at ``cells`` that
+    the module docstring describes reaches a leaf with bitstring ``target``,
+    a stored class's minimum.  True is exact; False may be a miss."""
+    order: list[int] = []
+
+    def sign(vertices: list[int]) -> int:
+        """Append ``vertices``; -1, 0 or 1 as their columns fall below,
+        equal or above ``target``'s."""
+        for v in vertices:
+            code, ref = _column(rows[v], order), target[len(order)]
+            order.append(v)
+            if code != ref:
+                return -1 if code < ref else 1
+        return 0
+
+    idx = _forced(cells)
+    if sign([cell[0] for cell in cells[:idx]]):
+        return False
+    cells = cells[idx:]
+    while cells and not _homogeneous(rows, cells):
+        target_cell, rest = cells[0], cells[1:]
+        depth = len(order)
+        for v in target_cell:
+            split = [[v], [u for u in target_cell if u != v]] + [list(c) for c in rest]
+            refined = _refine(n, rows, [c for c in split if c])
+            idx = _forced(refined)
+            below = sign([cell[0] for cell in refined[:idx]])
+            if below < 0:
+                return False
+            if below == 0:
+                cells = refined[idx:]
+                break
+            del order[depth:]
+        else:
+            return False
+    return not sign([v for cell in cells for v in cell])
+
+
+def _forced(cells: list[list[int]]) -> int:
+    """Number of leading singleton cells, the vertices a node fixes."""
+    idx = 0
+    while idx < len(cells) and len(cells[idx]) == 1:
+        idx += 1
+    return idx
+
+
+def _signature(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
+    """``n`` and the quotient of the equitable partition ``cells``: each
+    cell's neighbour count into each cell, in cell order.  Label-invariant,
+    since refinement orders cells by invariants alone."""
+    masks = [_mask(cell) for cell in cells]
+    return (n, *[(rows[cell[0]] & mask).bit_count() for cell in cells for mask in masks])
 
 
 def _orbit(v: int, generators: list[list[int]]) -> int:
@@ -436,9 +518,15 @@ def ingest_graph6(
     computed.  Past the canonical-order cap graphs pass through untouched
     with form ``None`` (the generator is trusted).  Parse errors carry the
     1-based line number.
+
+    Only a new class pays for the full canonical search; a repeat matches
+    its class's minimum bitstring (see the module docstring).
     """
     predicate = _FILTERS[filter]
     seen: set[str] = set()
+    # Signature -> the minimum bitstring of the one stored class that has
+    # it, or None once a second stored class has it too.
+    owners: dict[tuple[int, ...], tuple[int, ...] | None] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -451,10 +539,17 @@ def ingest_graph6(
             continue
         form = None
         if g.n <= MAX_CANONICAL_ORDER:
-            form = canonical_form(g)
+            cells = _refine(g.n, g.rows, [list(range(g.n))])
+            signature = _signature(g.n, g.rows, cells)
+            target = owners.get(signature)
+            if target is not None and _matches(g.n, g.rows, cells, target):
+                continue
+            order, _, cols = _canonical_order(g.n, g.rows, cells)
+            form = emit_graph6(g.relabel(_positions(order)))
             if form in seen:
                 continue
             seen.add(form)
+            owners[signature] = None if signature in owners else cols
         yield g, form
 
 

@@ -4,6 +4,21 @@ import pytest
 
 from alphaindex.graphs import Graph
 
+# The minimally 2-connected classes of order 12 whose signatures (order and
+# refined-partition quotient) collide, by signature.
+SHARED_SIGNATURE_CLASSES_12 = [
+    ["K????B_eAmDw", "K????B_eBMBw"],
+    ["K????BobaYEW", "K????Bobba@w", "K????Bor@e@w"],
+    ["K_????sIcqGw", "K_????wHcqGw"],
+    ["K_???AoR@UAw", "K_???AoR@e@w"],
+    ["K`???AKOpSAg", "K`???AKOpWAW", "K`???AKQ`IAW"],
+    ["Ko???@WH_i@W", "Ko???@WH_q?w"],
+]
+
+# Relabellings of the class HC`Q`Wi whose match search misses: a branch it
+# commits to holds no leaf equal to the class's minimum.
+MISSED_MATCHES = ["H?kaf@S", "HS?JHpS"]
+
 
 @pytest.fixture
 def k23():
@@ -46,3 +61,26 @@ def disjoint_union(*graphs: Graph) -> Graph:
         edges += [(u + offset, v + offset) for u, v in g.edges()]
         offset += g.n
     return Graph.from_edges(offset, edges)
+
+
+def ear_graph(rng: random.Random, n: int) -> Graph:
+    """A cycle of 5 to ``n`` vertices plus open ears of 2 to 4 edges between
+    random non-adjacent vertices, until the order is ``n``."""
+    k = rng.randint(5, n)
+    edges = {tuple(sorted((i, (i + 1) % k))) for i in range(k)}
+    size = k
+    while size < n:
+        length = rng.randint(2, min(4, n - size + 1))
+        u, v = rng.sample(range(size), 2)
+        while tuple(sorted((u, v))) in edges:
+            u, v = rng.sample(range(size), 2)
+        chain = [u, *range(size, size + length - 1), v]
+        edges.update(tuple(sorted(e)) for e in zip(chain, chain[1:]))
+        size += length - 1
+    return Graph.from_edges(n, edges)
+
+
+def relabelled(rng: random.Random, g: Graph) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(tuple(perm))

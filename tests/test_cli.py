@@ -7,11 +7,21 @@ import pytest
 
 from alphaindex import cli, enumeration, harness
 from alphaindex.cli import main
-from alphaindex.connectivity import is_minimally_two_connected_by_deletion
+from alphaindex.connectivity import is_minimally_two_connected_by_deletion, is_two_connected
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import complete_bipartite, cycle
-from alphaindex.graphs import emit_graph6, parse_graph6
+from alphaindex.graphs import Graph, emit_graph6, parse_graph6
 from alphaindex.spectral import ConvergenceError, SpectralError
+
+from conftest import (
+    MISSED_MATCHES,
+    SHARED_SIGNATURE_CLASSES_12,
+    circulant,
+    disjoint_union,
+    ear_graph,
+    random_graph,
+    relabelled,
+)
 
 
 def run_cli(capsys, *argv):
@@ -379,17 +389,8 @@ def test_convert_canonical_up_to_order_20(capsys, tmp_path):
     assert err.value.code == 2
 
 
-def test_convert_canonical_labels_each_accepted_graph_once(capsys, monkeypatch, tmp_path):
-    rng = random.Random(21)
-    graphs = [cycle(7), complete_bipartite(2, 4), complete_bipartite(3, 3)]
-    lines = []
-    for _ in range(3):
-        for g in graphs:
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            lines.append(emit_graph6(g.relabel(tuple(perm))))
-    src = tmp_path / "in.g6"
-    src.write_text("".join(line + "\n" for line in lines))
+def _counted_searches(monkeypatch) -> list:
+    """Record each full canonical search ``enumeration`` runs."""
     calls = []
     search = enumeration._canonical_order
 
@@ -398,13 +399,118 @@ def test_convert_canonical_labels_each_accepted_graph_once(capsys, monkeypatch, 
         return search(*args)
 
     monkeypatch.setattr(enumeration, "_canonical_order", counted)
+    return calls
+
+
+def test_convert_canonical_labels_each_class_once(capsys, monkeypatch, tmp_path):
+    rng = random.Random(21)
+    graphs = [cycle(7), complete_bipartite(2, 4), complete_bipartite(3, 3)]
+    lines = [emit_graph6(relabelled(rng, g)) for _ in range(3) for g in graphs]
+    src = tmp_path / "in.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    calls = _counted_searches(monkeypatch)
     code, out = run_cli(capsys, "convert", "--in", str(src), "--filter", "min2c", "--canonical")
     assert code == 0
     accepted = [line for line in lines if is_minimally_two_connected_by_deletion(parse_graph6(line))]
     assert len(accepted) == 6  # K_{3,3} has chorded cycles
-    assert len(calls) == len(accepted)
-    monkeypatch.setattr(enumeration, "_canonical_order", search)
+    assert len(calls) == 2  # the repeats match their class's minimum leaf
     assert out.split() == [canonical_form(parse_graph6(line)) for line in accepted[:2]]
+
+
+def _first_occurrences(lines, keep, canonical):
+    """The full-search reference: each class's first line that ``keep``
+    accepts, as its canonical form or as given."""
+    seen, out = set(), []
+    for line in lines:
+        g = parse_graph6(line)
+        if keep(g):
+            form = canonical_form(g)
+            if form not in seen:
+                seen.add(form)
+                out.append(form if canonical else line)
+    return "".join(line + "\n" for line in out)
+
+
+@pytest.mark.parametrize("name,keep", [
+    ("all", lambda g: True),
+    ("2conn", is_two_connected),
+    ("min2c", is_minimally_two_connected_by_deletion),
+])
+@pytest.mark.parametrize("canonical", [False, True])
+def test_convert_matches_the_full_search_reference(capsys, tmp_path, name, keep, canonical):
+    rng = random.Random(1909)
+    pool = [ear_graph(rng, rng.randint(9, 13)) for _ in range(30)]
+    lines = [emit_graph6(relabelled(rng, rng.choice(pool))) for _ in range(150)]
+    lines += [emit_graph6(random_graph(rng, rng.randint(9, 13), 0.4)) for _ in range(50)]
+    lines += [emit_graph6(relabelled(rng, parse_graph6(form)))
+              for _ in range(3) for bucket in SHARED_SIGNATURE_CLASSES_12
+              for form in bucket]
+    rng.shuffle(lines)
+    lines += [emit_graph6(relabelled(rng, parse_graph6("HC`Q`Wi"))), *MISSED_MATCHES]
+    src = tmp_path / "in.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    argv = ["convert", "--in", str(src), "--filter", name] + ["--canonical"] * canonical
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == _first_occurrences(lines, keep, canonical)
+
+
+K4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+
+
+@pytest.mark.parametrize("pair", [
+    (cycle(16), disjoint_union(cycle(8), cycle(8))),
+    (disjoint_union(K4, K4, K4, K4), circulant(16, (1, 8))),  # cubic, connected
+])
+@pytest.mark.parametrize("swap", [False, True])
+def test_convert_symmetric_collisions_cost_one_failed_match(capsys, monkeypatch, tmp_path,
+                                                            pair, swap):
+    first, second = pair[::-1] if swap else pair
+    rng = random.Random(16)
+    lines = [emit_graph6(relabelled(rng, g)) for g in [first] * 4 + [second]]
+    src = tmp_path / "in.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    calls = _counted_searches(monkeypatch)
+    refinements, matches = [], []
+    refine, match = enumeration._refine, enumeration._matches
+
+    def counted_refine(*args):
+        refinements.append(None)
+        return refine(*args)
+
+    def counted_match(*args):
+        before = len(refinements)
+        found = match(*args)
+        matches.append((found, len(refinements) - before))
+        return found
+
+    monkeypatch.setattr(enumeration, "_refine", counted_refine)
+    monkeypatch.setattr(enumeration, "_matches", counted_match)
+    code, out = run_cli(capsys, "convert", "--in", str(src), "--filter", "all", "--canonical")
+    assert code == 0
+    classes, shared = 2, 1  # both graphs share one signature
+    assert len(calls) <= classes + shared
+    assert [found for found, _ in matches] == [True, True, True, False]
+    # A committed branch is never left, so a match costs at most n |cell|.
+    assert all(cost <= 16 * 16 for _, cost in matches)
+    monkeypatch.undo()
+    assert out == _first_occurrences(lines, lambda g: True, True)
+
+
+def test_convert_searches_once_per_printed_line(capsys, monkeypatch, tmp_path):
+    rng = random.Random(2025)
+    pool = [ear_graph(rng, rng.randint(9, 13)) for _ in range(40)]
+    lines = [emit_graph6(relabelled(rng, rng.choice(pool))) for _ in range(400)]
+    src = tmp_path / "in.g6"
+    src.write_text("".join(line + "\n" for line in lines))
+    calls = _counted_searches(monkeypatch)
+    code, out = run_cli(capsys, "convert", "--in", str(src), "--filter", "min2c", "--canonical")
+    assert code == 0
+    printed = out.split()
+    assert 0 < 5 * len(printed) < len(lines)
+    assert len(calls) == len(printed)
+    monkeypatch.undo()
+    assert out == _first_occurrences(lines, is_minimally_two_connected_by_deletion, True)
 
 
 def test_usage_error_exit_2(capsys):

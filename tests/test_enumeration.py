@@ -21,7 +21,14 @@ from alphaindex.enumeration import (
 from alphaindex.families import complete_bipartite, cycle, gab, subdivided_k2
 from alphaindex.graphs import Graph, Graph6Error, emit_graph6, iter_bits, parse_graph6
 
-from conftest import circulant, disjoint_union, random_graph
+from conftest import (
+    MISSED_MATCHES,
+    SHARED_SIGNATURE_CLASSES_12,
+    circulant,
+    disjoint_union,
+    random_graph,
+    relabelled,
+)
 
 # Isomorphism classes of simple graphs on n vertices (OEIS A000088).
 KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
@@ -396,3 +403,54 @@ def test_ingest_filter_applied(c4):
     lines = [emit_graph6(c4), "A_"]
     got = list(ingest_graph6(lines, "two_connected"))
     assert len(got) == 1 and got[0][0].n == 4
+
+
+def _search(g):
+    cells = enumeration._refine(g.n, g.rows, [list(range(g.n))])
+    return cells, enumeration._canonical_order(g.n, g.rows, cells)
+
+
+def test_match_never_accepts_a_class_sharing_the_signature():
+    rng = random.Random(12)
+    for bucket in SHARED_SIGNATURE_CLASSES_12:
+        graphs = [parse_graph6(form) for form in bucket]
+        targets = [_search(g)[1][2] for g in graphs]
+        signatures = {enumeration._signature(g.n, g.rows, _search(g)[0]) for g in graphs}
+        assert len(signatures) == 1
+        for g in graphs:
+            h = relabelled(rng, g)
+            cells = _search(h)[0]
+            for form, target in zip(bucket, targets):
+                # True is exact; a False on the own class is a miss, which
+                # costs a full search only.
+                if enumeration._matches(h.n, h.rows, cells, target):
+                    assert form == emit_graph6(g)
+
+
+def test_minimum_leaf_is_the_canonical_form():
+    rng = random.Random(5)
+    for g in [random_graph(rng, n, 0.3) for n in range(1, 14)]:
+        _, (order, _, cols) = _search(g)
+        h = canonical_relabel(g)
+        assert emit_graph6(g.relabel(enumeration._positions(order))) == emit_graph6(h)
+        assert cols == tuple(enumeration._column(h.rows[v], list(range(v))) for v in range(g.n))
+
+
+def test_missed_match_costs_one_full_search(monkeypatch):
+    form = "HC`Q`Wi"
+    _, (_, _, target) = _search(parse_graph6(form))
+    for line in MISSED_MATCHES:
+        g = parse_graph6(line)
+        assert canonical_form(g) == form
+        assert not enumeration._matches(g.n, g.rows, _search(g)[0], target)
+    calls = []
+    search = enumeration._canonical_order
+
+    def counted(*args):
+        calls.append(None)
+        return search(*args)
+
+    monkeypatch.setattr(enumeration, "_canonical_order", counted)
+    got = list(ingest_graph6([form, *MISSED_MATCHES]))
+    assert [(emit_graph6(g), f) for g, f in got] == [(form, form)]
+    assert len(calls) == 1 + len(MISSED_MATCHES)
