@@ -24,7 +24,6 @@ from .enumeration import (
     graphs_by_order,
     graphs_by_size,
     ingest_graph6,
-    is_isomorphic,
 )
 from .families import build
 from .graphs import (

@@ -1,44 +1,51 @@
 """Isomorph-free generation, canonical forms, and graph6 stream ingestion.
 
 Canonical forms are exact: two graphs receive the same form precisely when
-they are isomorphic.  The labeling is found by individualization-refinement
-over the equitable degree partition, comparing adjacency bitstrings in
-graph6 column order and keeping the minimum.  A homogeneity shortcut
-collapses the search on cells whose internal and pairwise adjacency is
-complete or empty (complete multipartite-like situations), which is where
-naive backtracking degenerates.
+they are isomorphic.  Labeling is individualization-refinement (McKay,
+J. Algorithms 26, 1998; McKay and Piperno, J. Symb. Comput. 60, 2014) over
+one search tree, rooted at the equitable refinement of the unit partition.
+A node fixes, in order, the vertex of each leading singleton cell
+(``_node``).  If the cells that remain are homogeneous - each cell's
+internal adjacency and each pair of cells' adjacency complete or empty,
+where naive backtracking degenerates - every consistent completion yields
+the same bitstring, so the node fixes them too and is a leaf.  Otherwise
+it branches on the first remaining cell: the child for ``v`` splits ``v``
+off in front of the rest of its cell and refines (``_individualize``).  A
+leaf's bitstring is each vertex's adjacency to the vertices fixed before
+it, one graph6 column code per position.  Refinement, the target cell and
+the homogeneity test depend only on cell sets and the fixed prefix, so an
+isomorphism carries one graph's tree onto the other's, bitstrings and all.
 
-The search prunes by automorphisms, as in McKay's individualization-
-refinement (J. Algorithms 26, 1998; McKay and Piperno, J. Symb. Comput.
-60, 2014).  A leaf whose bitstring equals the incumbent's gives the
-automorphism ``incumbent order[i] -> leaf order[i]``.  The search then
-jumps back to the node where the two orders part, since that automorphism
-maps the explored subtree holding the incumbent onto the current one; and
-a branch node skips every target vertex in the orbit of an explored
-sibling under the recorded automorphisms that fix its prefix pointwise.
-Both are exact: refinement, the choice of target cell and the homogeneity
-test depend only on cell sets and the consumed prefix, so an automorphism
-fixing the prefix carries one sibling's subtree onto another's with the
-same bitstrings.  The minimum bitstring, which alone determines the
-canonical graph, is therefore the one the unpruned search would find.
+The tree is walked two ways.
 
-graph6 ingestion runs the full search only on a graph it cannot match to
-a class already stored.  A graph is keyed by
-its signature: the order and the quotient of its refined unit partition,
-label-invariant because refinement orders cells by invariants alone.  A
-graph whose signature belongs to exactly one stored class is matched
-against that class's minimum bitstring, its target (testing isomorphism
-against a known leaf, as in McKay and Piperno 2014).  The match walks the
-same tree and compares each column code with the target's: a larger code
-prunes the child; a smaller one means the graph's minimum lies below the
-target, so it is not in the class; and a branch node commits to the first
-child whose forced vertices keep the prefix equal, never backtracking, so
-a failed match costs O(n |cell|) refinements.  A complete equal leaf is an
-isomorphism onto the class's canonical graph, so a match is exact.  A miss
-is possible (the committed child may hold no equal leaf), as is a new
-signature or one that two stored classes share; each falls back to the
-full search, whose form the set of seen forms checks as before, so a miss
-costs one search and never a wrong line.
+* The search (``_canonical_order``) backtracks to the minimum leaf, which
+  alone determines the canonical graph, pruning by automorphisms.  A leaf
+  whose bitstring equals the incumbent's gives the automorphism
+  ``incumbent order[i] -> leaf order[i]``; the search jumps back to the
+  node where the two orders part, since that automorphism maps the
+  explored subtree holding the incumbent onto the current one.  A branch
+  node skips every target vertex in the orbit of an explored sibling
+  under the recorded automorphisms that fix its prefix pointwise.  Both
+  are exact, so the minimum is the one the unpruned search would find.
+  ``_canonical`` is the one labeling entry.
+* The match (``_matches``) tests a graph against a stored class's minimum
+  bitstring, its target (testing isomorphism against a known leaf, as in
+  McKay and Piperno 2014), comparing each column code with the target's.
+  A larger code prunes the child; a smaller one means the graph's minimum
+  lies below the target, so it is not in the class; and a branch node
+  commits to the first child whose fixed vertices keep the prefix equal
+  and never leaves it, so a failed match costs O(n |cell|) refinements.
+  A complete equal leaf is an isomorphism onto the class's canonical
+  graph, so a match is exact; a miss is possible, since the committed
+  child may hold no equal leaf.
+
+graph6 ingestion keys a graph by its signature: the order and the
+quotient of its refined unit partition, label-invariant because
+refinement orders cells by invariants alone.  A graph whose signature
+belongs to exactly one stored class is matched against that class's
+minimum bitstring.  A miss, a new signature or one that two stored
+classes share falls back to the search, whose form the set of seen forms
+checks as before, so a miss costs one search and never a wrong line.
 
 Two generators are provided:
 
@@ -104,50 +111,66 @@ class EnumerationLimitError(GraphError):
 # -- canonical labeling ----------------------------------------------------
 
 
+Generators = tuple[tuple[int, ...], ...]
+
+
 def canonical_form(g: Graph) -> str:
     """Canonical graph6 string; equal for two graphs iff they are isomorphic."""
-    return emit_graph6(canonical_relabel(g))
+    return _canonical(g)[1]
 
 
-def canonical_relabel(g: Graph) -> Graph:
-    """The canonically labeled copy of ``g``."""
-    return g.relabel(_canonical_labeling(g)[0])
-
-
-def _canonical_labeling(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
-    """``perm`` with ``perm[v]`` the canonical label of ``v``, and the
-    automorphisms of ``g`` that the canonical search recorded."""
+def _canonical(
+    g: Graph, cells: list[list[int]] | None = None
+) -> tuple[Graph, str, tuple[int, ...], Generators]:
+    """The canonically labeled copy of ``g``, its graph6 form, its minimum
+    bitstring, and the automorphisms the search recorded, carried to
+    canonical labels.  ``cells`` is the refined unit partition, if the
+    caller has it."""
     if g.n > MAX_CANONICAL_ORDER:
         raise EnumerationLimitError(
             f"canonical form supports n <= {MAX_CANONICAL_ORDER}, got {g.n}"
         )
-    cells = _refine(g.n, g.rows, [list(range(g.n))])
-    order, automorphisms, _ = _canonical_order(g.n, g.rows, cells)
-    return _positions(order), automorphisms
-
-
-def _positions(order: list[int]) -> tuple[int, ...]:
-    """``perm`` with ``perm[order[i]] == i``."""
-    perm = [0] * len(order)
+    if cells is None:
+        cells = _refine(g.n, g.rows, [list(range(g.n))])
+    order, automorphisms, cols = _canonical_order(g.n, g.rows, cells)
+    perm = [0] * g.n
     for position, v in enumerate(order):
         perm[v] = position
-    return tuple(perm)
+    h = g.relabel(tuple(perm))
+    # Label i is vertex order[i], which gamma maps to label perm[gamma[order[i]]].
+    generators = tuple(tuple(perm[gamma[v]] for v in order) for gamma in automorphisms)
+    return h, emit_graph6(h), cols, generators
 
 
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g) == canonical_form(h)
+def _node(rows: tuple[int, ...], cells: list[list[int]]) -> tuple[list[int], list[list[int]] | None]:
+    """The vertices the search-tree node at the equitable partition
+    ``cells`` fixes, in order, and the cells it branches on (the first is
+    the target cell), or ``None`` at a leaf."""
+    idx = 0
+    while idx < len(cells) and len(cells[idx]) == 1:
+        idx += 1
+    fixed, remaining = [cell[0] for cell in cells[:idx]], cells[idx:]
+    if not remaining or _homogeneous(rows, remaining):
+        # Any consistent completion yields the same bitstring.
+        return fixed + [v for cell in remaining for v in cell], None
+    return fixed, remaining
+
+
+def _individualize(
+    n: int, rows: tuple[int, ...], cells: list[list[int]], v: int
+) -> list[list[int]]:
+    """The child of the node branching on ``cells`` that fixes ``v``, a
+    vertex of the target cell ``cells[0]``."""
+    split = [[v], [u for u in cells[0] if u != v]] + cells[1:]
+    return _refine(n, rows, [c for c in split if c])
 
 
 def _canonical_order(
     n: int, rows: tuple[int, ...], cells: list[list[int]]
 ) -> tuple[list[int], list[list[int]], tuple[int, ...]]:
-    """Vertex order minimizing the column-major adjacency bitstring over the
-    refinement-consistent search tree rooted at ``cells``, the refined unit
-    partition; the automorphisms recorded on the way (``gamma[v]`` the image
-    of ``v``); and the minimum bitstring itself, one column code per
-    position, which determines the canonical graph."""
+    """The order of the minimum leaf of the search tree rooted at ``cells``,
+    the refined unit partition; the automorphisms recorded on the way
+    (``gamma[v]`` the image of ``v``); and the minimum bitstring itself."""
     best_cols: tuple[int, ...] | None = None
     best_order: list[int] = []
     automorphisms: list[list[int]] = []
@@ -155,43 +178,26 @@ def _canonical_order(
     def descend(cells: list[list[int]], order: list[int], cols: list[int], beats: bool) -> int:
         """Search the subtree; return the position to resume at (``n``: carry on)."""
         nonlocal best_cols, best_order
-
-        def take(vertices: list[int]) -> bool:
-            """Append forced vertices, pruning against the incumbent."""
-            nonlocal beats
-            for v in vertices:
-                cols.append(_column(rows[v], order))
-                order.append(v)
-                if not beats and best_cols is not None:
-                    ref = best_cols[len(cols) - 1]
-                    if cols[-1] > ref:
-                        return False
-                    if cols[-1] < ref:
-                        beats = True
-            return True
-
-        idx = _forced(cells)
-        if not take([cell[0] for cell in cells[:idx]]):
+        fixed, branch = _node(rows, cells)
+        for v in fixed:
+            cols.append(_column(rows[v], order))
+            order.append(v)
+            if not beats and best_cols is not None:
+                ref = best_cols[len(cols) - 1]
+                if cols[-1] > ref:
+                    return n
+                beats = cols[-1] < ref
+        if branch is not None:
+            explored = 0
+            for v in branch[0]:
+                fixing = [g for g in automorphisms if all(g[u] == u for u in order)]
+                if _orbit(v, fixing) & explored:
+                    continue
+                back = descend(_individualize(n, rows, branch, v), list(order), list(cols), beats)
+                if back < len(order):
+                    return back
+                explored |= 1 << v
             return n
-        remaining = cells[idx:]
-        if remaining:
-            if not _homogeneous(rows, remaining):
-                target, rest = remaining[0], remaining[1:]
-                explored = 0
-                for v in target:
-                    fixing = [g for g in automorphisms if all(g[u] == u for u in order)]
-                    if _orbit(v, fixing) & explored:
-                        continue
-                    split = [[v], [u for u in target if u != v]] + [list(c) for c in rest]
-                    refined = _refine(n, rows, [c for c in split if c])
-                    back = descend(refined, list(order), list(cols), beats)
-                    if back < len(order):
-                        return back
-                    explored |= 1 << v
-                return n
-            # Any consistent completion yields the same bitstring.
-            if not take([v for cell in remaining for v in cell]):
-                return n
         leaf = tuple(cols)
         if best_cols is None or leaf < best_cols:
             best_cols, best_order = leaf, list(order)
@@ -235,35 +241,23 @@ def _matches(n: int, rows: tuple[int, ...], cells: list[list[int]], target: tupl
                 return -1 if code < ref else 1
         return 0
 
-    idx = _forced(cells)
-    if sign([cell[0] for cell in cells[:idx]]):
+    fixed, branch = _node(rows, cells)
+    if sign(fixed):
         return False
-    cells = cells[idx:]
-    while cells and not _homogeneous(rows, cells):
-        target_cell, rest = cells[0], cells[1:]
+    while branch is not None:
         depth = len(order)
-        for v in target_cell:
-            split = [[v], [u for u in target_cell if u != v]] + [list(c) for c in rest]
-            refined = _refine(n, rows, [c for c in split if c])
-            idx = _forced(refined)
-            below = sign([cell[0] for cell in refined[:idx]])
+        for v in branch[0]:
+            fixed, child = _node(rows, _individualize(n, rows, branch, v))
+            below = sign(fixed)
             if below < 0:
                 return False
             if below == 0:
-                cells = refined[idx:]
+                branch = child
                 break
             del order[depth:]
         else:
             return False
-    return not sign([v for cell in cells for v in cell])
-
-
-def _forced(cells: list[list[int]]) -> int:
-    """Number of leading singleton cells, the vertices a node fixes."""
-    idx = 0
-    while idx < len(cells) and len(cells[idx]) == 1:
-        idx += 1
-    return idx
+    return True
 
 
 def _signature(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> tuple[int, ...]:
@@ -375,8 +369,8 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
             k = mask.bit_count()
             if k > low + 1 or (k == low + 1 and lows & ~mask):
                 continue
-            h = canonical_relabel(parent.add_vertex(mask))
-            seen[emit_graph6(h)] = h
+            h, key, _, _ = _canonical(parent.add_vertex(mask))
+            seen[key] = h
     return tuple(seen[key] for key in sorted(seen))
 
 
@@ -411,9 +405,6 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
 # -- ear generation (minimally 2-connected, by order and size) ---------------
 
 
-Generators = tuple[tuple[int, ...], ...]
-
-
 @lru_cache(maxsize=None)
 def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     """Minimally 2-connected classes of order ``n`` and size ``m``, sorted by
@@ -429,11 +420,9 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     seen: dict[str, tuple[Graph, Generators, str]] = {}
 
     def add(child: Graph) -> None:
-        perm, automorphisms = _canonical_labeling(child)
-        h = child.relabel(perm)
-        key = emit_graph6(h)
+        h, key, _, generators = _canonical(child)
         if key not in seen:
-            seen[key] = (h, tuple(_conjugate(gamma, perm) for gamma in automorphisms), key)
+            seen[key] = (h, generators, key)
 
     if n == m:
         add(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
@@ -449,15 +438,6 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
                         expanded |= _pair_orbit(u, v, generators)
                         add(_add_ear(g, u, v, length))
     return tuple(seen[key] for key in sorted(seen))
-
-
-def _conjugate(gamma: list[int], perm: tuple[int, ...]) -> tuple[int, ...]:
-    """The automorphism ``gamma`` of a graph, carried to its relabeling by
-    ``perm``."""
-    sigma = [0] * len(perm)
-    for v, w in enumerate(gamma):
-        sigma[perm[v]] = perm[w]
-    return tuple(sigma)
 
 
 def _pair_orbit(u: int, v: int, generators: Generators) -> set[tuple[int, int]]:
@@ -544,8 +524,7 @@ def ingest_graph6(
             target = owners.get(signature)
             if target is not None and _matches(g.n, g.rows, cells, target):
                 continue
-            order, _, cols = _canonical_order(g.n, g.rows, cells)
-            form = emit_graph6(g.relabel(_positions(order)))
+            _, form, cols, _ = _canonical(g, cells)
             if form in seen:
                 continue
             seen.add(form)
@@ -560,9 +539,7 @@ __all__ = [
     "MAX_MIN2C_ORDER",
     "MAX_SIZE",
     "canonical_form",
-    "canonical_relabel",
     "graphs_by_order",
     "graphs_by_size",
     "ingest_graph6",
-    "is_isomorphic",
 ]

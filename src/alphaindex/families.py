@@ -26,6 +26,11 @@ from .graphs import Graph
 
 _FAMILY_RE = re.compile(r"(SK2,|K|G|C)(\d+)(?:,(\d+))?")
 
+# Spectra come from dense n x n matrices, so a family text naming a larger
+# order is refused before its edge list is built.  The largest member a
+# campaign builds is K12,12 (lemma9).
+MAX_FAMILY_ORDER = 1000
+
 
 def build(text: str) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
     """The family member named by ``text`` (K{a},{b}, SK2,{k}, G{a},{b} or
@@ -36,6 +41,9 @@ def build(text: str) -> tuple[Graph, tuple[tuple[int, ...], ...]]:
         raise ValueError(f"unrecognized family syntax {text!r}")
     kind = match[1]
     params = [int(p) for p in match.groups()[1:] if p is not None]
+    order = sum(params) + (3 if kind in ("SK2,", "G") else 0)
+    if order > MAX_FAMILY_ORDER:
+        raise ValueError(f"{text.strip()} has order {order}; families stop at {MAX_FAMILY_ORDER}")
     if kind == "K":
         a, b = params
         if a < 1 or b < 1:

@@ -492,7 +492,7 @@ def sample_rotation_cases(
     return cases
 
 
-@_lemma("lemma7")
+@_lemma("lemma7", order_cap=MAX_BUILTIN_ORDER)
 def _lemma7(
     target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = DEFAULT_ALPHAS,
     rotation_cases: int = ROTATION_CASES, seed: int = ROTATION_SEED,

@@ -99,17 +99,12 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     return entries
 
 
-def alpha_index(
-    g: Graph,
-    alpha: float,
-    tol: float = POWER_TOL,
-    max_iterations: int = POWER_MAX_ITERATIONS,
-) -> SpectralResult:
+def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     """Largest eigenvalue of A_alpha with its unit-sum Perron vector.
 
-    Relative residual tolerance ``tol`` is measured as
-    max|A_alpha x - rho x| <= tol * max(rho, 1).  ``iterations`` in the
-    result counts squarings, at most ``max_iterations``.
+    Relative residual tolerance ``POWER_TOL`` is measured as
+    max|A_alpha x - rho x| <= POWER_TOL * max(rho, 1).  ``iterations`` in
+    the result counts squarings, at most ``POWER_MAX_ITERATIONS``.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
@@ -117,18 +112,18 @@ def alpha_index(
         raise DisconnectedGraphError("alpha_index needs a connected graph")
     a = alpha_matrix(g, alpha)
     p = a + np.eye(g.n)  # primitive for every alpha in [0, 1)
-    for iteration in range(max_iterations + 1):
+    for iteration in range(POWER_MAX_ITERATIONS + 1):
         # x is the 2^iteration-th power iterate from the all-ones vector.
         x = p.sum(axis=1)
         x /= x.sum()
         ax = a @ x
         rho = float(x @ ax) / float(x @ x)
         residual = float(np.max(np.abs(ax - rho * x)))
-        if residual <= tol * max(rho, 1.0) and x.min() > 0.0:
+        if residual <= POWER_TOL * max(rho, 1.0) and x.min() > 0.0:
             return SpectralResult(alpha, rho, x, residual, iteration)
         p = p @ p
         p /= p.max()
-    raise ConvergenceError(residual, max_iterations)
+    raise ConvergenceError(residual, POWER_MAX_ITERATIONS)
 
 
 def perron_pairs(graphs: Sequence[Graph], alpha: float) -> list[Perron]:
@@ -216,10 +211,11 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
     return Graph.from_edges(len(vertices), edges)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, tol: float = JACOBI_OFFDIAG_NORM) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps until the off-diagonal Frobenius norm drops below ``tol``.
+    Sweeps until the off-diagonal Frobenius norm drops below
+    ``JACOBI_OFFDIAG_NORM``.
     Used as an independent oracle against power iteration.
     """
     a = np.array(matrix, dtype=float)
@@ -229,12 +225,12 @@ def jacobi_eigenvalues(matrix: np.ndarray, tol: float = JACOBI_OFFDIAG_NORM) -> 
     for _ in range(100):
         offdiag = a - np.diag(np.diag(a))
         off = float(np.sqrt(np.sum(offdiag**2)))
-        if off <= tol:
+        if off <= JACOBI_OFFDIAG_NORM:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
-                if abs(apq) <= 0.1 * tol / (n * n):
+                if abs(apq) <= 0.1 * JACOBI_OFFDIAG_NORM / (n * n):
                     continue
                 tau = (a[q, q] - a[p, p]) / (2.0 * apq)
                 if tau >= 0.0:

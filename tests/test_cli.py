@@ -154,6 +154,9 @@ def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
     (["lemmas", "--targets", "lemma5", "--n-max", "14"], "lemma5 generates classes up to order 13"),
     (["lemmas", "--targets", "claim-order", "--n-max", "14"],
      "claim-order generates classes up to order 13"),
+    (["lemmas", "--targets", "lemma7", "--n-max", "10"], "lemma7 generates classes up to order 9"),
+    (["lemmas", "--targets", "lemma7", "--n-max", "1000000000", "--rotation-cases", "1"],
+     "lemma7 generates classes up to order 9, got n_max 1000000000"),
 ])
 def test_verify_range_past_generator_cap_is_usage_error(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):
@@ -161,6 +164,7 @@ def test_verify_range_past_generator_cap_is_usage_error(capsys, monkeypatch, arg
 
     monkeypatch.setattr(harness, "graphs_by_order", no_work)
     monkeypatch.setattr(harness, "graphs_by_size", no_work)
+    monkeypatch.setattr(harness, "sample_connected_graph", no_work)
     with pytest.raises(SystemExit) as err:
         main(["verify", *argv])
     assert err.value.code == 2
@@ -523,6 +527,20 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["rho", "--family", "C100000000", "--alpha", "0.5"],
+    ["bounds", "--family", "K100000000,3", "--alpha", "0.5"],
+    ["certify", "columns", "--family", "K2,100000000", "--alpha", "0.6"],
+])
+def test_family_past_the_order_cap_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "families stop at 1000" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["rho", "--in", "{missing}", "--alpha", "0.5"],
     ["convert", "--in", "{missing}"],
     ["rho", "--in", "{dir}", "--alpha", "0.5"],
@@ -579,19 +597,26 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_module_entry_point_subprocess():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import alphaindex
+
+    # The child imports the package this process imported, installed or not.
+    path = [str(Path(alphaindex.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "alphaindex", "rho", "--family", "K2,3", "--alpha", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "rho=2.5" in proc.stdout
 
     proc = subprocess.run(
         [sys.executable, "-m", "alphaindex", "verify", "lemmas", "--targets", "fact3"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
     assert "fact3: FAIL" in proc.stdout

@@ -12,11 +12,9 @@ from alphaindex.connectivity import (
 from alphaindex.enumeration import (
     EnumerationLimitError,
     canonical_form,
-    canonical_relabel,
     graphs_by_order,
     graphs_by_size,
     ingest_graph6,
-    is_isomorphic,
 )
 from alphaindex.families import complete_bipartite, cycle, gab, subdivided_k2
 from alphaindex.graphs import Graph, Graph6Error, emit_graph6, iter_bits, parse_graph6
@@ -65,13 +63,13 @@ def test_minimum_degree_augmentation_form_count(monkeypatch):
     monkeypatch.setattr(enumeration, "_all_classes",
                         lru_cache(maxsize=None)(enumeration._all_classes.__wrapped__))
     calls = []
-    relabel = enumeration.canonical_relabel
+    label = enumeration._canonical
 
     def counted(g):
         calls.append(None)
-        return relabel(g)
+        return label(g)
 
-    monkeypatch.setattr(enumeration, "canonical_relabel", counted)
+    monkeypatch.setattr(enumeration, "_canonical", counted)
     assert len(enumeration._all_classes(7)) == 1044
     assert len(calls) == 3131  # 11,290 with every neighbourhood
 
@@ -79,7 +77,7 @@ def test_minimum_degree_augmentation_form_count(monkeypatch):
 def test_min2c_order4():
     classes = graphs_by_order(4, "minimally_two_connected")
     assert len(classes) == 1
-    assert is_isomorphic(classes[0], cycle(4))
+    assert canonical_form(classes[0]) == canonical_form(cycle(4))
 
 
 def test_min2c_order5():
@@ -173,10 +171,10 @@ def test_gab_isomorphic_subdivided():
     assert canonical_form(gab(1, 3)) == canonical_form(subdivided_k2(4))
 
 
-def test_canonical_relabel_is_isomorphic(k23):
-    h = canonical_relabel(k23)
-    assert is_isomorphic(h, k23)
-    assert emit_graph6(h) == canonical_form(k23)
+def test_canonical_graph_is_isomorphic(k23):
+    h, form, _, _ = enumeration._canonical(k23)
+    assert canonical_form(h) == canonical_form(k23)
+    assert emit_graph6(h) == form == canonical_form(k23)
 
 
 def test_canonical_order_cap():
@@ -256,15 +254,16 @@ def _every_ear_pair_cells(m_max):
         for n in range(3, m + 1):
             seen = {}
             if n == m:
-                h = canonical_relabel(cycle(n))
-                seen[emit_graph6(h)] = h
+                h, form, _, _ = enumeration._canonical(cycle(n))
+                seen[form] = h
             for length in range(2, n - 2):
                 for g in cells.get((n - length + 1, m - length), ()):
                     for u, closing in enumerate(chording_ears(g)):
                         for v in range(u + 1, g.n):
                             if not ((closing | g.rows[u]) >> v) & 1:
-                                h = canonical_relabel(enumeration._add_ear(g, u, v, length))
-                                seen[emit_graph6(h)] = h
+                                child = enumeration._add_ear(g, u, v, length)
+                                h, form, _, _ = enumeration._canonical(child)
+                                seen[form] = h
             cells[n, m] = tuple(seen[key] for key in sorted(seen))
     return cells
 
@@ -288,7 +287,7 @@ def test_ear_cell_generators_are_automorphisms():
     for n in range(3, enumeration.MAX_SIZE + 1):
         (h, generators, form), = [e for e in enumeration._ear_classes(n, n)
                                   if max(e[0].degrees()) == 2]
-        assert h == canonical_relabel(cycle(n)) and form == emit_graph6(h)
+        assert (h, form) == enumeration._canonical(cycle(n))[:2]
         entries.append((h, generators, form))
     for h, generators, _ in entries:
         for sigma in generators:
@@ -431,9 +430,32 @@ def test_minimum_leaf_is_the_canonical_form():
     rng = random.Random(5)
     for g in [random_graph(rng, n, 0.3) for n in range(1, 14)]:
         _, (order, _, cols) = _search(g)
-        h = canonical_relabel(g)
-        assert emit_graph6(g.relabel(enumeration._positions(order))) == emit_graph6(h)
+        h, form, leaf, _ = enumeration._canonical(g)
+        # Canonical label i is the leaf's i-th vertex.
+        assert all((h.rows[i] >> j) & 1 == (g.rows[order[i]] >> order[j]) & 1
+                   for i in range(g.n) for j in range(g.n))
+        assert form == emit_graph6(h) and leaf == cols
         assert cols == tuple(enumeration._column(h.rows[v], list(range(v))) for v in range(g.n))
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_canonical_generators_are_automorphisms(n):
+    rng = random.Random(2000 + n)
+    graphs = [random_graph(rng, n, p) for p in (0.2, 0.5, 0.8)]
+    graphs += [complete_bipartite(a, n - a) for a in range(1, n // 2 + 1)]
+    if n >= 3:
+        graphs.append(cycle(n))
+    graphs += [circulant(n, jumps) for jumps in ((1, 2), (1, 3)) if n > 2 * jumps[1]]
+    if n == 13:
+        graphs.append(circulant(13, (1, 3, 4)))  # Paley(13)
+    recorded = 0
+    for g in graphs:
+        h, _, _, generators = enumeration._canonical(relabelled(rng, g))
+        recorded += len(generators)
+        for sigma in generators:
+            assert _is_automorphism(h, sigma), (emit_graph6(h), sigma)
+    # Below four vertices every graph is a leaf at the root, as is K_{a,b}.
+    assert recorded or n < 4
 
 
 def test_missed_match_costs_one_full_search(monkeypatch):

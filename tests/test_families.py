@@ -1,8 +1,15 @@
 import pytest
 
 from alphaindex.connectivity import is_minimally_two_connected_by_deletion, triangle_free
-from alphaindex.enumeration import canonical_form, is_isomorphic
-from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
+from alphaindex.enumeration import canonical_form
+from alphaindex.families import (
+    MAX_FAMILY_ORDER,
+    build,
+    complete_bipartite,
+    cycle,
+    gab,
+    subdivided_k2,
+)
 from alphaindex.graphs import Graph
 
 
@@ -28,16 +35,26 @@ def test_parameter_validation():
             build(text)
 
 
+def test_build_refuses_orders_past_the_cap():
+    cap = MAX_FAMILY_ORDER
+    for text in (f"C{cap}", f"SK2,{cap - 3}", f"G1,{cap - 4}"):
+        assert build(text)[0].n == cap
+    for text in (f"C{cap + 1}", f"K{cap // 2 + 1},{cap // 2}", f"SK2,{cap - 2}",
+                 f"G1,{cap - 3}", "C100000000", "K100000000,100000000"):
+        with pytest.raises(ValueError, match=f"families stop at {cap}"):
+            build(text)
+
+
 def test_gab_isomorphic_to_subdivided_at_size_9():
-    assert is_isomorphic(gab(1, 3), subdivided_k2(4))
+    assert canonical_form(gab(1, 3)) == canonical_form(subdivided_k2(4))
 
 
 def test_k22_is_c4():
-    assert is_isomorphic(complete_bipartite(2, 2), cycle(4))
+    assert canonical_form(complete_bipartite(2, 2)) == canonical_form(cycle(4))
 
 
 def test_c5_not_k23():
-    assert not is_isomorphic(cycle(5), complete_bipartite(2, 3))
+    assert canonical_form(cycle(5)) != canonical_form(complete_bipartite(2, 3))
 
 
 def test_subdivided_counts():

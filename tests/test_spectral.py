@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from alphaindex import spectral
 from alphaindex.connectivity import is_connected
 from alphaindex.enumeration import MAX_SIZE, graphs_by_order, graphs_by_size
 from alphaindex.families import build, complete_bipartite, cycle, subdivided_k2
@@ -104,18 +105,21 @@ def test_alpha_one_rejected(c4):
         alpha_index(c4, 1.0)
 
 
-def test_convergence_error_carries_diagnostics(k23):
+def test_convergence_error_carries_diagnostics(k23, monkeypatch):
     from alphaindex.spectral import ConvergenceError
 
+    monkeypatch.setattr(spectral, "POWER_MAX_ITERATIONS", 2)
     with pytest.raises(ConvergenceError) as err:
-        alpha_index(k23, 0.5, max_iterations=2)
+        alpha_index(k23, 0.5)
     assert err.value.iterations == 2
     assert err.value.residual > 0
 
 
-def test_tolerance_override_changes_effort(k23):
-    loose = alpha_index(k23, 0.5, tol=1e-6)
-    tight = alpha_index(k23, 0.5, tol=1e-12)
+def test_tolerance_override_changes_effort(k23, monkeypatch):
+    monkeypatch.setattr(spectral, "POWER_TOL", 1e-6)
+    loose = alpha_index(k23, 0.5)
+    monkeypatch.setattr(spectral, "POWER_TOL", 1e-12)
+    tight = alpha_index(k23, 0.5)
     assert loose.iterations <= tight.iterations
     assert abs(loose.rho - tight.rho) < 1e-5
 
