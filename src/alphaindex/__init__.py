@@ -49,7 +49,6 @@ from .spectral import (
     alpha_matrix,
     closed_form_complete_bipartite,
     column_sum_certificate,
-    jacobi_eigenvalues,
     lower_bound_max_degree,
     perron_symmetry_check,
     upper_bound_degree_average,

@@ -27,6 +27,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import certificates as ct
 from .connectivity import (
     is_connected,
@@ -44,14 +46,16 @@ from .enumeration import (
 from .families import build, complete_bipartite, gab, subdivided_k2
 from .graphs import Graph, emit_graph6
 from .spectral import (
+    Perron,
     SpectralError,
+    adjacency_stack,
     alpha_index,
     column_sum_certificate,
     closed_form_complete_bipartite,
-    lower_bound_max_degree,
+    lower_bounds_max_degree,
     perron_pairs,
     perron_symmetry_check,
-    upper_bound_degree_average,
+    upper_bounds_degree_average,
 )
 from .transforms import Rotation, rotation_monotonicity_checks, valid_moved_candidates
 
@@ -172,16 +176,17 @@ def _confirm(g: Graph, alpha: float, rho: float) -> None:
 
 def _extremal_case(
     label: str, classes: list[Graph], forms: list[str], target: str | None, alpha_str: str,
+    pairs: list[Perron],
 ) -> dict:
-    """A theorem case up to its verdict: the argmax canonical form (``forms``
-    holds the classes' graph6 strings), the gap to the runner-up, and the
-    number of batched solves that failed their certificate.
+    """A theorem case up to its verdict from the classes' Perron ``pairs``
+    at ``alpha_str``: the argmax canonical form (``forms`` holds the
+    classes' graph6 strings), the gap to the runner-up, and the number of
+    batched solves that failed their certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
     confirmed by power iteration.
     """
     alpha = float(alpha_str)
-    pairs = perron_pairs(classes, alpha)
     scored = sorted(
         zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True,
     )
@@ -208,8 +213,8 @@ def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
     forms = [emit_graph6(g) for g in classes]
     target = canonical_form(complete_bipartite(2, n - 2))
     out = []
-    for alpha_str in alphas:
-        case = _extremal_case(f"n={n}", classes, forms, target, alpha_str)
+    for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
+        case = _extremal_case(f"n={n}", classes, forms, target, alpha_str, pairs)
         ok = case["argmax_graph6"] == target
         case.update(ok=ok, note="gap below strictness margin" if ok and _sub_margin(case) else "")
         out.append((
@@ -232,9 +237,9 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     else:
         target = None
     out = []
-    for alpha_str in alphas:
+    for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
         alpha = float(alpha_str)
-        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str)
+        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs)
         ok = True
         note = ""
         root_dev = None
@@ -307,8 +312,8 @@ def verify_theorem_size(
 
 # -- lemma suite -------------------------------------------------------------
 
-# target -> builder, in suite order; target -> the order cap of the
-# generator that builds its corpus up to ``n_max``.
+# target -> builder, in suite order; target -> the largest ``n_max`` it
+# takes (the order cap of the generator or sampler behind its corpus).
 _LEMMAS: dict = {}
 _ORDER_CAPS: dict = {}
 
@@ -353,7 +358,7 @@ def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[Ve
     n_max = given.get("n_max", LEMMA_N_MAX)
     for t in chosen:
         if n_max > _ORDER_CAPS.get(t, n_max):
-            raise ValueError(f"{t} generates classes up to order {_ORDER_CAPS[t]}, got n_max {n_max}")
+            raise ValueError(f"{t} takes n_max up to {_ORDER_CAPS[t]}, got n_max {n_max}")
     return [
         _run(_LEMMAS[t], t, **{k: given[k] for k in _keywords(_LEMMAS[t]) if k in given})
         for t in chosen
@@ -361,10 +366,11 @@ def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[Ve
 
 
 # Lemma 1 bounds rho above by the degree average, lemma 2 below by the
-# maximum degree; each maps (graph, alpha, rho) to the bound's slack.
+# maximum degree; each maps (adjacency stack, alpha, rho of each graph) to
+# the bounds' slacks.
 _SLACK = {
-    "lemma1": lambda g, alpha, rho: upper_bound_degree_average(g, alpha) - rho,
-    "lemma2": lambda g, alpha, rho: rho - lower_bound_max_degree(g, alpha),
+    "lemma1": lambda adj, alpha, rho: upper_bounds_degree_average(adj, alpha) - rho,
+    "lemma2": lambda adj, alpha, rho: rho - lower_bounds_max_degree(adj, alpha),
 }
 
 
@@ -377,10 +383,10 @@ def _sandwich(
     slack_of = _SLACK[target]
     for n in range(2, n_max + 1):
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
-        for alpha_str in alphas:
+        adj = adjacency_stack(classes)
+        for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
             alpha = float(alpha_str)
-            pairs = perron_pairs(classes, alpha)
-            slacks = [slack_of(g, alpha, p.rho) for g, p in zip(classes, pairs)]
+            slacks = slack_of(adj, alpha, np.array([p.rho for p in pairs])).tolist()
             # The verdict rests on the tightest slack, so its rho is confirmed.
             tight = min(range(len(classes)), key=slacks.__getitem__)
             _confirm(classes[tight], alpha, pairs[tight].rho)
@@ -604,7 +610,7 @@ def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> Verifica
     graphs = [complete_bipartite(a, b) for a, b in shapes]
     for alpha_str in alphas:
         alpha = float(alpha_str)
-        pairs = perron_pairs(graphs, alpha)
+        (pairs,) = perron_pairs(graphs, [alpha])
         worst = max(
             abs(closed_form_complete_bipartite(a, b, alpha) - p.rho)
             for (a, b), p in zip(shapes, pairs)
@@ -622,11 +628,11 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
     graphs = [subdivided_k2((m - 1) // 2) for m in ms]
-    pairs = {s: perron_pairs(graphs, float(s)) for s in alphas}
+    solved = perron_pairs(graphs, [float(s) for s in alphas])
     for i, m in enumerate(ms):
-        for alpha_str in alphas:
+        for alpha_str, pairs in zip(alphas, solved):
             root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))
-            rho, _, fallback = pairs[alpha_str][i]
+            rho, _, fallback = pairs[i]
             dev = abs(rho - root)
             report.add({
                 "case": f"m={m}", "alpha": alpha_str, "deviation": dev,

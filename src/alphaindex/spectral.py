@@ -2,12 +2,16 @@
 
 The matrix of interest is alpha*D + (1-alpha)*A.  For a connected graph it
 is irreducible and nonnegative, so its largest eigenvalue is the Perron
-root with a unique positive eigenvector.
+root with a unique positive eigenvector.  Every A_alpha is formed by one
+array expression from an adjacency stack, the 0/1 matrices of graphs of
+one order unpacked from their bit rows in one numpy step; a single
+graph's :func:`alpha_matrix` is the stack of one.  The degree bounds read
+d = A 1 and S = A d from the same stack.
 
-Two solvers compute it.  :func:`alpha_index` is power iteration on
-P = A_alpha + I (the shift makes P primitive even at alpha = 0 on
-bipartite graphs, whose adjacency is periodic), evaluated by repeated
-squaring: after k normalised squarings the row sums of P are the
+Two solvers compute the Perron pair.  :func:`alpha_index` is power
+iteration on P = A_alpha + I (the shift makes P primitive even at
+alpha = 0 on bipartite graphs, whose adjacency is periodic), evaluated by
+repeated squaring: after k normalised squarings the row sums of P are the
 2^k-th power iterate from the all-ones vector.  Rayleigh quotients and
 residuals are taken on A_alpha itself, and it returns the Perron vector
 too.  Squaring doubles the number of power steps each round, so a small
@@ -15,17 +19,15 @@ spectral gap costs only its logarithm in squarings and the plain
 iteration's stall on near-degenerate top pairs (clustered degrees as
 alpha -> 1) needs no detector and no refinement; the products of
 nonnegative matrices involve no cancellation.  :func:`perron_pairs`
-serves campaigns: it stacks the matrices of one order and makes one
-LAPACK ``eigh`` call per order, and :func:`lambda_maxes` (per component)
-takes its values from it.  Each batched eigenpair is certified (residual
-within the power-iteration tolerance, unit-sum top eigenvector positive
-up to that tolerance, which on an irreducible nonnegative matrix singles
-out the Perron vector); a graph that fails is re-solved by power
+serves campaigns: it builds one adjacency stack per order and makes one
+LAPACK ``eigh`` call per (order, alpha), and :func:`lambda_maxes` (per
+component) takes its values from it.  Each batched eigenpair is certified
+(residual within the power-iteration tolerance, unit-sum top eigenvector
+positive up to that tolerance, which on an irreducible nonnegative matrix
+singles out the Perron vector); a graph that fails is re-solved by power
 iteration, and its :class:`Perron` pair carries ``fallback`` so that the
-caller can flag it.  Power iteration stays the
-independent cross-check of the batched values, and a cyclic Jacobi
-full-spectrum solver of a third algorithm class serves as the test
-oracle.  Components, and the connectivity test behind
+caller can flag it.  Power iteration stays the independent cross-check of
+the batched values.  Components, and the connectivity test behind
 :class:`DisconnectedGraphError`, come from the breadth-first reach of
 :mod:`alphaindex.connectivity`, the walk that the deletion recognizer
 runs on; the chord recognizer's block walk stays separate from both.
@@ -43,7 +45,6 @@ from .graphs import Graph, GraphError, iter_bits
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
-JACOBI_OFFDIAG_NORM = 1e-13
 COLUMN_SUM_CROSS_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
@@ -86,17 +87,37 @@ class Perron(NamedTuple):
     fallback: bool
 
 
+def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
+    """The 0/1 adjacency matrices of graphs of one order, stacked as floats.
+
+    Each bit row is read as little-endian bytes, so rows of any width (family
+    texts reach 1,000 vertices) unpack in one numpy step.
+    """
+    n = graphs[0].n
+    if any(g.n != n for g in graphs):
+        raise ValueError("an adjacency stack needs graphs of one order")
+    width = (n + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for g in graphs for row in g.rows)
+    packed = np.frombuffer(data, np.uint8)
+    bits = np.unpackbits(packed, bitorder="little").reshape(len(graphs), n, 8 * width)
+    return bits[:, :, :n].astype(float)
+
+
+def _alpha_stack(adj: np.ndarray, degrees: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha*D + (1-alpha)*A of each matrix of a stack: (1-alpha) off the
+    diagonal where A has an edge, alpha*d(v) on it."""
+    a = (1.0 - alpha) * adj
+    diagonal = np.arange(adj.shape[1])
+    a[:, diagonal, diagonal] = alpha * degrees
+    return a
+
+
 def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
     """alpha*D + (1-alpha)*A; row sums equal the degrees."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    n = g.n
-    entries = np.zeros((n, n))
-    for v in range(n):
-        entries[v, v] = alpha * g.degree(v)
-        for u in iter_bits(g.rows[v]):
-            entries[v, u] = 1.0 - alpha
-    return entries
+    adj = adjacency_stack([g])
+    return _alpha_stack(adj, adj.sum(axis=2), alpha)[0]
 
 
 def alpha_index(g: Graph, alpha: float) -> SpectralResult:
@@ -126,9 +147,13 @@ def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     raise ConvergenceError(residual, POWER_MAX_ITERATIONS)
 
 
-def perron_pairs(graphs: Sequence[Graph], alpha: float) -> list[Perron]:
-    """:class:`Perron` pairs of many graphs, one stacked ``eigh`` call per
-    order, in input order; ``x`` is the unit-sum Perron vector.
+def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[Perron]]:
+    """:class:`Perron` pairs of many graphs at each of ``alphas``: one list
+    per alpha, in input order; ``x`` is the unit-sum Perron vector.
+
+    The graphs are checked for connectivity once, and the adjacency stack of
+    each order is built once and serves every alpha, with one ``eigh`` call
+    per (order, alpha).  Every alpha is range-checked before any solve.
 
     Every eigenpair is certified before it is used, vectorised over the
     order group: it must pass the residual test of :func:`alpha_index`,
@@ -143,29 +168,34 @@ def perron_pairs(graphs: Sequence[Graph], alpha: float) -> list[Perron]:
     that fails is re-solved by :func:`alpha_index` and its pair has
     ``fallback`` set.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
+    alphas = list(alphas)
+    for alpha in alphas:
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
     by_order: dict[int, list[int]] = {}
     for i, g in enumerate(graphs):
         if not is_connected(g):
             raise DisconnectedGraphError("perron_pairs needs connected graphs")
         by_order.setdefault(g.n, []).append(i)
-    out: list = [None] * len(graphs)
+    out: list[list] = [[None] * len(graphs) for _ in alphas]
     for positions in by_order.values():
-        a = np.stack([alpha_matrix(graphs[i], alpha) for i in positions])
-        w, v = np.linalg.eigh(a)
-        rho = w[:, -1]
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
-            x = v[:, :, -1]
-            x = x / x.sum(axis=1, keepdims=True)  # unit sum; also orients the sign
-            residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
-            tol = POWER_TOL * np.maximum(rho, 1.0)
-            certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
-        for i, value, vector, ok in zip(positions, rho.tolist(), x, certified.tolist()):
-            if not ok:
-                result = alpha_index(graphs[i], alpha)
-                value, vector = result.rho, result.perron
-            out[i] = Perron(value, vector, not ok)
+        adj = adjacency_stack([graphs[i] for i in positions])
+        degrees = adj.sum(axis=2)
+        for alpha, pairs in zip(alphas, out):
+            a = _alpha_stack(adj, degrees, alpha)
+            w, v = np.linalg.eigh(a)
+            rho = w[:, -1]
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
+                x = v[:, :, -1]
+                x = x / x.sum(axis=1, keepdims=True)  # unit sum; also orients the sign
+                residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
+                tol = POWER_TOL * np.maximum(rho, 1.0)
+                certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
+            for i, value, vector, ok in zip(positions, rho.tolist(), x, certified.tolist()):
+                if not ok:
+                    result = alpha_index(graphs[i], alpha)
+                    value, vector = result.rho, result.perron
+                pairs[i] = Perron(value, vector, not ok)
     return out
 
 
@@ -195,7 +225,8 @@ def lambda_maxes(graphs: Sequence[Graph], alpha: float) -> list[tuple[float, int
             owner.append(i)
     best = [0.0] * len(graphs)
     fallbacks = [0] * len(graphs)
-    for i, pair in zip(owner, perron_pairs(parts, alpha)):
+    (pairs,) = perron_pairs(parts, [alpha])
+    for i, pair in zip(owner, pairs):
         best[i] = max(best[i], pair.rho)
         fallbacks[i] += pair.fallback
     return list(zip(best, fallbacks))
@@ -211,42 +242,6 @@ def induced_subgraph(g: Graph, vertices: list[int]) -> Graph:
     return Graph.from_edges(len(vertices), edges)
 
 
-def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops below
-    ``JACOBI_OFFDIAG_NORM``.
-    Used as an independent oracle against power iteration.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    for _ in range(100):
-        offdiag = a - np.diag(np.diag(a))
-        off = float(np.sqrt(np.sum(offdiag**2)))
-        if off <= JACOBI_OFFDIAG_NORM:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * JACOBI_OFFDIAG_NORM / (n * n):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-    else:
-        raise SpectralError("Jacobi sweep limit reached before convergence")
-    return np.sort(np.diag(a))
-
-
 def closed_form_complete_bipartite(a: int, b: int, alpha: float) -> float:
     """Largest A_alpha eigenvalue of K_{a,b} in closed form."""
     if not (a >= b >= 1):
@@ -257,28 +252,35 @@ def closed_form_complete_bipartite(a: int, b: int, alpha: float) -> float:
     return float(0.5 * (alpha * s + np.sqrt((alpha * s) ** 2 + 4 * a * b * (1 - 2 * alpha))))
 
 
-def upper_bound_degree_average(g: Graph, alpha: float) -> float:
-    """max_u of alpha*d(u) + (1-alpha)/d(u) * sum of neighbour degrees."""
-    degs = g.degrees()
-    if min(degs) == 0:
+def upper_bounds_degree_average(adj: np.ndarray, alpha: float) -> np.ndarray:
+    """max_u of alpha*d(u) + (1-alpha)*S(u)/d(u) for each graph of an
+    adjacency stack, where d = A 1 and S = A d (the neighbour degree sums)."""
+    d = adj.sum(axis=2)
+    if not d.all():
         raise GraphError("degree-average bound needs no isolated vertices")
-    best = -np.inf
-    for u in range(g.n):
-        s = sum(degs[v] for v in iter_bits(g.rows[u]))
-        value = alpha * degs[u] + (1.0 - alpha) * s / degs[u]
-        if value > best:
-            best = value
-    return float(best)
+    s = np.einsum("kij,kj->ki", adj, d)
+    return (alpha * d + (1.0 - alpha) * s / d).max(axis=1)
 
 
-def lower_bound_max_degree(g: Graph, alpha: float) -> float:
-    """alpha*(Delta+1) below alpha=1/2, alpha*Delta + (1-alpha)^2/alpha above."""
+def lower_bounds_max_degree(adj: np.ndarray, alpha: float) -> np.ndarray:
+    """alpha*(Delta+1) below alpha=1/2, alpha*Delta + (1-alpha)^2/alpha
+    above, for each graph of an adjacency stack."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    delta = max(g.degrees())
+    delta = adj.sum(axis=2).max(axis=1)
     if alpha < 0.5:
         return alpha * (delta + 1)
     return alpha * delta + (1.0 - alpha) ** 2 / alpha
+
+
+def upper_bound_degree_average(g: Graph, alpha: float) -> float:
+    """:func:`upper_bounds_degree_average` of one graph."""
+    return float(upper_bounds_degree_average(adjacency_stack([g]), alpha)[0])
+
+
+def lower_bound_max_degree(g: Graph, alpha: float) -> float:
+    """:func:`lower_bounds_max_degree` of one graph."""
+    return float(lower_bounds_max_degree(adjacency_stack([g]), alpha)[0])
 
 
 def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float, ...]:

@@ -100,7 +100,8 @@ def rotation_monotonicity_checks(
     for alpha, positions in by_alpha.items():
         kept: list[tuple[int, Perron]] = []
         rotated: list[Graph] = []
-        for i, pair in zip(positions, perron_pairs([cases[i][0] for i in positions], alpha)):
+        (pairs,) = perron_pairs([cases[i][0] for i in positions], [alpha])
+        for i, pair in zip(positions, pairs):
             g, r, _ = cases[i]
             if pair.x[r.u] >= pair.x[r.v] - PRECONDITION_TOL:
                 kept.append((i, pair))

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from alphaindex.graphs import Graph
+from alphaindex.graphs import Graph, iter_bits
+
+JACOBI_OFFDIAG_NORM = 1e-13
 
 # The minimally 2-connected classes of order 12 whose signatures (order and
 # refined-partition quotient) collide, by signature.
@@ -84,3 +87,50 @@ def relabelled(rng: random.Random, g: Graph) -> Graph:
     perm = list(range(g.n))
     rng.shuffle(perm)
     return g.relabel(tuple(perm))
+
+
+def alpha_matrix_by_loop(g: Graph, alpha: float) -> np.ndarray:
+    """alpha*D + (1-alpha)*A written entry by entry, one vertex at a time."""
+    entries = np.zeros((g.n, g.n))
+    for v in range(g.n):
+        entries[v, v] = alpha * g.degree(v)
+        for u in iter_bits(g.rows[v]):
+            entries[v, u] = 1.0 - alpha
+    return entries
+
+
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+
+    Sweeps until the off-diagonal Frobenius norm drops below
+    ``JACOBI_OFFDIAG_NORM``.
+    An oracle of a third algorithm class, independent of power iteration
+    and of LAPACK ``eigh``.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a[0, :1].copy()
+    for _ in range(100):
+        offdiag = a - np.diag(np.diag(a))
+        off = float(np.sqrt(np.sum(offdiag**2)))
+        if off <= JACOBI_OFFDIAG_NORM:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= 0.1 * JACOBI_OFFDIAG_NORM / (n * n):
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.hypot(1.0, tau))
+                else:
+                    t = -1.0 / (-tau + np.hypot(1.0, tau))
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                a[[p, q], :] = rot.T @ a[[p, q], :]
+                a[:, [p, q]] = a[:, [p, q]] @ rot
+    else:
+        raise RuntimeError("Jacobi sweep limit reached before convergence")
+    return np.sort(np.diag(a))

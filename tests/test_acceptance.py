@@ -32,8 +32,9 @@ from alphaindex.spectral import (
     alpha_index,
     alpha_matrix,
     closed_form_complete_bipartite,
-    jacobi_eigenvalues,
 )
+
+from conftest import jacobi_eigenvalues
 
 ALPHAS_10 = hz.DEFAULT_ALPHAS  # 0.50, 0.55, ..., 0.95
 

@@ -144,19 +144,19 @@ def test_verify_lemmas_without_cases_is_usage_error(capsys, target, n_max):
     (["theorem1.3", "--n", "13..14"], "--n 13..14 leaves 1..13"),
     (["theorem1.4", "--m", "6,16..17"], "--m 16..17 leaves 1..16"),
     (["lemmas", "--targets", "lemma3", "--n-max", "1000000000"],
-     "lemma3 generates classes up to order 13, got n_max 1000000000"),
+     "lemma3 takes n_max up to 13, got n_max 1000000000"),
     (["lemmas", "--targets", "lemma6", "--n-max", "1000000000"],
-     "lemma6 generates classes up to order 9"),
+     "lemma6 takes n_max up to 9"),
     (["lemmas", "--targets", "lemma9,lemma1", "--n-max", "10"],
-     "lemma1 generates classes up to order 9"),
-    (["lemmas", "--targets", "lemma2", "--n-max", "10"], "lemma2 generates classes up to order 9"),
-    (["lemmas", "--targets", "lemma4", "--n-max", "14"], "lemma4 generates classes up to order 13"),
-    (["lemmas", "--targets", "lemma5", "--n-max", "14"], "lemma5 generates classes up to order 13"),
+     "lemma1 takes n_max up to 9"),
+    (["lemmas", "--targets", "lemma2", "--n-max", "10"], "lemma2 takes n_max up to 9"),
+    (["lemmas", "--targets", "lemma4", "--n-max", "14"], "lemma4 takes n_max up to 13"),
+    (["lemmas", "--targets", "lemma5", "--n-max", "14"], "lemma5 takes n_max up to 13"),
     (["lemmas", "--targets", "claim-order", "--n-max", "14"],
-     "claim-order generates classes up to order 13"),
-    (["lemmas", "--targets", "lemma7", "--n-max", "10"], "lemma7 generates classes up to order 9"),
+     "claim-order takes n_max up to 13"),
+    (["lemmas", "--targets", "lemma7", "--n-max", "10"], "lemma7 takes n_max up to 9"),
     (["lemmas", "--targets", "lemma7", "--n-max", "1000000000", "--rotation-cases", "1"],
-     "lemma7 generates classes up to order 9, got n_max 1000000000"),
+     "lemma7 takes n_max up to 9, got n_max 1000000000"),
 ])
 def test_verify_range_past_generator_cap_is_usage_error(capsys, monkeypatch, argv, message):
     def no_work(*args, **kwargs):

@@ -19,7 +19,6 @@ from alphaindex.spectral import (
     column_sum_certificate,
     components,
     induced_subgraph,
-    jacobi_eigenvalues,
     lambda_max,
     lambda_maxes,
     lower_bound_max_degree,
@@ -29,7 +28,7 @@ from alphaindex.spectral import (
 )
 from alphaindex.transforms import rotate, rotation_monotonicity_check, rotation_monotonicity_checks
 
-from conftest import random_graph
+from conftest import alpha_matrix_by_loop, jacobi_eigenvalues, random_graph
 
 
 def connected_sample(rng, n_lo=2, n_hi=10):
@@ -62,6 +61,54 @@ def test_alpha_matrix_row_sums_are_degrees():
         for a in (0.0, 0.3, 0.5, 0.9, 1.0):
             sums = alpha_matrix(g, a).sum(axis=1)
             assert np.allclose(sums, g.degrees(), atol=1e-12)
+
+
+def _stack_corpus():
+    """Every class with n <= 7, a single vertex, K_{12,12} and C_1000 (rows
+    wider than 64 bits), grouped by order."""
+    groups = [graphs_by_order(n) for n in range(1, 8)]
+    return groups + [[Graph.from_rows([0])], [complete_bipartite(12, 12)], [cycle(1000)]]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+def test_adjacency_stack_gives_the_loop_matrices_exactly(alpha):
+    for graphs in _stack_corpus():
+        adj = spectral.adjacency_stack(graphs)
+        assert adj.shape == (len(graphs), graphs[0].n, graphs[0].n)
+        stack = spectral._alpha_stack(adj, adj.sum(axis=2), alpha)
+        for g, a in zip(graphs, stack):
+            reference = alpha_matrix_by_loop(g, alpha)
+            assert np.array_equal(a, reference)
+            assert np.array_equal(alpha_matrix(g, alpha), reference)
+
+
+def test_adjacency_stack_needs_one_order(c4, k23):
+    with pytest.raises(ValueError, match="one order"):
+        spectral.adjacency_stack([c4, k23])
+
+
+def _degree_bounds_by_loop(g, alpha):
+    """Lemma 1's and lemma 2's bounds, one vertex at a time."""
+    degs = g.degrees()
+    upper = max(
+        alpha * degs[u] + (1.0 - alpha) * sum(degs[v] for v in g.neighbors(u)) / degs[u]
+        for u in range(g.n)
+    )
+    delta = max(degs)
+    lower = alpha * (delta + 1) if alpha < 0.5 else alpha * delta + (1.0 - alpha) ** 2 / alpha
+    return upper, lower
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.75, 0.9, 0.999])
+def test_degree_bounds_from_the_stack_equal_the_vertex_loop(connected_classes, alpha):
+    by_order = {}
+    for g in connected_classes[1:] + [complete_bipartite(12, 12), cycle(1000)]:
+        by_order.setdefault(g.n, []).append(g)
+    for graphs in by_order.values():
+        adj = spectral.adjacency_stack(graphs)
+        upper = spectral.upper_bounds_degree_average(adj, alpha).tolist()
+        lower = spectral.lower_bounds_max_degree(adj, alpha).tolist()
+        assert list(zip(upper, lower)) == [_degree_bounds_by_loop(g, alpha) for g in graphs]
 
 
 def test_alpha_matrix_range_checked(c4):
@@ -307,7 +354,7 @@ def connected_classes():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.999])
 def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
-    pairs = perron_pairs(connected_classes, alpha)
+    (pairs,) = perron_pairs(connected_classes, [alpha])
     values = [p.rho for p in pairs]
     assert len(values) == len(connected_classes) == 996
     assert not any(p.fallback for p in pairs)
@@ -333,7 +380,8 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
 @pytest.mark.parametrize("alpha", [0.5, 0.999])
 def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
     graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m)]
-    for g, (rho, _, _) in zip(graphs, perron_pairs(graphs, alpha)):
+    (pairs,) = perron_pairs(graphs, [alpha])
+    for g, (rho, _, _) in zip(graphs, pairs):
         # A batched value that failed its certificate is itself power iteration,
         # so the eigvalsh top eigenvalue is the independent reference as well.
         top = np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1]
@@ -349,30 +397,61 @@ def test_no_fallback_on_the_largest_ear_classes_near_alpha_one():
     # negatives; positivity is certified to the residual's tolerance, so
     # these pairs stay batched instead of falling back to power iteration.
     graphs = graphs_by_size(15) + graphs_by_size(16)
-    assert not any(p.fallback for p in perron_pairs(graphs, 0.999))
+    (pairs,) = perron_pairs(graphs, [0.999])
+    assert not any(p.fallback for p in pairs)
 
 
 def test_alpha_indices_keep_input_order():
     rng = random.Random(2024)
     graphs = [connected_sample(rng, 1, 9) for _ in range(40)]
     assert len({g.n for g in graphs}) > 3
-    values = [p.rho for p in perron_pairs(graphs, 0.6)]
+    (pairs,) = perron_pairs(graphs, [0.6])
+    values = [p.rho for p in pairs]
     assert values == pytest.approx([alpha_index(g, 0.6).rho for g in graphs], abs=1e-12)
-    assert perron_pairs([], 0.6) == []
+
+
+def test_perron_pairs_of_many_alphas_equal_the_one_alpha_calls(connected_classes):
+    graphs = connected_classes + [complete_bipartite(12, 12)]
+    alphas = [0.0, 0.5, 0.999]
+    solved = perron_pairs(graphs, alphas)
+    assert len(solved) == len(alphas)
+    for alpha, pairs in zip(alphas, solved):
+        (alone,) = perron_pairs(graphs, [alpha])
+        assert [p.rho for p in pairs] == [p.rho for p in alone]
+        assert [p.fallback for p in pairs] == [p.fallback for p in alone]
+        assert all(np.array_equal(p.x, q.x) for p, q in zip(pairs, alone))
+
+
+def test_perron_pairs_of_no_graphs_or_no_alphas(c4):
+    assert perron_pairs([], [0.5, 0.75]) == [[], []]
+    assert perron_pairs([], []) == []
+    assert perron_pairs([c4], []) == []
+
+
+@pytest.mark.parametrize("alphas", [[0.5, 0.75, 1.0], [-0.1, 0.5], [0.5, math.nan]])
+def test_a_bad_alpha_anywhere_raises_before_any_solve(c4, k23, monkeypatch, alphas):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every alpha was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_solve)
+    monkeypatch.setattr(spectral, "alpha_index", no_solve)
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        perron_pairs([c4, k23], alphas)
 
 
 def test_alpha_indices_reject_disconnected_and_bad_alpha(c4):
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        perron_pairs([c4, two_edges], 0.5)
+        perron_pairs([c4, two_edges], [0.5])
     with pytest.raises(ValueError):
-        perron_pairs([c4], 1.0)
+        perron_pairs([c4], [1.0])
 
 
 def _swap_top_and_bottom(w, v):
-    """Report the bottom eigenpair as the top one.  On a bipartite graph at
-    alpha = 1/2 that is eigenvalue 0 with the +-1 bipartition vector: a
-    true eigenpair, so the residual passes, but sign-mixed."""
+    """Report the bottom eigenpair as the top one: a true eigenpair, so the
+    residual passes, but orthogonal to the Perron vector and so sign-mixed
+    (on a bipartite graph at alpha = 1/2, eigenvalue 0 with the +-1
+    bipartition vector)."""
     w, v = w.copy(), v.copy()
     w[:, [0, -1]] = w[:, [-1, 0]]
     v[:, :, [0, -1]] = v[:, :, [-1, 0]]
@@ -390,22 +469,30 @@ def _nudge_top_value(w, v):
 @pytest.mark.parametrize("corrupt", [_swap_top_and_bottom, _nudge_top_value])
 def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch, corrupt):
     graphs = [cycle(5), complete_bipartite(2, 3), complete_bipartite(1, 5), complete_bipartite(2, 4)]
-    expected = [alpha_index(g, 0.5).rho for g in graphs]
     eigh = np.linalg.eigh
 
-    def corrupted(a):
-        w, v = eigh(a)
-        return corrupt(w, v) if a.shape[1] == 6 else (w, v)  # the order-6 group only
+    def corrupt_where(hit):
+        def corrupted(a):
+            w, v = eigh(a)
+            return corrupt(w, v) if hit(a) else (w, v)
+        return corrupted
 
-    monkeypatch.setattr(np.linalg, "eigh", corrupted)
-    pairs = perron_pairs(graphs, 0.5)
+    # Only the order-6 block at alpha 0.75, the one whose edges weigh 0.25.
+    only_one_block = corrupt_where(lambda a: a.shape[1] == 6 and (a == 0.25).any())
+    monkeypatch.setattr(np.linalg, "eigh", only_one_block)
+    alphas = [0.5, 0.75]
+    solved = perron_pairs(graphs, alphas)
     # K_{1,5} and K_{2,4} have order 6
-    assert [p.fallback for p in pairs] == [False, False, True, True]
-    assert [p.rho for p in pairs] == pytest.approx(expected, abs=1e-12)
-    for g, (rho, x, _) in zip(graphs, pairs):
-        reference = alpha_index(g, 0.5)
-        assert abs(rho - reference.rho) <= 1e-12
-        assert np.max(np.abs(x - reference.perron)) <= 1e-9
+    assert [[p.fallback for p in pairs] for pairs in solved] == [
+        [False, False, False, False], [False, False, True, True],
+    ]
+    for alpha, pairs in zip(alphas, solved):
+        for g, (rho, x, _) in zip(graphs, pairs):
+            reference = alpha_index(g, alpha)
+            assert abs(rho - reference.rho) <= 1e-12
+            assert np.max(np.abs(x - reference.perron)) <= 1e-9
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt_where(lambda a: a.shape[1] == 6))
 
     # One corpus block of lemma7: every solve of order 6, of a drawn graph or
     # of a component of its rotation, falls back, and the checks still agree
