@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
     p.add_argument("--canonical", action="store_true", help="emit canonical forms")
-    add_io(p, formats=("graph6",))
+    p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(fn=_cmd_convert)
 
     return parser

@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .connectivity import chording_ears, is_minimally_two_connected_by_chords, is_two_connected
 from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
@@ -191,7 +191,7 @@ def _canonical_order(
             explored = 0
             for v in branch[0]:
                 fixing = [g for g in automorphisms if all(g[u] == u for u in order)]
-                if _orbit(v, fixing) & explored:
+                if any(image & explored for image in _orbit(1 << v, fixing)):
                     continue
                 back = descend(_individualize(n, rows, branch, v), list(order), list(cols), beats)
                 if back < len(order):
@@ -268,15 +268,19 @@ def _signature(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> tuple[i
     return (n, *[(rows[cell[0]] & mask).bit_count() for cell in cells for mask in masks])
 
 
-def _orbit(v: int, generators: list[list[int]]) -> int:
-    """Mask of the orbit of ``v`` under the group the permutations generate."""
-    orbit, frontier = 1 << v, [v]
+def _orbit(vertices: int, generators: Sequence[Sequence[int]]) -> set[int]:
+    """The images of the vertex set ``vertices`` (a mask) under the group
+    the permutations generate, as masks."""
+    orbit, frontier = {vertices}, [vertices]
     while frontier:
-        x = frontier.pop()
+        mask = frontier.pop()
         for g in generators:
-            if not (orbit >> g[x]) & 1:
-                orbit |= 1 << g[x]
-                frontier.append(g[x])
+            image = 0
+            for x in iter_bits(mask):
+                image |= 1 << g[x]
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
     return orbit
 
 
@@ -312,30 +316,20 @@ def _refine(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> list[list[
 
 
 def _homogeneous(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
+    """Whether each cell's internal adjacency and each pair of cells'
+    adjacency is complete or empty.  ``cells`` is equitable (``_refine``
+    stops only there): all vertices of a cell have the same number of
+    neighbours in each cell, so the first vertex of cell ``i`` speaks for
+    its cell, and the pair ``i <= j`` is complete or empty exactly when
+    that vertex has 0 or ``len(cells[j]) - (i == j)`` neighbours in
+    ``cells[j]``."""
     masks = [_mask(c) for c in cells]
-    for cell, mask in zip(cells, masks):
-        if len(cell) > 1:
-            want = None
-            for v in cell:
-                d = (rows[v] & mask).bit_count()
-                if d not in (0, len(cell) - 1):
-                    return False
-                if want is None:
-                    want = d
-                elif d != want:
-                    return False
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            size = len(cells[j])
-            want = None
-            for v in cells[i]:
-                d = (rows[v] & masks[j]).bit_count()
-                if d not in (0, size):
-                    return False
-                if want is None:
-                    want = d
-                elif d != want:
-                    return False
+    for i, cell in enumerate(cells):
+        row = rows[cell[0]]
+        for j in range(i, len(cells)):
+            d = (row & masks[j]).bit_count()
+            if d and d != len(cells[j]) - (i == j):
+                return False
     return True
 
 
@@ -430,28 +424,15 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
         # A parent needs a non-adjacent pair, so at least 4 vertices.
         for g, generators, _ in _ear_classes(n - length + 1, m - length):
             full = (1 << g.n) - 1
-            expanded: set[tuple[int, int]] = set()
+            expanded: set[int] = set()
             for u, closing in enumerate(chording_ears(g)):
                 # v > u, not adjacent to u, and every old edge stays essential.
                 for v in iter_bits(full & ~((2 << u) - 1) & ~(closing | g.rows[u])):
-                    if (u, v) not in expanded:
-                        expanded |= _pair_orbit(u, v, generators)
+                    pair = (1 << u) | (1 << v)
+                    if pair not in expanded:
+                        expanded |= _orbit(pair, generators)
                         add(_add_ear(g, u, v, length))
     return tuple(seen[key] for key in sorted(seen))
-
-
-def _pair_orbit(u: int, v: int, generators: Generators) -> set[tuple[int, int]]:
-    """Orbit of the unordered pair ``{u, v}``, as sorted tuples, under the
-    group the permutations generate."""
-    orbit, frontier = {(u, v)}, [(u, v)]
-    while frontier:
-        a, b = frontier.pop()
-        for s in generators:
-            image = (s[a], s[b]) if s[a] < s[b] else (s[b], s[a])
-            if image not in orbit:
-                orbit.add(image)
-                frontier.append(image)
-    return orbit
 
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:

@@ -5,7 +5,7 @@ machine integer whose bit ``u`` is set when ``uv`` is an edge, which makes
 neighbourhood intersection (triangle and chord tests) a single ``&``.
 Graphs are immutable values: every edit returns a new graph and never
 touches its input, so enumeration and edge-deletion sweeps can share them
-freely across workers.
+freely.
 """
 
 from __future__ import annotations
@@ -184,22 +184,14 @@ def emit_graph6(g: Graph) -> str:
         header = "~" + "".join(
             chr(63 + ((g.n >> shift) & 0x3F)) for shift in (12, 6, 0)
         )
-    payload = []
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            acc = (acc << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                payload.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        payload.append(chr(63 + acc))
-    return header + "".join(payload)
+    # The payload as parse_graph6 reads it: one integer whose bit k is
+    # stream bit k, column v the v-bit field after columns 1..v-1.
+    payload = 0
+    for v in range(g.n - 1, 0, -1):
+        payload = (payload << v) | (g.rows[v] & ((1 << v) - 1))
+    nbits = 6 * ((g.n * (g.n - 1) // 2 + 5) // 6)
+    stream = format(payload, f"0{nbits}b")[::-1]  # stream order, zero padding last
+    return header + "".join(chr(63 + int(stream[i:i + 6], 2)) for i in range(0, nbits, 6))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -329,7 +329,9 @@ def _lemma(*targets: str, order_cap: int | None = None):
 
 
 def _chosen(targets: Sequence[str] | None) -> list[str]:
-    chosen = list(targets or LEMMA_TARGETS)
+    chosen = list(LEMMA_TARGETS if targets is None else targets)
+    if not chosen:
+        raise ValueError("no lemma targets given")
     for t in chosen:
         if t not in _LEMMAS:
             raise ValueError(f"unknown verification target {t!r}")

@@ -250,6 +250,24 @@ def test_enumerate_allow_slow_is_unrecognized(capsys):
     assert "unrecognized arguments: --allow-slow" in capsys.readouterr().err
 
 
+def test_convert_format_is_unrecognized(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["convert", "--format", "graph6"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format graph6" in captured.err
+
+
+def test_verify_empty_targets_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "lemmas", "--targets", ""])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no lemma targets given" in captured.err
+
+
 def test_verify_lemma9_alpha_one_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "lemmas", "--targets", "lemma9", "--alpha", "1.0"])

@@ -476,3 +476,63 @@ def test_missed_match_costs_one_full_search(monkeypatch):
     got = list(ingest_graph6([form, *MISSED_MATCHES]))
     assert [(emit_graph6(g), f) for g, f in got] == [(form, form)]
     assert len(calls) == 1 + len(MISSED_MATCHES)
+
+
+def _homogeneous_by_vertex(rows, cells):
+    """The homogeneity test before it read the equitable partition: every
+    vertex's counts checked, within its cell and into each later cell.
+    Oracle use only."""
+    masks = [enumeration._mask(c) for c in cells]
+    for cell, mask in zip(cells, masks):
+        if len(cell) > 1:
+            want = None
+            for v in cell:
+                d = (rows[v] & mask).bit_count()
+                if d not in (0, len(cell) - 1):
+                    return False
+                if want is None:
+                    want = d
+                elif d != want:
+                    return False
+    for i in range(len(cells)):
+        for j in range(i + 1, len(cells)):
+            size = len(cells[j])
+            want = None
+            for v in cells[i]:
+                d = (rows[v] & masks[j]).bit_count()
+                if d not in (0, size):
+                    return False
+                if want is None:
+                    want = d
+                elif d != want:
+                    return False
+    return True
+
+
+def test_homogeneity_reads_the_equitable_partition(monkeypatch):
+    outcomes = []
+    node = enumeration._node
+
+    def checked(rows, cells):
+        masks = [enumeration._mask(c) for c in cells]
+        for cell in cells:
+            for mask in masks:
+                assert len({(rows[v] & mask).bit_count() for v in cell}) == 1, cells
+        # The cells _node tests: those after the leading singletons.
+        remaining = cells[next((i for i, c in enumerate(cells) if len(c) > 1), len(cells)):]
+        got = enumeration._homogeneous(rows, remaining)
+        assert got == _homogeneous_by_vertex(rows, remaining), cells
+        outcomes.append(got)
+        return node(rows, cells)
+
+    monkeypatch.setattr(enumeration, "_node", checked)
+    rng = random.Random(22)
+    corpus = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    corpus += [random_graph(rng, n, p) for n in range(1, 17) for p in (0.1, 0.3, 0.5, 0.7)]
+    corpus += [circulant(n, jumps) for n in range(5, 18) for jumps in ((1, 2), (1, 3))
+               if n > 2 * jumps[1]]
+    corpus += [circulant(13, (1, 3, 4)), circulant(17, (1, 2, 4, 8)), circulant(16, (1, 8))]
+    corpus += [complete_bipartite(a, b) for a in range(1, 8) for b in range(a, 9)]
+    for g in corpus:
+        canonical_form(relabelled(rng, g))
+    assert True in outcomes and False in outcomes

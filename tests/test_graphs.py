@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,56 @@ def test_parse_matches_bit_by_bit_decoder():
             g, oracle = parse_graph6(text), _parse_bit_by_bit(text)
             assert (g.rows, g.m) == (oracle.rows, oracle.m), text
             assert Graph.from_rows(g.rows) == g, text
+
+
+def _emit_bit_by_bit(g):
+    """The encoder ``emit_graph6`` replaced: one payload bit at a time into
+    a six-bit accumulator, in stream order.  Oracle use only."""
+    if g.n <= 62:
+        header = chr(63 + g.n)
+    else:
+        header = "~" + "".join(chr(63 + ((g.n >> shift) & 0x3F)) for shift in (12, 6, 0))
+    payload = []
+    acc = nbits = 0
+    for v in range(1, g.n):
+        for u in range(v):
+            acc = (acc << 1) | ((g.rows[v] >> u) & 1)
+            nbits += 1
+            if nbits == 6:
+                payload.append(chr(63 + acc))
+                acc = nbits = 0
+    if nbits:
+        payload.append(chr(63 + (acc << (6 - nbits))))
+    return header + "".join(payload)
+
+
+def test_emit_matches_bit_by_bit_encoder():
+    rng = random.Random(16)
+    for n in range(1, 71):
+        for p in (0, 0.1, 0.5, 0.9, 1):
+            g = random_graph(rng, n, p)
+            text = emit_graph6(g)
+            assert text.startswith("~") == (n >= 63)
+            assert text == _emit_bit_by_bit(g), (n, p)
+
+
+INGEST_STREAM = Path(__file__).resolve().parent.parent / "perfbench" / "ingest_stream.py"
+
+
+def test_codec_matches_the_benchmark_stream_encoder():
+    # The benchmark writes its stream with an encoder of its own and gates
+    # the output with parse_graph6; this pins both codec directions to it.
+    spec = importlib.util.spec_from_file_location("perfbench_ingest_stream", INGEST_STREAM)
+    stream = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stream)
+    rng = random.Random(62)
+    for n in range(1, 63):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            edges = {(u, v) for v in range(n) for u in range(v) if rng.random() < p}
+            text = stream.encode_graph6(n, edges)
+            g = parse_graph6(text)
+            assert (g.n, set(g.edges())) == (n, edges), text
+            assert emit_graph6(Graph.from_edges(n, edges)) == text
 
 
 def test_long_form_nonzero_padding_offset():

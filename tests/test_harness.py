@@ -153,6 +153,9 @@ def test_fact3_reports_derived_identity():
 def test_unknown_target_rejected():
     with pytest.raises(ValueError):
         verify_lemma_suite(["lemma99"])
+    # Only None means every target; an empty list names none.
+    with pytest.raises(ValueError, match="no lemma targets"):
+        verify_lemma_suite([])
 
 
 def test_keyword_no_chosen_builder_reads_rejected():
