@@ -271,13 +271,18 @@ def _signature(n: int, rows: tuple[int, ...], cells: list[list[int]]) -> tuple[i
 def _orbit(vertices: int, generators: Sequence[Sequence[int]]) -> set[int]:
     """The images of the vertex set ``vertices`` (a mask) under the group
     the permutations generate, as masks."""
-    orbit, frontier = {vertices}, [vertices]
+    orbit = {vertices}
+    if not generators:
+        return orbit
+    frontier = [vertices]
     while frontier:
         mask = frontier.pop()
         for g in generators:
-            image = 0
-            for x in iter_bits(mask):
-                image |= 1 << g[x]
+            image, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                image |= 1 << g[low.bit_length() - 1]
+                rest ^= low
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)

@@ -26,10 +26,15 @@ component) takes its values from it.  Each batched eigenpair is certified
 positive up to that tolerance, which on an irreducible nonnegative matrix
 singles out the Perron vector); a graph that fails is re-solved by power
 iteration, and its :class:`Perron` pair carries ``fallback`` so that the
-caller can flag it.  Power iteration stays the independent cross-check of
-the batched values.  Components, and the connectivity test behind
-:class:`DisconnectedGraphError`, come from the breadth-first reach of
-:mod:`alphaindex.connectivity`, the walk that the deletion recognizer
+caller can flag it.  Campaigns solve through :func:`perron_pairs`, and
+power iteration stays the independent cross-check of the batched values:
+it confirms the values a verdict rests on, and
+:func:`perron_symmetry_check` re-tests a block whose :func:`block_spread`
+on a batched vector is too wide, since that vector is accurate only to
+about residual / spectral gap.  It also serves the fallbacks and the
+``rho`` and ``bounds`` commands.  Components, and the connectivity test
+behind :class:`DisconnectedGraphError`, come from the breadth-first reach
+of :mod:`alphaindex.connectivity`, the walk that the deletion recognizer
 runs on; the chord recognizer's block walk stays separate from both.
 """
 
@@ -248,8 +253,11 @@ def closed_form_complete_bipartite(a: int, b: int, alpha: float) -> float:
         raise ValueError("complete bipartite closed form needs a >= b >= 1")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    s = a + b
-    return float(0.5 * (alpha * s + np.sqrt((alpha * s) ** 2 + 4 * a * b * (1 - 2 * alpha))))
+    # The discriminant (alpha (a+b))^2 + 4ab (1 - 2 alpha), written as a sum
+    # of two nonnegative terms: the textbook form cancels catastrophically
+    # near alpha = 1 when a = b.
+    disc = (alpha * (a - b)) ** 2 + 4 * a * b * (1 - alpha) ** 2
+    return float(0.5 * (alpha * (a + b) + np.sqrt(disc)))
 
 
 def upper_bounds_degree_average(adj: np.ndarray, alpha: float) -> np.ndarray:
@@ -318,11 +326,12 @@ def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float,
     return sums
 
 
+def block_spread(x: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:
+    """The largest difference between two entries of ``x`` in one block."""
+    return max(float(np.ptp(x[list(block)])) for block in blocks)
+
+
 def perron_symmetry_check(g: Graph, blocks: Sequence[Sequence[int]], alpha: float) -> bool:
-    """Whether Perron coordinates agree within each block of vertices."""
-    perron = alpha_index(g, alpha).perron
-    for block in blocks:
-        values = [perron[v] for v in block]
-        if max(values) - min(values) > SYMMETRY_TOL:
-            return False
-    return True
+    """Whether Perron coordinates, by power iteration, agree within each
+    block of vertices up to ``SYMMETRY_TOL``."""
+    return block_spread(alpha_index(g, alpha).perron, blocks) <= SYMMETRY_TOL

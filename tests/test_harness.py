@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from alphaindex import enumeration, harness
+from alphaindex import enumeration, harness, spectral, transforms
 from alphaindex.enumeration import canonical_form
-from alphaindex.families import complete_bipartite, cycle, subdivided_k2
+from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
 from alphaindex.harness import (
     DEFAULT_ALPHAS,
     THEOREM_ALPHAS,
@@ -17,7 +18,7 @@ from alphaindex.harness import (
     verify_theorem_order,
     verify_theorem_size,
 )
-from alphaindex.spectral import SpectralError
+from alphaindex.spectral import SpectralError, alpha_index, perron_symmetry_check
 
 
 def test_theorem_order_n5_anchor():
@@ -254,7 +255,8 @@ def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
     assert case["gap"] == pytest.approx(clean.case_results[0]["gap"], abs=1e-12)
 
 
-def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
+def _shift_power_iteration(monkeypatch):
+    """Make every power-iteration confirmation in the harness read 1e-6 high."""
     real = harness.alpha_index
 
     def shifted(g, alpha):
@@ -263,19 +265,110 @@ def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
                             result.iterations)
 
     monkeypatch.setattr(harness, "alpha_index", shifted)
+
+
+def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
+    _shift_power_iteration(monkeypatch)
     with pytest.raises(SpectralError, match="power-iteration rho"):
         verify_theorem_order((5,), ["0.50"])
 
 
 @pytest.mark.parametrize("target", ["lemma1", "lemma2"])
 def test_sandwich_cross_check_disagreement_is_internal(monkeypatch, target):
-    real = harness.alpha_index
-
-    def shifted(g, alpha):
-        result = real(g, alpha)
-        return type(result)(alpha, result.rho + 1e-6, result.perron, result.residual,
-                            result.iterations)
-
-    monkeypatch.setattr(harness, "alpha_index", shifted)
+    _shift_power_iteration(monkeypatch)
     with pytest.raises(SpectralError, match="power-iteration rho"):
         verify_lemma_suite([target], n_max=3)
+
+
+def test_lemma9_passes_near_alpha_one():
+    (report,) = verify_lemma_suite(["lemma9"], alphas=["0.999999"])
+    assert report.passed
+    assert report.case_results[0]["max_deviation"] <= 1e-13
+
+
+def test_lemma8_batched_verdicts_equal_power_iteration():
+    # No case is re-checked on the default grid, so every verdict below
+    # comes from the batched vectors alone.
+    (report,) = verify_lemma_suite(["lemma8"])
+    assert report.passed and report.flags == []
+    verdicts = {(c["case"], c["alpha"]): c["ok"] for c in report.case_results}
+    assert len(report.params["families"]) == 32
+    for fam in report.params["families"]:
+        g, blocks = build(fam)
+        for alpha_str in DEFAULT_ALPHAS:
+            assert verdicts[fam, alpha_str] == perron_symmetry_check(g, blocks, float(alpha_str))
+
+
+@pytest.mark.parametrize("alpha", ["0.999", "0.9999"])
+def test_lemma8_near_alpha_one_rechecks_by_power_iteration(alpha):
+    # The batched vectors of small-gap families spread past SYMMETRY_TOL
+    # here; power iteration gives those verdicts, and one flag counts them.
+    (report,) = verify_lemma_suite(["lemma8"], alphas=[alpha])
+    assert report.passed
+    (flag,) = report.flags
+    assert re.fullmatch(
+        r"[1-9]\d* of 32 cases spread past 1e-09 on the batched Perron vectors "
+        r"and were re-checked by power iteration", flag,
+    )
+
+
+def test_lemma8_recheck_keeps_a_real_asymmetry(monkeypatch):
+    # Blocks that straddle the two sides of K2,1 fail on the batched vector
+    # and again on power iteration, so the case is a violation.
+    real = harness.build
+    monkeypatch.setattr(
+        harness, "build", lambda text: (real(text)[0], ((0, 2),)) if text == "K2,1" else real(text),
+    )
+    (report,) = verify_lemma_suite(["lemma8"], alphas=["0.50", "0.90"])
+    assert report.violations == [
+        "K2,1, alpha=0.50: orbit coordinates differ", "K2,1, alpha=0.90: orbit coordinates differ",
+    ]
+    assert report.flags == [
+        "2 of 64 cases spread past 1e-09 on the batched Perron vectors "
+        "and were re-checked by power iteration"
+    ]
+
+
+def test_lemma7_chain_values_equal_power_iteration():
+    alphas = ["0.50", "0.75", "0.95", "0.999"]
+    (report,) = verify_lemma_suite(["lemma7"], rotation_cases=5, alphas=alphas)
+    chain = [c for c in report.case_results if c["case"].startswith("chain")]
+    assert len(chain) == 3 * len(alphas)
+    for case in chain:
+        k = (int(case["case"].removeprefix("chain m=")) - 1) // 2
+        alpha = float(case["alpha"])
+        power = [alpha_index(gab(a, k - a), alpha).rho for a in range(1, k // 2 + 1)]
+        assert len(case["rho_values"]) == len(power)
+        for batched, rho in zip(case["rho_values"], power):
+            assert abs(batched - rho) <= 1e-13
+
+
+def test_chain_cross_check_disagreement_is_internal(monkeypatch):
+    _shift_power_iteration(monkeypatch)
+    with pytest.raises(SpectralError, match="power-iteration rho"):
+        verify_lemma_suite(["lemma7"], rotation_cases=5)
+
+
+def test_spectral_lemmas_power_iteration_count(monkeypatch):
+    # The benchmark's spectral targets solve in batches; power iteration
+    # runs only to confirm: the tightest slack of each sandwich case
+    # (2 targets x 5 orders x 3 alphas) and the tightest step of each
+    # G(a, b) chain (3 sizes x 2 graphs).  No solve falls back here.
+    real = spectral.alpha_index
+    calls = []
+
+    def counted(g, alpha):
+        calls.append(g)
+        return real(g, alpha)
+
+    for module in (spectral, harness, transforms):
+        assert module.alpha_index is real
+        monkeypatch.setattr(module, "alpha_index", counted)
+    reports = verify_lemma_suite(
+        ["lemma1", "lemma2", "lemma7", "lemma8", "lemma9", "lemma10"], n_max=6, rotation_cases=250,
+    )
+    assert all(r.passed and r.flags == [] for r in reports)
+    assert len(calls) == 2 * 5 * 3 + 3 * 2
+    # The chain confirms the two graphs of each size's tightest step; at
+    # m = 13 that is the step from G(2,4) to G(3,3).
+    assert calls[30:] == [gab(1, 3), gab(2, 2), gab(1, 4), gab(2, 3), gab(2, 4), gab(3, 3)]

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -15,6 +16,7 @@ from alphaindex.spectral import (
     DisconnectedGraphError,
     alpha_index,
     alpha_matrix,
+    block_spread,
     closed_form_complete_bipartite,
     column_sum_certificate,
     components,
@@ -221,6 +223,27 @@ def test_closed_form_matches_eigensolver_sample():
         for alpha in (0.0, 0.25, 0.5, 0.75, 0.9):
             assert abs(closed_form_complete_bipartite(a, b, alpha)
                        - alpha_index(g, alpha).rho) <= 1e-10
+
+
+def test_closed_form_matches_a_60_digit_reference():
+    # The reference takes each float alpha exactly and evaluates the
+    # discriminant in 60 digits.  The textbook (alpha s)^2 + 4ab(1 - 2 alpha)
+    # cancels when a = b: 1.1e-14 off at 0.9 and 8.0e-10 at 0.999999.
+    decimal.getcontext().prec = 60
+    for alpha in (0.0, 0.25, 0.5, 0.9, 0.999, 0.999999, 0.99999999):
+        x = decimal.Decimal(alpha)
+        for a in range(1, 13):
+            for b in range(1, a + 1):
+                disc = (x * (a + b)) ** 2 + 4 * a * b * (1 - 2 * x)
+                exact = (x * (a + b) + disc.sqrt()) / 2
+                got = decimal.Decimal(closed_form_complete_bipartite(a, b, alpha))
+                assert abs(got - exact) <= decimal.Decimal("4e-15"), (a, b, alpha)
+
+
+def test_block_spread_is_the_widest_block():
+    x = np.array([0.1, 0.4, 0.25, 0.2, 0.05])
+    assert block_spread(x, ((0,), (1, 2), (3, 4))) == 0.4 - 0.25
+    assert block_spread(x, ((0, 4), (2,))) == 0.1 - 0.05
 
 
 def test_upper_bound_k23(k23):
