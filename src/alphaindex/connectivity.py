@@ -64,13 +64,25 @@ def has_chorded_cycle(g: Graph) -> bool:
     avoids the edge).  With the edge removed, both paths have length >= 2
     automatically, so the test reduces to u and v sharing a biconnected
     block of g - uv.  Each end of a chord also carries two edges of its
-    cycle, so only edges whose ends both have degree >= 3 are tested.
+    cycle, so only edges inside the mask of vertices of degree >= 3 are
+    tested.
     """
-    for u, v in g.edges():
-        if g.rows[u].bit_count() < 3 or g.rows[v].bit_count() < 3:
-            continue
-        if _share_block(g.remove_edge(u, v), u, v):
-            return True
+    rows = g.rows
+    heavy = 0
+    for v, row in enumerate(rows):
+        if row.bit_count() >= 3:
+            heavy |= 1 << v
+    while heavy:
+        low = heavy & -heavy
+        heavy ^= low  # now the vertices of degree >= 3 above u
+        u = low.bit_length() - 1
+        higher = rows[u] & heavy
+        while higher:
+            bit = higher & -higher
+            higher ^= bit
+            v = bit.bit_length() - 1
+            if _share_block(g.remove_edge(u, v), u, v):
+                return True
     return False
 
 
@@ -80,9 +92,14 @@ def is_minimally_two_connected_by_chords(g: Graph) -> bool:
     An edge uv whose ends have two common neighbours w, w' is the chord of
     the 4-cycle u w v w', which rejects most dense graphs before the walk.
     """
-    for u, v in g.edges():
-        if (g.rows[u] & g.rows[v]).bit_count() >= 2:
-            return False
+    rows = g.rows
+    for u, row in enumerate(rows):
+        higher = row >> (u + 1) << (u + 1)
+        while higher:
+            bit = higher & -higher
+            higher ^= bit
+            if (row & rows[bit.bit_length() - 1]).bit_count() >= 2:
+                return False
     if g.n < 3 or next(_block_masks(g), 0) != (1 << g.n) - 1:
         return False
     return not has_chorded_cycle(g)
@@ -149,49 +166,55 @@ def _share_block(g: Graph, s: int, t: int) -> bool:
 def _block_masks(g: Graph) -> Iterator[int]:
     """Vertex masks of the blocks of ``g`` (bridges included), one at a time.
 
-    Tarjan block decomposition with an edge stack, so a caller that stops
-    early skips the rest of the walk.  A block that spans all n >= 3
-    vertices is the only block, so the graph is 2-connected exactly when
-    the first block yielded spans them all.
+    Tarjan's block decomposition, so a caller that stops early skips the
+    rest of the walk.  A DFS frame is its vertex ``v`` alone, with the mask
+    ``rows[v] & ~found`` of the neighbours it may still descend into,
+    lowest first.  A vertex's discovery time is the number of vertices
+    found before it.  Its neighbours found before it are its ancestors, so
+    its low point starts at their least discovery time; counting the
+    parent among them changes no block test.  A child ``v`` of ``p`` with
+    ``low[v] >= disc[p]`` closes a block: ``p`` plus the vertices found
+    since ``v`` that no block has taken yet.  A block that spans all
+    n >= 3 vertices is the only block, so the graph is 2-connected exactly
+    when the first block yielded spans them all.
     """
-    disc = [-1] * g.n
+    rows = g.rows
+    disc = [0] * g.n
     low = [0] * g.n
-    parent = [-1] * g.n
-    edge_stack: list[tuple[int, int]] = []
-    timer = 0
+    before = [0] * g.n  # before[v]: the vertices found before v
+    found = untaken = 0
     for root in range(g.n):
-        if disc[root] != -1:
+        if (found >> root) & 1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, iter_bits(g.rows[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == -1:
-                    parent[u] = v
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    edge_stack.append((v, u))
-                    stack.append((u, iter_bits(g.rows[u])))
-                    advanced = True
-                    break
-                elif u != parent[v] and disc[u] < disc[v]:
-                    edge_stack.append((v, u))
-                    if disc[u] < low[v]:
-                        low[v] = disc[u]
-            if not advanced:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[v] < low[p]:
-                        low[p] = low[v]
-                    if low[v] >= disc[p]:
-                        members = 0
-                        while edge_stack:
-                            a, b = edge_stack.pop()
-                            members |= (1 << a) | (1 << b)
-                            if (a, b) == (p, v):
-                                break
-                        yield members
+        disc[root] = low[root] = found.bit_count()
+        found |= 1 << root
+        path = [root]
+        while path:
+            v = path[-1]
+            fresh = rows[v] & ~found
+            if fresh:
+                bit = fresh & -fresh
+                u = bit.bit_length() - 1
+                before[u] = found
+                up = rows[u] & found
+                least = disc[u] = found.bit_count()
+                while up:
+                    w = up & -up
+                    up ^= w
+                    d = disc[w.bit_length() - 1]
+                    if d < least:
+                        least = d
+                low[u] = least
+                found |= bit
+                untaken |= bit
+                path.append(u)
+                continue
+            path.pop()
+            if path:
+                p = path[-1]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= disc[p]:
+                    block = untaken & ~before[v]
+                    untaken ^= block
+                    yield block | (1 << p)

@@ -39,7 +39,8 @@ class Graph:
     Loop-freeness and symmetry are enforced at construction time.  Edits
     check their arguments and build their result through ``_trusted``,
     which skips that check: a valid graph edited by valid arguments is
-    valid by construction, and so is a graph ``parse_graph6`` decodes.
+    valid by construction, and so is a graph ``parse_graph6`` decodes or
+    ``from_edges`` builds from edges it has checked.
     """
 
     n: int
@@ -90,7 +91,10 @@ class Graph:
                 raise GraphError(f"self-loop ({u},{v}) not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls.from_rows(rows)
+        if n < 1:
+            raise GraphError("graph must have at least one vertex")
+        # Symmetric and loop-free by construction, as with the edits.
+        return cls._trusted(n, tuple(rows), sum(r.bit_count() for r in rows) // 2)
 
     # -- queries ---------------------------------------------------------
 
@@ -235,7 +239,10 @@ def parse_graph6(text: str) -> Graph:
         payload >>= v
         rows[v] = column
         m += column.bit_count()
-        for u in iter_bits(column):
-            rows[u] |= 1 << v
+        mirror = 1 << v
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= mirror
+            column ^= low
     # Symmetric and loop-free by construction, as with the edits.
     return Graph._trusted(n, tuple(rows), m)

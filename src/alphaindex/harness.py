@@ -164,10 +164,12 @@ def _fallback_flag(case: dict, count: int) -> str:
     )
 
 
-def _confirm(g: Graph, alpha: float, rho: float) -> None:
+def _confirm(g: Graph, alpha: float, rho: float, power: float | None = None) -> None:
     """Re-solve a batched alpha-index by power iteration, an independent
-    algorithm; a disagreement is an internal failure, not a violation."""
-    power = alpha_index(g, alpha).rho
+    algorithm; a disagreement is an internal failure, not a violation.
+    ``power`` is the power-iteration rho of ``g`` when the caller has it."""
+    if power is None:
+        power = alpha_index(g, alpha).rho
     if abs(power - rho) > CROSS_CHECK_TOL:
         raise SpectralError(
             f"{emit_graph6(g)}, alpha={alpha}: batched rho {rho!r} != power-iteration rho {power!r}"
@@ -179,7 +181,7 @@ def _confirm(g: Graph, alpha: float, rho: float) -> None:
 
 def _extremal_case(
     label: str, classes: list[Graph], forms: list[str], target: str | None, alpha_str: str,
-    pairs: list[Perron],
+    pairs: list[Perron], target_power: float | None = None,
 ) -> dict:
     """A theorem case up to its verdict from the classes' Perron ``pairs``
     at ``alpha_str``: the argmax canonical form (``forms`` holds the
@@ -187,14 +189,15 @@ def _extremal_case(
     batched solves that failed their certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
-    confirmed by power iteration.
+    confirmed by power iteration; the ``target`` class is confirmed against
+    ``target_power``, its power-iteration rho, when that is given.
     """
     alpha = float(alpha_str)
     scored = sorted(
         zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True,
     )
-    for rho, _, i in scored[:2]:
-        _confirm(classes[i], alpha, rho)
+    for rho, form, i in scored[:2]:
+        _confirm(classes[i], alpha, rho, target_power if form == target else None)
     return {
         "case": label,
         "alpha": alpha_str,
@@ -242,16 +245,16 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
     out = []
     for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
         alpha = float(alpha_str)
-        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs)
+        # The cubic pin's power-iteration rho also confirms an SK argmax.
+        pin = alpha_index(subdivided_k2((m - 1) // 2), alpha).rho if asserted and not even else None
+        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs, pin)
         ok = True
         note = ""
         root_dev = None
         if asserted:
             ok = case["argmax_graph6"] == target
             if not even:
-                rho = alpha_index(subdivided_k2((m - 1) // 2), alpha).rho
-                root = ct.largest_real_root(ct.sk_cubic(m, alpha))
-                root_dev = abs(rho - root)
+                root_dev = abs(pin - ct.largest_real_root(ct.sk_cubic(m, alpha)))
                 if root_dev > 1e-9:
                     ok = False
                     note = f"cubic root deviates from rho by {root_dev:.3e}"

@@ -4,6 +4,7 @@ import pytest
 
 from alphaindex import connectivity
 from alphaindex.connectivity import (
+    chording_ears,
     has_chorded_cycle,
     is_connected,
     is_minimally_two_connected_by_chords,
@@ -11,9 +12,9 @@ from alphaindex.connectivity import (
     is_two_connected,
     triangle_free,
 )
-from alphaindex.enumeration import _add_ear, graphs_by_order
+from alphaindex.enumeration import _add_ear, graphs_by_order, graphs_by_size
 from alphaindex.families import complete_bipartite
-from alphaindex.graphs import Graph
+from alphaindex.graphs import Graph, iter_bits
 
 from conftest import random_graph
 
@@ -155,6 +156,9 @@ def test_diamond_rejects_before_the_block_walk(monkeypatch, k4):
     monkeypatch.setattr(connectivity, "_block_masks", counted)
     assert not is_minimally_two_connected_by_chords(k4)
     assert not is_minimally_two_connected_by_chords(dense)
+    diamonds = [g for n in range(4, 7) for g in graphs_by_order(n)
+                if any((g.rows[u] & g.rows[v]).bit_count() >= 2 for u, v in g.edges())]
+    assert not any(map(is_minimally_two_connected_by_chords, diamonds))
     assert calls == []
     assert is_minimally_two_connected_by_chords(complete_bipartite(2, 5))
     assert calls
@@ -234,3 +238,75 @@ def test_chord_search_skips_edges_with_a_degree_2_end(monkeypatch):
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     assert has_chorded_cycle(k4)
     assert calls
+
+
+def _block_masks_by_edge_stack(g):
+    """The block walk as it was before it stepped through bit masks in
+    place: Tarjan with an edge stack and one ``iter_bits`` generator per
+    DFS frame.  Kept as the oracle for ``connectivity._block_masks``."""
+    disc = [-1] * g.n
+    low = [0] * g.n
+    parent = [-1] * g.n
+    edge_stack = []
+    timer = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, iter_bits(g.rows[root]))]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for u in it:
+                if disc[u] == -1:
+                    parent[u] = v
+                    disc[u] = low[u] = timer
+                    timer += 1
+                    edge_stack.append((v, u))
+                    stack.append((u, iter_bits(g.rows[u])))
+                    advanced = True
+                    break
+                elif u != parent[v] and disc[u] < disc[v]:
+                    edge_stack.append((v, u))
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+            if not advanced:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    if low[v] < low[p]:
+                        low[p] = low[v]
+                    if low[v] >= disc[p]:
+                        members = 0
+                        while edge_stack:
+                            a, b = edge_stack.pop()
+                            members |= (1 << a) | (1 << b)
+                            if (a, b) == (p, v):
+                                break
+                        yield members
+
+
+def _ear_cells(m_max):
+    return [g for m in range(3, m_max + 1) for g in graphs_by_size(m)]
+
+
+def test_block_walk_matches_the_edge_stack_walk():
+    rng = random.Random(1973)
+    graphs = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    graphs += [random_graph(rng, n, p) for n in range(1, 17)
+               for p in (0.05, 0.1, 0.2, 0.35, 0.5, 0.8) for _ in range(6)]
+    ears = _ear_cells(14)
+    graphs += ears
+    graphs += [g.remove_edge(u, v) for g in ears[::7] for u, v in g.edges()]
+    assert any(not is_connected(g) for g in graphs)
+    assert any(len(list(_block_masks_by_edge_stack(g))) > 2 for g in graphs)
+    for g in graphs:
+        assert list(connectivity._block_masks(g)) == list(_block_masks_by_edge_stack(g)), g
+
+
+def test_chording_ears_unchanged_by_the_block_walk(monkeypatch):
+    ears = _ear_cells(14)
+    got = [chording_ears(g) for g in ears]
+    monkeypatch.setattr(connectivity, "_block_masks", _block_masks_by_edge_stack)
+    assert got == [chording_ears(g) for g in ears]

@@ -243,6 +243,36 @@ def test_structural_validation():
         Graph(0, (), 0)
 
 
+def test_from_edges_equals_the_validated_graph():
+    rng = random.Random(4096)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        # Both orientations and repeats of each edge.
+        edges = rng.sample(pairs, rng.randint(0, len(pairs))) if pairs else []
+        edges += rng.sample(edges, len(edges) // 3)
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        expected = Graph(n, tuple(rows), sum(r.bit_count() for r in rows) // 2)
+        assert Graph.from_edges(n, edges) == expected
+        assert Graph.from_edges(n, iter(edges)) == expected
+
+
+@pytest.mark.parametrize("n, edges, message", [
+    (0, [], "at least one vertex"),
+    (-2, [], "at least one vertex"),
+    (0, [(0, 1)], "out of range"),
+    (3, [(0, 3)], "out of range"),
+    (3, [(-1, 2)], "out of range"),
+    (3, [(0, 1), (2, 2)], "self-loop"),
+])
+def test_from_edges_errors(n, edges, message):
+    with pytest.raises(GraphError, match=message):
+        Graph.from_edges(n, edges)
+
+
 def test_edges_iteration(k23):
     edges = list(k23.edges())
     assert len(edges) == k23.m

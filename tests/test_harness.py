@@ -273,6 +273,30 @@ def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
         verify_theorem_order((5,), ["0.50"])
 
 
+def test_size_cross_check_disagreement_is_internal(monkeypatch):
+    # The odd-size argmax SK_{2,4} is confirmed against the cubic pin's rho.
+    _shift_power_iteration(monkeypatch)
+    with pytest.raises(SpectralError, match="power-iteration rho"):
+        verify_theorem_size((9,), ["0.50"])
+
+
+def test_size_campaign_power_iteration_count(monkeypatch):
+    # Two confirmations per case (argmax and runner-up); an odd asserted
+    # case's SK argmax reuses the cubic pin's solve instead of a third.
+    real = harness.alpha_index
+    calls = []
+
+    def counted(g, alpha):
+        calls.append(g)
+        return real(g, alpha)
+
+    monkeypatch.setattr(harness, "alpha_index", counted)
+    report = verify_theorem_size()
+    assert report.passed and report.flags == []
+    assert len(report.case_results) == 77
+    assert len(calls) == 2 * 77
+
+
 @pytest.mark.parametrize("target", ["lemma1", "lemma2"])
 def test_sandwich_cross_check_disagreement_is_internal(monkeypatch, target):
     _shift_power_iteration(monkeypatch)
