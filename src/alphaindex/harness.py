@@ -50,7 +50,7 @@ from .spectral import (
     SYMMETRY_TOL,
     SpectralError,
     adjacency_stack,
-    alpha_index,
+    alpha_indices,
     block_spread,
     column_sum_certificate,
     closed_form_complete_bipartite,
@@ -164,16 +164,36 @@ def _fallback_flag(case: dict, count: int) -> str:
     )
 
 
-def _confirm(g: Graph, alpha: float, rho: float, power: float | None = None) -> None:
-    """Re-solve a batched alpha-index by power iteration, an independent
-    algorithm; a disagreement is an internal failure, not a violation.
-    ``power`` is the power-iteration rho of ``g`` when the caller has it."""
-    if power is None:
-        power = alpha_index(g, alpha).rho
-    if abs(power - rho) > CROSS_CHECK_TOL:
-        raise SpectralError(
-            f"{emit_graph6(g)}, alpha={alpha}: batched rho {rho!r} != power-iteration rho {power!r}"
-        )
+class _Confirmations:
+    """Batched alpha-indices to re-solve by power iteration, an independent
+    algorithm, all in one :func:`alpha_indices` call; a disagreement is an
+    internal failure, not a violation."""
+
+    def __init__(self) -> None:
+        self.cases: list[tuple[Graph, float]] = []
+        self.checks: list[tuple[Graph, float, float, int]] = []
+
+    def solve(self, g: Graph, alpha: float) -> int:
+        """Queue a solve of ``g``; returns the position of its value in :meth:`run`."""
+        self.cases.append((g, alpha))
+        return len(self.cases) - 1
+
+    def check(self, g: Graph, alpha: float, rho: float, at: int | None = None) -> None:
+        """Queue the check of ``g``'s batched ``rho`` against the solve at
+        position ``at``, by default a new solve of ``g``."""
+        self.checks.append((g, alpha, rho, self.solve(g, alpha) if at is None else at))
+
+    def run(self) -> list[float]:
+        """Solve every queued case and check every batched value; returns
+        the power-iteration values in queue order."""
+        powers = [result.rho for result in alpha_indices(self.cases)]
+        for g, alpha, rho, at in self.checks:
+            if abs(powers[at] - rho) > CROSS_CHECK_TOL:
+                raise SpectralError(
+                    f"{emit_graph6(g)}, alpha={alpha}: batched rho {rho!r} "
+                    f"!= power-iteration rho {powers[at]!r}"
+                )
+        return powers
 
 
 # -- theorem campaigns -------------------------------------------------------
@@ -181,7 +201,7 @@ def _confirm(g: Graph, alpha: float, rho: float, power: float | None = None) -> 
 
 def _extremal_case(
     label: str, classes: list[Graph], forms: list[str], target: str | None, alpha_str: str,
-    pairs: list[Perron], target_power: float | None = None,
+    pairs: list[Perron], confirm: _Confirmations, target_at: int | None = None,
 ) -> dict:
     """A theorem case up to its verdict from the classes' Perron ``pairs``
     at ``alpha_str``: the argmax canonical form (``forms`` holds the
@@ -189,15 +209,15 @@ def _extremal_case(
     batched solves that failed their certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
-    confirmed by power iteration; the ``target`` class is confirmed against
-    ``target_power``, its power-iteration rho, when that is given.
+    queued on ``confirm``; the ``target`` class is checked against the
+    solve at ``target_at`` when that is given.
     """
     alpha = float(alpha_str)
     scored = sorted(
         zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True,
     )
     for rho, form, i in scored[:2]:
-        _confirm(classes[i], alpha, rho, target_power if form == target else None)
+        confirm.check(classes[i], alpha, rho, target_at if form == target else None)
     return {
         "case": label,
         "alpha": alpha_str,
@@ -218,9 +238,15 @@ def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
     classes = graphs_by_order(n, "minimally_two_connected")
     forms = [emit_graph6(g) for g in classes]
     target = canonical_form(complete_bipartite(2, n - 2))
+    confirm = _Confirmations()
+    cases = [
+        _extremal_case(f"n={n}", classes, forms, target, alpha_str, pairs, confirm)
+        for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas]))
+    ]
+    confirm.run()
     out = []
-    for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
-        case = _extremal_case(f"n={n}", classes, forms, target, alpha_str, pairs)
+    for case in cases:
+        alpha_str = case["alpha"]
         ok = case["argmax_graph6"] == target
         case.update(ok=ok, note="gap below strictness margin" if ok and _sub_margin(case) else "")
         out.append((
@@ -242,19 +268,26 @@ def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
         target = canonical_form(subdivided_k2((m - 1) // 2))
     else:
         target = None
-    out = []
+    pin = subdivided_k2((m - 1) // 2) if asserted and not even else None
+    confirm = _Confirmations()
+    cases = []
     for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
-        alpha = float(alpha_str)
         # The cubic pin's power-iteration rho also confirms an SK argmax.
-        pin = alpha_index(subdivided_k2((m - 1) // 2), alpha).rho if asserted and not even else None
-        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs, pin)
+        pin_at = None if pin is None else confirm.solve(pin, float(alpha_str))
+        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs, confirm, pin_at)
+        cases.append((case, pin_at))
+    powers = confirm.run()
+    out = []
+    for case, pin_at in cases:
+        alpha_str = case["alpha"]
         ok = True
         note = ""
         root_dev = None
         if asserted:
             ok = case["argmax_graph6"] == target
             if not even:
-                root_dev = abs(pin - ct.largest_real_root(ct.sk_cubic(m, alpha)))
+                root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))
+                root_dev = abs(powers[pin_at] - root)
                 if root_dev > 1e-9:
                     ok = False
                     note = f"cubic root deviates from rho by {root_dev:.3e}"
@@ -389,6 +422,7 @@ def _sandwich(
     alphas = list(alphas)
     report = VerificationReport(target, {"n": list(range(2, n_max + 1))}, alphas)
     slack_of = _SLACK[target]
+    confirm = _Confirmations()
     for n in range(2, n_max + 1):
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
         adj = adjacency_stack(classes)
@@ -397,7 +431,7 @@ def _sandwich(
             slacks = slack_of(adj, alpha, np.array([p.rho for p in pairs])).tolist()
             # The verdict rests on the tightest slack, so its rho is confirmed.
             tight = min(range(len(classes)), key=slacks.__getitem__)
-            _confirm(classes[tight], alpha, pairs[tight].rho)
+            confirm.check(classes[tight], alpha, pairs[tight].rho)
             bad = [
                 f"n={n}, alpha={alpha_str}, {emit_graph6(g)}: slack {slack:.3e}"
                 for g, slack in zip(classes, slacks) if slack < -GAP_MARGIN
@@ -407,6 +441,7 @@ def _sandwich(
                 "fallbacks": sum(p.fallback for p in pairs), "min_slack": slacks[tight],
                 "ok": not bad,
             }, *bad)
+    confirm.run()
     return report
 
 
@@ -569,7 +604,7 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
 
     The chains of every m are solved at every alpha in one batched call.
     Each m's verdict rests on its tightest step, so the two graphs of that
-    step are confirmed by power iteration.
+    step are confirmed by power iteration, every m's in one call.
     """
     chains = [
         [gab(a, k - a) for a in range(1, k // 2 + 1)] + [subdivided_k2(k)]
@@ -577,6 +612,7 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
     ]
     graphs = [g for chain in chains for g in chain]
     solved = perron_pairs(graphs, [float(s) for s in alphas])
+    confirm = _Confirmations()
     start = 0
     for m, chain in zip(CHAIN_SIZES, chains):
         k = (m - 1) // 2
@@ -607,8 +643,9 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
                 report.flags.append(_fallback_flag(case, fallbacks))
         _, j, i = tightest
         for g, pair in zip(graphs[i - 1:i + 1], solved[j][i - 1:i + 1]):
-            _confirm(g, float(alphas[j]), pair.rho)
+            confirm.check(g, float(alphas[j]), pair.rho)
         start = end
+    confirm.run()
 
 
 @_lemma("lemma8")

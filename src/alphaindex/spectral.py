@@ -8,7 +8,7 @@ one order unpacked from their bit rows in one numpy step; a single
 graph's :func:`alpha_matrix` is the stack of one.  The degree bounds read
 d = A 1 and S = A d from the same stack.
 
-Two solvers compute the Perron pair.  :func:`alpha_index` is power
+Two solvers compute the Perron pair.  :func:`alpha_indices` is power
 iteration on P = A_alpha + I (the shift makes P primitive even at
 alpha = 0 on bipartite graphs, whose adjacency is periodic), evaluated by
 repeated squaring: after k normalised squarings the row sums of P are the
@@ -18,21 +18,25 @@ too.  Squaring doubles the number of power steps each round, so a small
 spectral gap costs only its logarithm in squarings and the plain
 iteration's stall on near-degenerate top pairs (clustered degrees as
 alpha -> 1) needs no detector and no refinement; the products of
-nonnegative matrices involve no cancellation.  :func:`perron_pairs`
-serves campaigns: it builds one adjacency stack per order and makes one
-LAPACK ``eigh`` call per (order, alpha), and :func:`lambda_maxes` (per
-component) takes its values from it.  Each batched eigenpair is certified
-(residual within the power-iteration tolerance, unit-sum top eigenvector
-positive up to that tolerance, which on an irreducible nonnegative matrix
-singles out the Perron vector); a graph that fails is re-solved by power
-iteration, and its :class:`Perron` pair carries ``fallback`` so that the
-caller can flag it.  Campaigns solve through :func:`perron_pairs`, and
-power iteration stays the independent cross-check of the batched values:
-it confirms the values a verdict rests on, and
+nonnegative matrices involve no cancellation.  It squares the cases of one
+order as one stack, each case reading its own slice by ``matmul``, so a
+case gives the same bits alone or stacked; :func:`alpha_index` is the one
+case.  :func:`perron_pairs` serves campaigns: it builds one adjacency
+stack per order and makes one LAPACK ``eigh`` call per (order, alpha),
+and :func:`lambda_maxes` (per component) takes its values from it.  Each
+batched eigenpair is certified (residual within the power-iteration
+tolerance, unit-sum top eigenvector positive up to that tolerance, which
+on an irreducible nonnegative matrix singles out the Perron vector); the
+graphs that fail are re-solved by power iteration, in one call per
+(order, alpha), and their :class:`Perron` pairs carry ``fallback`` so that
+the caller can flag them.  Campaigns solve through :func:`perron_pairs`,
+and power iteration stays the independent cross-check of the batched
+values: it confirms the values a verdict rests on, all those of one
+theorem order or size (or of one lemma target) in one call, and
 :func:`perron_symmetry_check` re-tests a block whose :func:`block_spread`
 on a batched vector is too wide, since that vector is accurate only to
-about residual / spectral gap.  It also serves the fallbacks and the
-``rho`` and ``bounds`` commands.  Components, and the connectivity test
+about residual / spectral gap.  It also serves the ``rho`` and ``bounds``
+commands.  Components, and the connectivity test
 behind :class:`DisconnectedGraphError`, come from the breadth-first reach
 of :mod:`alphaindex.connectivity`, the walk that the deletion recognizer
 runs on; the chord recognizer's block walk stays separate from both.
@@ -108,12 +112,15 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
     return bits[:, :, :n].astype(float)
 
 
-def _alpha_stack(adj: np.ndarray, degrees: np.ndarray, alpha: float) -> np.ndarray:
+def _alpha_stack(
+    adj: np.ndarray, degrees: np.ndarray, alpha: float | Sequence[float],
+) -> np.ndarray:
     """alpha*D + (1-alpha)*A of each matrix of a stack: (1-alpha) off the
-    diagonal where A has an edge, alpha*d(v) on it."""
-    a = (1.0 - alpha) * adj
-    diagonal = np.arange(adj.shape[1])
-    a[:, diagonal, diagonal] = alpha * degrees
+    diagonal where A has an edge, alpha*d(v) on it.  ``alpha`` is one value
+    for the whole stack or an array of one per matrix."""
+    alpha = np.reshape(alpha, (-1, 1))
+    a = (1.0 - alpha)[:, :, None] * adj
+    a.reshape(len(a), -1)[:, :: adj.shape[1] + 1] = alpha * degrees  # the diagonals
     return a
 
 
@@ -126,30 +133,65 @@ def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
 
 
 def alpha_index(g: Graph, alpha: float) -> SpectralResult:
-    """Largest eigenvalue of A_alpha with its unit-sum Perron vector.
+    """Largest eigenvalue of A_alpha with its unit-sum Perron vector: the
+    :func:`alpha_indices` of the one case ``(g, alpha)``."""
+    return alpha_indices([(g, alpha)])[0]
 
-    Relative residual tolerance ``POWER_TOL`` is measured as
-    max|A_alpha x - rho x| <= POWER_TOL * max(rho, 1).  ``iterations`` in
-    the result counts squarings, at most ``POWER_MAX_ITERATIONS``.
+
+def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
+    """Power iteration by squaring on many ``(graph, alpha)`` cases, one
+    :class:`SpectralResult` each, in input order.
+
+    Every alpha is range-checked and every graph tested for connectivity
+    before any solve.  The cases of one order are squared together as one
+    stack of P = A_alpha + I.  A case passes when max|A_alpha x - rho x| <=
+    POWER_TOL * max(rho, 1) and x is positive, and it leaves the stack on
+    that squaring; the stack is compacted only on a squaring where some
+    case passes.  ``iterations`` counts squarings, at most
+    ``POWER_MAX_ITERATIONS``; a stack with a case left after the last one
+    raises :class:`ConvergenceError` with the largest residual of such a
+    case.  Each case's scalars are read by ``matmul`` on its own slice and
+    its row sums along the last axis, so a case comes out bit for bit as it
+    does alone, whatever else shares its stack.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
-    if not is_connected(g):
-        raise DisconnectedGraphError("alpha_index needs a connected graph")
-    a = alpha_matrix(g, alpha)
-    p = a + np.eye(g.n)  # primitive for every alpha in [0, 1)
-    for iteration in range(POWER_MAX_ITERATIONS + 1):
-        # x is the 2^iteration-th power iterate from the all-ones vector.
-        x = p.sum(axis=1)
-        x /= x.sum()
-        ax = a @ x
-        rho = float(x @ ax) / float(x @ x)
-        residual = float(np.max(np.abs(ax - rho * x)))
-        if residual <= POWER_TOL * max(rho, 1.0) and x.min() > 0.0:
-            return SpectralResult(alpha, rho, x, residual, iteration)
-        p = p @ p
-        p /= p.max()
-    raise ConvergenceError(residual, POWER_MAX_ITERATIONS)
+    cases = list(cases)
+    by_order: dict[int, list[int]] = {}
+    for i, (g, alpha) in enumerate(cases):
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
+        if not is_connected(g):
+            raise DisconnectedGraphError("alpha_index needs a connected graph")
+        by_order.setdefault(g.n, []).append(i)
+    out: list = [None] * len(cases)
+    for live in by_order.values():
+        adj = adjacency_stack([cases[i][0] for i in live])
+        a = _alpha_stack(adj, adj.sum(axis=2), [cases[i][1] for i in live])
+        p = a + np.eye(adj.shape[1])  # primitive for every alpha in [0, 1)
+        for iteration in range(POWER_MAX_ITERATIONS + 1):
+            # x[j] is the 2^iteration-th power iterate from the all-ones vector.
+            x = p.sum(axis=2)
+            x /= x.sum(axis=1, keepdims=True)
+            column, row = x[:, :, None], x[:, None, :]
+            ax = a @ column
+            rho = ((row @ ax) / (row @ column))[:, 0, 0]
+            residual = np.abs(ax[:, :, 0] - rho[:, None] * x).max(axis=1)
+            done = (residual <= POWER_TOL * np.maximum(rho, 1.0)) & (x.min(axis=1) > 0.0)
+            if done.any():
+                for j in np.flatnonzero(done).tolist():
+                    i = live[j]
+                    out[i] = SpectralResult(
+                        cases[i][1], float(rho[j]), x[j], float(residual[j]), iteration,
+                    )
+                if done.all():
+                    break
+                left = np.flatnonzero(~done)
+                live = [live[j] for j in left.tolist()]
+                a, p = a[left], p[left]
+            p = p @ p
+            p /= p.max(axis=(1, 2), keepdims=True)
+        else:
+            raise ConvergenceError(float(residual[~done].max()), POWER_MAX_ITERATIONS)
+    return out
 
 
 def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[Perron]]:
@@ -196,9 +238,12 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
                 residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
                 tol = POWER_TOL * np.maximum(rho, 1.0)
                 certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
-            for i, value, vector, ok in zip(positions, rho.tolist(), x, certified.tolist()):
+            certified = certified.tolist()
+            failed = [(graphs[i], alpha) for i, ok in zip(positions, certified) if not ok]
+            redone = iter(alpha_indices(failed) if failed else ())
+            for i, value, vector, ok in zip(positions, rho.tolist(), x, certified):
                 if not ok:
-                    result = alpha_index(graphs[i], alpha)
+                    result = next(redone)
                     value, vector = result.rho, result.perron
                 pairs[i] = Perron(value, vector, not ok)
     return out

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from alphaindex import enumeration, harness, spectral, transforms
+from alphaindex import cli, enumeration, harness, spectral
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
 from alphaindex.harness import (
@@ -257,14 +257,34 @@ def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
 
 def _shift_power_iteration(monkeypatch):
     """Make every power-iteration confirmation in the harness read 1e-6 high."""
-    real = harness.alpha_index
+    real = harness.alpha_indices
 
-    def shifted(g, alpha):
-        result = real(g, alpha)
-        return type(result)(alpha, result.rho + 1e-6, result.perron, result.residual,
-                            result.iterations)
+    def shifted(cases):
+        return [
+            type(result)(result.alpha, result.rho + 1e-6, result.perron, result.residual,
+                         result.iterations)
+            for result in real(cases)
+        ]
 
-    monkeypatch.setattr(harness, "alpha_index", shifted)
+    monkeypatch.setattr(harness, "alpha_indices", shifted)
+
+
+def _count_solved_cases(monkeypatch, *modules):
+    """Record the graph of every case solved through ``alpha_indices`` in
+    ``modules``, in solve order, and each call's number of cases."""
+    real = spectral.alpha_indices
+    graphs, calls = [], []
+
+    def counted(cases):
+        cases = list(cases)
+        graphs.extend(g for g, _ in cases)
+        calls.append(len(cases))
+        return real(cases)
+
+    for module in modules:
+        assert module.alpha_indices is real
+        monkeypatch.setattr(module, "alpha_indices", counted)
+    return graphs, calls
 
 
 def test_extremal_cross_check_disagreement_is_internal(monkeypatch):
@@ -283,18 +303,22 @@ def test_size_cross_check_disagreement_is_internal(monkeypatch):
 def test_size_campaign_power_iteration_count(monkeypatch):
     # Two confirmations per case (argmax and runner-up); an odd asserted
     # case's SK argmax reuses the cubic pin's solve instead of a third.
-    real = harness.alpha_index
-    calls = []
-
-    def counted(g, alpha):
-        calls.append(g)
-        return real(g, alpha)
-
-    monkeypatch.setattr(harness, "alpha_index", counted)
+    # Every size's confirmations and pins are solved in one call.
+    calls, per_call = _count_solved_cases(monkeypatch, harness)
     report = verify_theorem_size()
     assert report.passed and report.flags == []
     assert len(report.case_results) == 77
     assert len(calls) == 2 * 77
+    assert per_call == [2 * 11] * 7
+
+
+def test_order_campaign_confirms_each_order_in_one_call(monkeypatch, capsys):
+    # The order-campaign workload: 3 orders x 11 alphas x (argmax, runner-up).
+    calls, per_call = _count_solved_cases(monkeypatch, spectral, harness)
+    assert cli.main(["verify", "theorem1.3", "--n", "5..7"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == 66
+    assert per_call == [22, 22, 22]
 
 
 @pytest.mark.parametrize("target", ["lemma1", "lemma2"])
@@ -377,22 +401,15 @@ def test_spectral_lemmas_power_iteration_count(monkeypatch):
     # The benchmark's spectral targets solve in batches; power iteration
     # runs only to confirm: the tightest slack of each sandwich case
     # (2 targets x 5 orders x 3 alphas) and the tightest step of each
-    # G(a, b) chain (3 sizes x 2 graphs).  No solve falls back here.
-    real = spectral.alpha_index
-    calls = []
-
-    def counted(g, alpha):
-        calls.append(g)
-        return real(g, alpha)
-
-    for module in (spectral, harness, transforms):
-        assert module.alpha_index is real
-        monkeypatch.setattr(module, "alpha_index", counted)
+    # G(a, b) chain (3 sizes x 2 graphs).  No solve falls back here.  Each
+    # sandwich target confirms in one call, and the chain in one more.
+    calls, per_call = _count_solved_cases(monkeypatch, spectral, harness)
     reports = verify_lemma_suite(
         ["lemma1", "lemma2", "lemma7", "lemma8", "lemma9", "lemma10"], n_max=6, rotation_cases=250,
     )
     assert all(r.passed and r.flags == [] for r in reports)
     assert len(calls) == 2 * 5 * 3 + 3 * 2
+    assert per_call == [5 * 3, 5 * 3, 3 * 2]
     # The chain confirms the two graphs of each size's tightest step; at
     # m = 13 that is the step from G(2,4) to G(3,3).
     assert calls[30:] == [gab(1, 3), gab(2, 2), gab(1, 4), gab(2, 3), gab(2, 4), gab(3, 3)]

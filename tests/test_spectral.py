@@ -5,14 +5,21 @@ import random
 import numpy as np
 import pytest
 
-from alphaindex import spectral
+from alphaindex import harness, spectral
 from alphaindex.connectivity import is_connected
 from alphaindex.enumeration import MAX_SIZE, graphs_by_order, graphs_by_size
 from alphaindex.families import build, complete_bipartite, cycle, subdivided_k2
 from alphaindex.graphs import Graph, GraphError
-from alphaindex.harness import CROSS_CHECK_TOL, sample_rotation_cases, verify_lemma_suite
+from alphaindex.harness import (
+    CROSS_CHECK_TOL,
+    sample_rotation_cases,
+    verify_lemma_suite,
+    verify_theorem_order,
+    verify_theorem_size,
+)
 from alphaindex.spectral import (
     POWER_MAX_ITERATIONS,
+    ConvergenceError,
     DisconnectedGraphError,
     alpha_index,
     alpha_matrix,
@@ -457,7 +464,7 @@ def test_a_bad_alpha_anywhere_raises_before_any_solve(c4, k23, monkeypatch, alph
         raise AssertionError("solved before every alpha was checked")
 
     monkeypatch.setattr(np.linalg, "eigh", no_solve)
-    monkeypatch.setattr(spectral, "alpha_index", no_solve)
+    monkeypatch.setattr(spectral, "alpha_indices", no_solve)
     with pytest.raises(ValueError, match="alpha must lie in"):
         perron_pairs([c4, k23], alphas)
 
@@ -504,7 +511,13 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     only_one_block = corrupt_where(lambda a: a.shape[1] == 6 and (a == 0.25).any())
     monkeypatch.setattr(np.linalg, "eigh", only_one_block)
     alphas = [0.5, 0.75]
-    solved = perron_pairs(graphs, alphas)
+    # The failed pairs of one (order, alpha) are re-solved in one call.
+    redone = []
+    with monkeypatch.context() as patch:
+        real = spectral.alpha_indices
+        patch.setattr(spectral, "alpha_indices", lambda cases: redone.append(cases) or real(cases))
+        solved = perron_pairs(graphs, alphas)
+    assert redone == [[(graphs[2], 0.75), (graphs[3], 0.75)]]
     # K_{1,5} and K_{2,4} have order 6
     assert [[p.fallback for p in pairs] for pairs in solved] == [
         [False, False, False, False], [False, False, True, True],
@@ -549,3 +562,65 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
         f"random-corpus, alpha=0.5|0.75: {consumed} batched eigen-solves failed "
         "the certificate and were re-solved by power iteration"
     ]
+
+
+def test_stacked_power_iteration_equals_one_case_at_a_time(monkeypatch):
+    # Every case the theorem campaigns confirm at n <= 10 and m <= 13.
+    real = harness.alpha_indices
+    cases = []
+
+    def recorded(batch):
+        cases.extend(batch)
+        return real(batch)
+
+    monkeypatch.setattr(harness, "alpha_indices", recorded)
+    assert verify_theorem_order(range(5, 11)).passed
+    assert verify_theorem_size(range(6, 14)).passed
+    assert len(cases) == 2 * 11 * (6 + 8)
+    stacked = spectral.alpha_indices(cases)
+    # Cases leave their order's stack on different squarings.
+    assert len({result.iterations for result in stacked}) > 3
+    for (g, alpha), result in zip(cases, stacked):
+        alone = alpha_index(g, alpha)
+        assert result.alpha == alone.alpha == alpha
+        assert result.rho == alone.rho
+        assert result.residual == alone.residual
+        assert result.iterations == alone.iterations
+        assert np.array_equal(result.perron, alone.perron)
+
+
+def test_a_stack_with_a_case_that_cannot_converge_raises(monkeypatch):
+    # The theta graph needs 7 squarings at alpha 0.999; at a cap of 6, C11
+    # leaves its stack at squaring 0 and K2,9 at squaring 5, and it stalls.
+    theta = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                                  (7, 8), (8, 0), (0, 9), (9, 10), (10, 4)])
+    k29 = complete_bipartite(2, 9)
+    assert alpha_index(theta, 0.999).iterations == 7
+    monkeypatch.setattr(spectral, "POWER_MAX_ITERATIONS", 6)
+    assert [r.iterations for r in spectral.alpha_indices([(cycle(11), 0.999), (k29, 0.999)])] == [0, 5]
+    with pytest.raises(ConvergenceError) as err:
+        spectral.alpha_indices([(cycle(11), 0.999), (theta, 0.999), (k29, 0.999), (cycle(5), 0.5)])
+    assert err.value.iterations == 6
+    assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+@pytest.mark.parametrize("bad, message", [
+    (Graph.from_edges(4, [(0, 1), (2, 3)]), "needs a connected graph"),
+    (1.0, "alpha must lie in"),
+    (-0.1, "alpha must lie in"),
+    (math.nan, "alpha must lie in"),
+])
+def test_a_bad_case_anywhere_raises_before_any_solve(monkeypatch, at, bad, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before every case was checked")
+
+    cases = [(cycle(5), 0.5), (complete_bipartite(2, 4), 0.75), (cycle(4), 0.0)]
+    cases.insert(at, (bad, 0.5) if isinstance(bad, Graph) else (cycle(6), bad))
+    monkeypatch.setattr(spectral, "adjacency_stack", no_solve)
+    with pytest.raises(ValueError, match=message):
+        spectral.alpha_indices(cases)
+
+
+def test_alpha_indices_of_no_cases():
+    assert spectral.alpha_indices([]) == []
