@@ -8,7 +8,8 @@ breadth-first reach.  The chord-based one rests on the classical
 equivalence with "no cycle has a chord" (Dirac 1967, Plummer 1968): it
 first rejects an edge whose ends have two common neighbours (the chord of
 a 4-cycle), then runs only on the Tarjan block walk, which also decides
-its 2-connectivity and serves :func:`chording_ears`.  Their agreement on
+its 2-connectivity and serves :func:`chording_ears` and
+:func:`is_removable`, the ear generator's thread test.  Their agreement on
 every small graph is a standing cross-check exercised by the test suite.
 """
 
@@ -135,6 +136,45 @@ def chording_ears(g: Graph) -> tuple[int, ...]:
         for v in iter_bits(end_y):
             rows[v] |= end_x
     return tuple(rows)
+
+
+def threads(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """The threads of ``g`` as ``(a, b, interior)`` with ``a < b``: maximal
+    paths of length >= 2 whose inner vertices (the mask ``interior``) have
+    degree 2 and whose ends ``a`` and ``b`` have degree >= 3.  A thread's
+    length is ``interior.bit_count() + 1``.
+
+    Each thread is walked from both ends and yielded from its lower one.
+    An edge between two vertices of degree >= 3 has no interior and is no
+    thread, and a path of degree-2 vertices that ends in a vertex of degree
+    1 or returns to its start is none either.
+    """
+    rows = g.rows
+    light = 0
+    for v, row in enumerate(rows):
+        if row.bit_count() == 2:
+            light |= 1 << v
+    for a, row in enumerate(rows):
+        if row.bit_count() < 3:
+            continue
+        for first in iter_bits(row & light):
+            prev, cur, interior = a, first, 0
+            while (light >> cur) & 1:
+                interior |= 1 << cur
+                prev, cur = cur, (rows[cur] & ~(1 << prev)).bit_length() - 1
+            if a < cur and rows[cur].bit_count() >= 3:
+                yield a, cur, interior
+
+
+def is_removable(g: Graph, interior: int) -> bool:
+    """Whether ``g`` minus the inner vertices ``interior`` of one of its
+    threads is 2-connected, read off the first block of the block walk: the
+    deleted vertices are left isolated, and an isolated vertex closes no
+    block.  The rest has at least three vertices, since an end of the
+    thread has two neighbours outside it."""
+    rows = tuple(0 if (interior >> v) & 1 else row & ~interior for v, row in enumerate(g.rows))
+    h = Graph._trusted(g.n, rows, g.m - interior.bit_count() - 1)
+    return next(_block_masks(h), 0) == ((1 << g.n) - 1) & ~interior
 
 
 def triangle_free(g: Graph) -> bool:

@@ -70,14 +70,31 @@ Two generators are provided:
   ``G + ear(u, v, L)`` onto ``G + ear(s(u), s(v), L)``, so a pair in the
   orbit of an expanded one gives an isomorphic child.  Any subgroup of
   Aut(G) is therefore safe, and a generator set that misses part of the
-  group costs speed only.
+  group costs speed only.  A child is labeled only if its new ear is a
+  largest removable thread (McKay's canonical construction path, J.
+  Algorithms 26, 1998).  A thread is a maximal path of length >= 2 whose
+  inner vertices have degree 2 and whose ends a, b have degree >= 3; it is
+  removable when the child minus its inner vertices is still 2-connected;
+  its key is ``(length, deg(a) + deg(b))`` in the child.  The child is
+  dropped when some removable thread has a larger key than the new ear,
+  before any labeling (``connectivity.threads`` and ``is_removable``).
+  No class is lost.  A non-cycle class G has a removable thread (the last
+  ear of an ear decomposition); let T be one of largest key.  G minus T's
+  inside is 2-connected and chord-free, so its canonical copy is a class
+  of the cell one excess edge lower, and T's ends are non-adjacent there
+  and keep it minimal.  The pair orbit expanded for those ends and T's
+  length gives a child isomorphic to G by a map carrying the new ear onto
+  T, so its new ear has T's key, which no removable thread beats.  Ties
+  fall to the de-duplication by canonical form.
 * brute force by order, for the ``all`` and ``two_connected`` filters -
   canonical augmentation: each class on ``n - 1`` vertices gains one new
-  vertex for every neighbourhood that gives the new vertex minimum degree
-  in the child, and the children are de-duplicated by canonical form
-  (McKay, J. Algorithms 26, 1998).  The rule is a test on the parent's
-  degrees and the neighbourhood alone, and it loses no class: a graph G is
-  ``(G - w) + w`` for a minimum-degree vertex w, and an isomorphism from
+  vertex w for every neighbourhood that gives w minimum degree in the
+  child and no smaller neighbour-degree sum (the sum of its neighbours'
+  degrees) than any other minimum-degree vertex, and the children are
+  de-duplicated by canonical form (McKay, J. Algorithms 26, 1998).  The
+  rule is a test on the parent's degrees and the neighbourhood alone, and
+  it loses no class: a graph G is ``(G - w) + w`` for a minimum-degree
+  vertex w of largest neighbour-degree sum, and an isomorphism from
   ``G - w`` onto its canonical parent maps N(w) to a neighbourhood that
   passes the test, giving a child isomorphic to G.  It is also the
   independent oracle for the ear cells in the tests.
@@ -89,7 +106,13 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .connectivity import chording_ears, is_minimally_two_connected_by_chords, is_two_connected
+from .connectivity import (
+    chording_ears,
+    is_minimally_two_connected_by_chords,
+    is_removable,
+    is_two_connected,
+    threads,
+)
 from .graphs import Graph, Graph6Error, GraphError, emit_graph6, iter_bits, parse_graph6
 
 MAX_CANONICAL_ORDER = 20
@@ -355,19 +378,33 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
     A neighbourhood ``mask`` of size ``k`` is added to a parent only if the
     new vertex has minimum degree in the child: the parent's minimum degree
     ``low`` is at least ``k - 1``, and if it equals ``k - 1`` every vertex
-    of degree ``low`` lies in ``mask``.
+    of degree ``low`` lies in ``mask``.  It is then skipped if a rival, an
+    old vertex of degree ``k`` in the child (of degree ``k`` outside
+    ``mask`` or ``k - 1`` inside it), has a larger neighbour-degree sum in
+    the child than the new vertex.
     """
     if n == 1:
         return (Graph.from_rows([0]),)
     seen: dict[str, Graph] = {}
     for parent in _all_classes(n - 1):
+        rows = parent.rows
         degrees = parent.degrees()
+        sums = [sum(degrees[w] for w in iter_bits(row)) for row in rows]
+        by_degree: dict[int, int] = {}
+        for v, d in enumerate(degrees):
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
         low = min(degrees)
-        lows = sum(1 << v for v, d in enumerate(degrees) if d == low)
+        lows = by_degree[low]
         for mask in range(1 << (n - 1)):
             k = mask.bit_count()
             if k > low + 1 or (k == low + 1 and lows & ~mask):
                 continue
+            rivals = (by_degree.get(k, 0) & ~mask) | (by_degree.get(k - 1, 0) & mask)
+            if rivals:
+                own = k + sum(degrees[v] for v in iter_bits(mask))
+                if any(sums[w] + (rows[w] & mask).bit_count() + k * ((mask >> w) & 1) > own
+                       for w in iter_bits(rivals)):
+                    continue
             h, key, _, _ = _canonical(parent.add_vertex(mask))
             seen[key] = h
     return tuple(seen[key] for key in sorted(seen))
@@ -378,8 +415,8 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
 
     Minimally 2-connected classes come from the ear cells and reach
     ``MAX_MIN2C_ORDER``.  The other filters run over every class up to
-    ``MAX_BUILTIN_ORDER`` (the augmentation sweep takes about 30 s at
-    n = 9; n = 10 would need 23.7 M more canonical forms and several GB).
+    ``MAX_BUILTIN_ORDER`` (the augmentation sweep makes 442,352 canonical
+    forms at n = 9; n = 10 would need millions more and several GB).
     """
     if filter not in _FILTERS:
         raise ValueError(f"unknown filter {filter!r}")
@@ -436,8 +473,23 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
                     pair = (1 << u) | (1 << v)
                     if pair not in expanded:
                         expanded |= _orbit(pair, generators)
-                        add(_add_ear(g, u, v, length))
+                        child = _add_ear(g, u, v, length)
+                        if _largest_thread(child, u, v, length):
+                            add(child)
     return tuple(seen[key] for key in sorted(seen))
+
+
+def _largest_thread(child: Graph, u: int, v: int, length: int) -> bool:
+    """Whether no removable thread of ``child`` has a larger key
+    ``(length, deg(a) + deg(b))`` than its last ear, the u-v thread of
+    ``length`` edges."""
+    rows = child.rows
+    key = (length, rows[u].bit_count() + rows[v].bit_count())
+    return not any(
+        (interior.bit_count() + 1, rows[a].bit_count() + rows[b].bit_count()) > key
+        and is_removable(child, interior)
+        for a, b, interior in threads(child)
+    )
 
 
 def _add_ear(g: Graph, u: int, v: int, length: int) -> Graph:

@@ -66,6 +66,14 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph.from_edges(offset, edges)
 
 
+def without(g: Graph, removed: int) -> Graph:
+    """``g`` minus the vertices of the mask ``removed``, relabelled in order."""
+    keep = [v for v in range(g.n) if not (removed >> v) & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    return Graph.from_edges(len(keep), [(index[u], index[v]) for u, v in g.edges()
+                                        if u in index and v in index])
+
+
 def ear_graph(rng: random.Random, n: int) -> Graph:
     """A cycle of 5 to ``n`` vertices plus open ears of 2 to 4 edges between
     random non-adjacent vertices, until the order is ``n``."""

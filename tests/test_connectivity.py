@@ -9,14 +9,16 @@ from alphaindex.connectivity import (
     is_connected,
     is_minimally_two_connected_by_chords,
     is_minimally_two_connected_by_deletion,
+    is_removable,
     is_two_connected,
+    threads,
     triangle_free,
 )
 from alphaindex.enumeration import _add_ear, graphs_by_order, graphs_by_size
 from alphaindex.families import complete_bipartite
 from alphaindex.graphs import Graph, iter_bits
 
-from conftest import random_graph
+from conftest import random_graph, without
 
 
 def path(n):
@@ -310,3 +312,45 @@ def test_chording_ears_unchanged_by_the_block_walk(monkeypatch):
     got = [chording_ears(g) for g in ears]
     monkeypatch.setattr(connectivity, "_block_masks", _block_masks_by_edge_stack)
     assert got == [chording_ears(g) for g in ears]
+
+
+def _threads_by_components(g):
+    """Threads from the components of the subgraph on the degree-2
+    vertices: a component is a thread's interior when its vertices have
+    exactly two neighbours outside it, distinct and of degree >= 3."""
+    light = {v for v in range(g.n) if g.degree(v) == 2}
+    out, seen = [], set()
+    for start in light:
+        if start in seen:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for w in g.neighbors(stack.pop()):
+                if w in light and w not in component:
+                    component.add(w)
+                    stack.append(w)
+        seen |= component
+        ends = sorted(w for v in component for w in g.neighbors(v) if w not in component)
+        if len(ends) == 2 and ends[0] != ends[1] and min(map(g.degree, ends)) >= 3:
+            out.append((ends[0], ends[1], sum(1 << v for v in component)))
+    return sorted(out)
+
+
+def test_threads_match_degree_two_components(k4, k23):
+    rng = random.Random(2611)
+    graphs = [g for n in range(1, 8) for g in graphs_by_order(n)] + _ear_cells(13)
+    graphs += [random_graph(rng, n, 0.3) for n in range(4, 14) for _ in range(20)]
+    assert list(threads(k4)) == [] and len(list(threads(k23))) == 3
+    assert sum(1 for g in graphs for _ in threads(g)) > 2000
+    for g in graphs:
+        assert sorted(threads(g)) == _threads_by_components(g), g
+
+
+def test_removable_threads_match_deletion():
+    graphs = _ear_cells(13) + [g for g in graphs_by_order(7, "two_connected")]
+    removable = 0
+    for g in graphs:
+        for _, _, interior in threads(g):
+            assert is_removable(g, interior) == is_two_connected(without(g, interior)), g
+            removable += is_removable(g, interior)
+    assert 0 < removable < sum(1 for g in graphs for _ in threads(g))

@@ -26,6 +26,7 @@ from conftest import (
     disjoint_union,
     random_graph,
     relabelled,
+    without,
 )
 
 # Isomorphism classes of simple graphs on n vertices (OEIS A000088).
@@ -71,7 +72,8 @@ def test_minimum_degree_augmentation_form_count(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_canonical", counted)
     assert len(enumeration._all_classes(7)) == 1044
-    assert len(calls) == 3131  # 11,290 with every neighbourhood
+    # 3,131 with the minimum-degree test alone, 11,290 with every neighbourhood
+    assert len(calls) == 2490
 
 
 def test_min2c_order4():
@@ -248,7 +250,8 @@ def test_ear_generation_runs_no_chord_test(monkeypatch):
 def _every_ear_pair_cells(m_max):
     """Ear cells ``(n, m)`` of sizes 3..m_max from every ear pair of every
     parent, de-duplicated by canonical form: ear generation without the
-    pruning by the parent's automorphisms."""
+    pruning by the parent's automorphisms and without the largest-thread
+    test."""
     cells = {}
     for m in range(3, m_max + 1):
         for n in range(3, m + 1):
@@ -269,8 +272,25 @@ def _every_ear_pair_cells(m_max):
 
 
 def test_ear_pair_pruning_matches_every_ear_pair():
-    for (n, m), cell in _every_ear_pair_cells(12).items():
+    for (n, m), cell in _every_ear_pair_cells(13).items():
         assert tuple(h for h, _, _ in enumeration._ear_classes(n, m)) == cell, (n, m)
+
+
+def test_largest_removable_thread_leaves_a_parent_class():
+    # The argument that the largest-thread test loses no class: every
+    # non-cycle class has a removable thread, and deleting the inside of the
+    # one of largest key leaves a class one excess edge lower.
+    for m in range(4, 14):
+        for n in range(4, m + 1):
+            for g, _, _ in enumeration._ear_classes(n, m):
+                if g.n == g.m:
+                    continue
+                keyed = [(interior.bit_count() + 1, g.degree(a) + g.degree(b), interior)
+                         for a, b, interior in connectivity.threads(g)
+                         if connectivity.is_removable(g, interior)]
+                length, _, interior = max(keyed)
+                cell = {form for _, _, form in enumeration._ear_classes(n - length + 1, m - length)}
+                assert canonical_form(without(g, interior)) in cell, emit_graph6(g)
 
 
 def _is_automorphism(g, sigma):
@@ -294,7 +314,9 @@ def test_ear_cell_generators_are_automorphisms():
             assert _is_automorphism(h, sigma), (emit_graph6(h), sigma)
 
 
-def test_ear_pair_pruning_canonical_count(monkeypatch):
+def _counted_ear_sweep(monkeypatch, m_max):
+    """Class counts of sizes 3..m_max from a cold ear sweep, and the number
+    of canonical searches it ran."""
     # A fresh cache makes the sweep cold and leaves the shared one as it was.
     monkeypatch.setattr(enumeration, "_ear_classes",
                         lru_cache(maxsize=None)(enumeration._ear_classes.__wrapped__))
@@ -306,9 +328,20 @@ def test_ear_pair_pruning_canonical_count(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(enumeration, "_canonical_order", counted)
-    counts = [len(graphs_by_size(m)) for m in range(3, 14)]
+    return [len(graphs_by_size(m)) for m in range(3, m_max + 1)], len(calls)
+
+
+def test_ear_pair_pruning_canonical_count(monkeypatch):
+    counts, searches = _counted_ear_sweep(monkeypatch, 13)
     assert counts == [1, 1, 1, 2, 2, 4, 6, 11, 18, 39, 70]
-    assert len(calls) <= 360  # 924 with every ear pair
+    # 351 without the largest-thread test, 924 with every ear pair.
+    assert searches == 162
+
+
+def test_ear_sweep_canonical_count_to_size_16(monkeypatch):
+    counts, searches = _counted_ear_sweep(monkeypatch, 16)
+    assert counts[-3:] == [154, 320, 729] and sum(counts) == 1358
+    assert searches == 1497  # 4,192 without the largest-thread test
 
 
 def test_union_reuses_the_cell_forms(monkeypatch):
