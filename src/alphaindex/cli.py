@@ -9,6 +9,11 @@ Verbs, one per module capability:
 * ``verify``     - theorem1.3 | theorem1.4 | lemmas campaigns
 * ``convert``    - graph6 stream passthrough with filtering and de-duplication
 
+An invocation builds only its verb's parser (see :func:`build_parser`),
+since building all six is a large share of a short campaign's time; an
+argument list that does not start with a verb gets every verb, for the
+help or error message that names them all.
+
 Exit codes: 0 success / all checks passed, 1 verification violations,
 2 usage errors (files that cannot be read or written included), 3
 internal numerical failures (a power iteration that does not converge, or
@@ -308,43 +313,49 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="alphaindex",
-        description="alpha-index computation and desk-scale verification "
-                    "for minimally 2-connected graphs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_io(p, formats=("text", "json")):
+    p.add_argument("--format", choices=formats, default=formats[0])
+    p.add_argument("--out", help="write output to this path instead of stdout")
 
-    def add_io(p, formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", help="write output to this path instead of stdout")
 
-    # Flags that several verbs share are built once, in parsers without help
-    # that the verbs take as parents (argparse copies their actions).
-    graph_input = argparse.ArgumentParser(add_help=False)
-    group = graph_input.add_mutually_exclusive_group()
+# Flags that several verbs share are built in parsers without help that the
+# verbs take as parents (argparse copies their actions).
+def _graph_input() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_mutually_exclusive_group()
     group.add_argument("--family", help="family syntax: K{a},{b} | SK2,{k} | G{a},{b} | C{n}")
     group.add_argument("--graph6", help="a literal graph6 string")
     group.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")
-    add_io(graph_input)
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--poly", default="f,g", help="which polynomials: f, g, or f,g")
-    grid.add_argument("--m-start", type=int, default=ct.GRID_M[0])
-    grid.add_argument("--m-stop", type=int, default=ct.GRID_M[1])
-    grid.add_argument("--alpha-start", default=ct.GRID_ALPHA[0])
-    grid.add_argument("--alpha-stop", default=ct.GRID_ALPHA[1])
-    grid.add_argument("--alpha-step", default=ct.GRID_ALPHA[2])
-    add_io(grid)
+    _add_io(parent)
+    return parent
 
-    p = sub.add_parser("rho", parents=[graph_input], help="alpha-index and Perron vector")
+
+def _grid() -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--poly", default="f,g", help="which polynomials: f, g, or f,g")
+    parent.add_argument("--m-start", type=int, default=ct.GRID_M[0])
+    parent.add_argument("--m-stop", type=int, default=ct.GRID_M[1])
+    parent.add_argument("--alpha-start", default=ct.GRID_ALPHA[0])
+    parent.add_argument("--alpha-stop", default=ct.GRID_ALPHA[1])
+    parent.add_argument("--alpha-step", default=ct.GRID_ALPHA[2])
+    _add_io(parent)
+    return parent
+
+
+def _add_rho(sub) -> None:
+    p = sub.add_parser("rho", parents=[_graph_input()], help="alpha-index and Perron vector")
     p.add_argument("--alpha", required=True, help="alpha in [0, 1), e.g. 0.5")
     p.set_defaults(fn=_cmd_rho)
 
-    p = sub.add_parser("bounds", parents=[graph_input], help="lower/upper alpha-index bounds plus rho")
+
+def _add_bounds(sub) -> None:
+    p = sub.add_parser("bounds", parents=[_graph_input()],
+                       help="lower/upper alpha-index bounds plus rho")
     p.add_argument("--alpha", required=True)
     p.set_defaults(fn=_cmd_bounds)
 
+
+def _add_enumerate(sub) -> None:
     p = sub.add_parser("enumerate", help="isomorph-free generation")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int,
@@ -353,20 +364,26 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--size", type=int,
                        help=f"enumerate minimally 2-connected graphs by size (m <= {MAX_SIZE})")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
-    add_io(p, formats=("graph6", "json"))
+    _add_io(p, formats=("graph6", "json"))
     p.set_defaults(fn=_cmd_enumerate)
 
+
+def _add_certify(sub) -> None:
     p = sub.add_parser("certify", help="column sums, sign grids, identities")
     modes = p.add_subparsers(dest="mode", required=True)
-    p = modes.add_parser("columns", parents=[graph_input], help="column sums of the proof matrix B")
+    p = modes.add_parser("columns", parents=[_graph_input()],
+                         help="column sums of the proof matrix B")
     p.add_argument("--alpha", default="0.5", help="alpha for column sums")
     p.add_argument("--variant", choices=("order", "size"), default="order")
     p.set_defaults(fn=_cmd_columns)
+    grid = _grid()
     p = modes.add_parser("signs", parents=[grid], help="sign grids of f and g")
     p.set_defaults(fn=_cmd_signs)
     p = modes.add_parser("identity", parents=[grid], help="polynomial identities of f and g")
     p.set_defaults(fn=_cmd_identity)
 
+
+def _add_verify(sub) -> None:
     p = sub.add_parser(
         "verify",
         help="run a verification campaign",
@@ -400,9 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepts only 1; campaigns run serially")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock runtime_ms in reports")
-    add_io(p, formats=("text", "json", "csv"))
+    _add_io(p, formats=("text", "json", "csv"))
     p.set_defaults(fn=_cmd_verify, campaign={a.dest: a.option_strings[0] for a in campaign})
 
+
+def _add_convert(sub) -> None:
     p = sub.add_parser("convert", help="graph6 passthrough with filtering")
     p.add_argument("--in", dest="infile", help="file of graph6 lines (default: stdin)")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
@@ -410,11 +429,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.set_defaults(fn=_cmd_convert)
 
+
+_VERBS = {
+    "rho": _add_rho,
+    "bounds": _add_bounds,
+    "enumerate": _add_enumerate,
+    "certify": _add_certify,
+    "verify": _add_verify,
+    "convert": _add_convert,
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every verb, or with only ``verb``'s subparser built
+    when ``verb`` names one.
+
+    A one-verb parser prints the same bytes as the full one wherever it can
+    be reached: the command's metavar names every verb, so the top-level
+    usage line (wrapped as argparse wraps it) is the full parser's, and the
+    messages that name the command itself (a missing or unknown verb) come
+    only from argument lists that do not start with a verb.
+    """
+    parser = argparse.ArgumentParser(
+        prog="alphaindex",
+        description="alpha-index computation and desk-scale verification "
+                    "for minimally 2-connected graphs",
+    )
+    only = verb if verb in _VERBS else None
+    metavar = None if only is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, add in _VERBS.items():
+        if only in (None, name):
+            add(sub)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only the invoked verb's subparser is built; argument lists that do not
+    # start with a verb (none, -h, a typo) get every verb for their message.
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

@@ -22,14 +22,17 @@ nonnegative matrices involve no cancellation.  It squares the cases of one
 order as one stack, each case reading its own slice by ``matmul``, so a
 case gives the same bits alone or stacked; :func:`alpha_index` is the one
 case.  :func:`perron_pairs` serves campaigns: it builds one adjacency
-stack per order and makes one LAPACK ``eigh`` call per (order, alpha),
-and :func:`lambda_maxes` (per component) takes its values from it.  Each
+stack per order and makes one LAPACK ``eigh`` call per run of that
+order's alphas, a run stacking as many alphas' matrices as fit in
+``_STACK_ENTRIES`` (so small orders pay numpy's per-call cost once, while
+a large order keeps one alpha per call and the memory of one), and
+:func:`lambda_maxes` (per component) takes its values from it.  Each
 batched eigenpair is certified (residual within the power-iteration
 tolerance, unit-sum top eigenvector positive up to that tolerance, which
 on an irreducible nonnegative matrix singles out the Perron vector); the
-graphs that fail are re-solved by power iteration, in one call per
-(order, alpha), and their :class:`Perron` pairs carry ``fallback`` so that
-the caller can flag them.  Campaigns solve through :func:`perron_pairs`,
+graphs that fail are re-solved by power iteration, in one call per run,
+and their :class:`Perron` pairs carry ``fallback`` so that the caller can
+flag them.  Campaigns solve through :func:`perron_pairs`,
 and power iteration stays the independent cross-check of the batched
 values: it confirms the values a verdict rests on, all those of one
 theorem order or size (or of one lemma target) in one call, and
@@ -56,6 +59,13 @@ POWER_TOL = 1e-12
 POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
 COLUMN_SUM_CROSS_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
+
+# At most this many entries (k n^2 over the k matrices) in one perron_pairs
+# stack.  Merging an order's alphas into one eigh call saves numpy's
+# per-call cost, which dominates small stacks; stacking every alpha of a
+# large order at once was no faster and raised the theorem1.4 campaign's
+# peak RSS by 4.3%, so a large order keeps one alpha per stack.
+_STACK_ENTRIES = 4096
 
 
 class SpectralError(RuntimeError):
@@ -113,14 +123,17 @@ def adjacency_stack(graphs: Sequence[Graph]) -> np.ndarray:
 
 
 def _alpha_stack(
-    adj: np.ndarray, degrees: np.ndarray, alpha: float | Sequence[float],
+    adj: np.ndarray, degrees: np.ndarray, alpha: float | Sequence[float] | np.ndarray,
 ) -> np.ndarray:
-    """alpha*D + (1-alpha)*A of each matrix of a stack: (1-alpha) off the
-    diagonal where A has an edge, alpha*d(v) on it.  ``alpha`` is one value
-    for the whole stack or an array of one per matrix."""
-    alpha = np.reshape(alpha, (-1, 1))
-    a = (1.0 - alpha)[:, :, None] * adj
-    a.reshape(len(a), -1)[:, :: adj.shape[1] + 1] = alpha * degrees  # the diagonals
+    """alpha*D + (1-alpha)*A as one stack: (1-alpha) off the diagonal where
+    A has an edge, alpha*d(v) on it.  ``alpha`` broadcasts against the
+    matrix axis of ``adj``: one value, or one per matrix (shape (k,)), gives
+    k matrices; a column of r values (shape (r, 1)) gives r*k, alpha-major,
+    formed directly from the one adjacency stack."""
+    alpha = np.asarray(alpha, float)
+    n = adj.shape[1]
+    a = ((1.0 - alpha)[..., None, None] * adj).reshape(-1, n, n)
+    a.reshape(len(a), -1)[:, :: n + 1] = (alpha[..., None] * degrees).reshape(-1, n)  # the diagonals
     return a
 
 
@@ -199,21 +212,27 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
     per alpha, in input order; ``x`` is the unit-sum Perron vector.
 
     The graphs are checked for connectivity once, and the adjacency stack of
-    each order is built once and serves every alpha, with one ``eigh`` call
-    per (order, alpha).  Every alpha is range-checked before any solve.
+    each order is built once and serves every alpha.  The alphas of an
+    order are solved in runs: the A_alpha matrices of a run's alphas form
+    one stack, with one ``eigh`` call and one certification each.  A run
+    takes as many alphas as keep its stack within ``_STACK_ENTRIES``
+    entries (k n^2 per alpha for k graphs of order n), and at least one.
+    Every alpha is range-checked before any solve.
 
     Every eigenpair is certified before it is used, vectorised over the
-    order group: it must pass the residual test of :func:`alpha_index`,
-    and the unit-sum top eigenvector must be positive (on an irreducible
+    stack: it must pass the residual test of :func:`alpha_index`, and the
+    unit-sum top eigenvector must be positive (on an irreducible
     nonnegative matrix only the Perron vector is).  Positivity is tested
     against ``-POWER_TOL``, the residual test's own tolerance: ``eigh``
     resolves eigenvector entries only to about machine epsilon, so a true
     entry of 1e-19 (far vertices as alpha -> 1) can come back as -1e-16,
     and a strict ``> 0`` would send such a graph to power iteration for a
     rounding error.  Power iteration keeps the strict test, since its
-    products of nonnegative matrices cannot round below zero.  A graph
-    that fails is re-solved by :func:`alpha_index` and its pair has
-    ``fallback`` set.
+    products of nonnegative matrices cannot round below zero.  The pairs of
+    a run that fail are re-solved in one :func:`alpha_indices` call and
+    have ``fallback`` set.  Each matrix's eigenpair and certificate depend
+    on no other matrix of its stack, so a pair comes out bit for bit the
+    same whichever alphas share its run.
     """
     alphas = list(alphas)
     for alpha in alphas:
@@ -228,8 +247,11 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
     for positions in by_order.values():
         adj = adjacency_stack([graphs[i] for i in positions])
         degrees = adj.sum(axis=2)
-        for alpha, pairs in zip(alphas, out):
-            a = _alpha_stack(adj, degrees, alpha)
+        k, n = len(positions), adj.shape[1]
+        step = max(1, _STACK_ENTRIES // (k * n * n))
+        for start in range(0, len(alphas), step):
+            run = alphas[start:start + step]
+            a = _alpha_stack(adj, degrees, np.reshape(run, (-1, 1)))
             w, v = np.linalg.eigh(a)
             rho = w[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
@@ -238,10 +260,12 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
                 residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
                 tol = POWER_TOL * np.maximum(rho, 1.0)
                 certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
+            del a, v  # free the run's stack before its fallbacks and the next run
             certified = certified.tolist()
-            failed = [(graphs[i], alpha) for i, ok in zip(positions, certified) if not ok]
+            cells = [(pairs, alpha, i) for pairs, alpha in zip(out[start:], run) for i in positions]
+            failed = [(graphs[i], alpha) for (_, alpha, i), ok in zip(cells, certified) if not ok]
             redone = iter(alpha_indices(failed) if failed else ())
-            for i, value, vector, ok in zip(positions, rho.tolist(), x, certified):
+            for (pairs, _, i), value, vector, ok in zip(cells, rho.tolist(), x, certified):
                 if not ok:
                     result = next(redone)
                     value, vector = result.rho, result.perron

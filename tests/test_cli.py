@@ -604,6 +604,54 @@ def test_every_subcommand_has_help(capsys, sub):
     assert "usage" in capsys.readouterr().out
 
 
+def _outcome(capsys, argv):
+    """stdout, stderr and exit code of ``main(argv)``."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+@pytest.mark.parametrize("columns", ["80", "50"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem1.3", "--bogus"],
+    ["verify", "theorem9"],
+    ["verify", "theorem1.3", "--n"],
+    ["certify", "signs", "--bad"],
+    ["rho", "--alpha", "0.5", "--family", "K2,3", "extra"],
+    ["rho", "--alpha", "0.5", "--family", "NOPE"],
+    ["enumerate", "--order", "5", "--size", "6"],
+    *([verb, "--help"] for verb in ["rho", "bounds", "enumerate", "certify", "verify", "convert"]),
+    [],
+    ["--help"],
+    ["bogus"],
+])
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, columns, argv):
+    # At 50 columns argparse wraps the top-level usage line.
+    monkeypatch.setenv("COLUMNS", columns)
+    one_verb = _outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda verb=None: full())
+    assert _outcome(capsys, argv) == one_verb
+    assert one_verb[2] in (0, 2)
+
+
+def test_a_verb_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kwargs: built.append(name) or add_parser(self, name, **kwargs))
+    assert run_cli(capsys, "verify", "theorem1.3", "--n", "5", "--alpha", "0.5")[0] == 0
+    assert built == ["verify"]
+    built.clear()
+    cli.build_parser()
+    assert built == [
+        "rho", "bounds", "enumerate", "certify", "columns", "signs", "identity", "verify", "convert",
+    ]
+
+
 def test_out_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(

@@ -440,16 +440,40 @@ def test_alpha_indices_keep_input_order():
     assert values == pytest.approx([alpha_index(g, 0.6).rho for g in graphs], abs=1e-12)
 
 
-def test_perron_pairs_of_many_alphas_equal_the_one_alpha_calls(connected_classes):
-    graphs = connected_classes + [complete_bipartite(12, 12)]
-    alphas = [0.0, 0.5, 0.999]
-    solved = perron_pairs(graphs, alphas)
-    assert len(solved) == len(alphas)
-    for alpha, pairs in zip(alphas, solved):
-        (alone,) = perron_pairs(graphs, [alpha])
-        assert [p.rho for p in pairs] == [p.rho for p in alone]
-        assert [p.fallback for p in pairs] == [p.fallback for p in alone]
-        assert all(np.array_equal(p.x, q.x) for p, q in zip(pairs, alone))
+def test_perron_pairs_of_many_alphas_equal_the_one_alpha_calls(monkeypatch, connected_classes):
+    # The connected classes of order <= 7 at the theorem grid and with
+    # K12,12 at three alphas, then the graph sets of lemma8, lemma9 and
+    # lemma10 at their own grids.
+    theorem_alphas = [float(s) for s in harness.THEOREM_ALPHAS]
+    sets = [
+        (connected_classes, theorem_alphas),
+        (connected_classes + [complete_bipartite(12, 12)], [0.0, 0.5, 0.999]),
+    ]
+    real = harness.perron_pairs
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "perron_pairs",
+                      lambda graphs, alphas: sets.append((graphs, alphas)) or real(graphs, alphas))
+        verify_lemma_suite(["lemma8", "lemma9", "lemma10"])
+    assert len(sets) == 5
+    eigh = np.linalg.eigh
+    stacks = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(a.shape) or eigh(a))
+    for graphs, alphas in sets:
+        solved = perron_pairs(graphs, alphas)
+        assert len(solved) == len(alphas)
+        if alphas is theorem_alphas:
+            merged = stacks[:]
+        for alpha, pairs in zip(alphas, solved):
+            (alone,) = perron_pairs(graphs, [alpha])
+            assert [p.rho for p in pairs] == [p.rho for p in alone]
+            assert [p.fallback for p in pairs] == [p.fallback for p in alone]
+            assert all(np.array_equal(p.x, q.x) for p, q in zip(pairs, alone))
+    # Both paths ran: the 853 classes of order 7 exceed the stack cap alone,
+    # so each alpha has its own stack, while the 6 of order 4 take every
+    # alpha in one stack.
+    assert [s for s in merged if s[1] == 7] == [(853, 7, 7)] * 11
+    assert 853 * 7 * 7 > spectral._STACK_ENTRIES
+    assert [s for s in merged if s[1] == 4] == [(11 * 6, 4, 4)]
 
 
 def test_perron_pairs_of_no_graphs_or_no_alphas(c4):
@@ -502,16 +526,21 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     eigh = np.linalg.eigh
 
     def corrupt_where(hit):
+        """Corrupt the eigenpairs of the matrices of a stack for which
+        ``hit(matrix)`` holds, whatever else shares the stack."""
         def corrupted(a):
             w, v = eigh(a)
-            return corrupt(w, v) if hit(a) else (w, v)
+            bad = np.array([hit(matrix) for matrix in a], dtype=bool)
+            bad_w, bad_v = corrupt(w, v)
+            return np.where(bad[:, None], bad_w, w), np.where(bad[:, None, None], bad_v, v)
         return corrupted
 
-    # Only the order-6 block at alpha 0.75, the one whose edges weigh 0.25.
-    only_one_block = corrupt_where(lambda a: a.shape[1] == 6 and (a == 0.25).any())
+    # Only the order-6 matrices at alpha 0.75, the ones whose edges weigh
+    # 0.25; the alpha 0.5 matrices of their stack stay intact.
+    only_one_block = corrupt_where(lambda a: len(a) == 6 and (a == 0.25).any())
     monkeypatch.setattr(np.linalg, "eigh", only_one_block)
     alphas = [0.5, 0.75]
-    # The failed pairs of one (order, alpha) are re-solved in one call.
+    # The failed pairs of one run of alphas are re-solved in one call.
     redone = []
     with monkeypatch.context() as patch:
         real = spectral.alpha_indices
@@ -528,7 +557,7 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
             assert abs(rho - reference.rho) <= 1e-12
             assert np.max(np.abs(x - reference.perron)) <= 1e-9
 
-    monkeypatch.setattr(np.linalg, "eigh", corrupt_where(lambda a: a.shape[1] == 6))
+    monkeypatch.setattr(np.linalg, "eigh", corrupt_where(lambda a: len(a) == 6))
 
     # One corpus block of lemma7: every solve of order 6, of a drawn graph or
     # of a component of its rotation, falls back, and the checks still agree
