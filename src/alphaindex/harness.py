@@ -25,7 +25,7 @@ import inspect
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .enumeration import (
 from .families import build, complete_bipartite, gab, subdivided_k2
 from .graphs import Graph, emit_graph6
 from .spectral import (
-    Perron,
     SYMMETRY_TOL,
     SpectralError,
     adjacency_stack,
@@ -199,126 +198,99 @@ class _Confirmations:
 # -- theorem campaigns -------------------------------------------------------
 
 
-def _extremal_case(
-    label: str, classes: list[Graph], forms: list[str], target: str | None, alpha_str: str,
-    pairs: list[Perron], confirm: _Confirmations, target_at: int | None = None,
-) -> dict:
-    """A theorem case up to its verdict from the classes' Perron ``pairs``
-    at ``alpha_str``: the argmax canonical form (``forms`` holds the
-    classes' graph6 strings), the gap to the runner-up, and the number of
-    batched solves that failed their certificate.
+def _extremal_cases(
+    label: str, classes: list[Graph], target: str | None, alphas: list[str], pin: Graph | None = None,
+) -> list[tuple[dict, float | None]]:
+    """One theorem case per alpha up to its verdict, from one batched solve
+    of ``classes``: the argmax canonical form, the ``target`` form, the gap
+    to the runner-up and the number of batched solves that failed their
+    certificate.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
-    queued on ``confirm``; the ``target`` class is checked against the
-    solve at ``target_at`` when that is given.
+    confirmed by power iteration, every alpha's in one call.  The ``pin``
+    graph, whose form is ``target``, is solved there too: its rho comes
+    back with each case (None without a pin) and confirms a target class.
     """
-    alpha = float(alpha_str)
-    scored = sorted(
-        zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True,
-    )
-    for rho, form, i in scored[:2]:
-        confirm.check(classes[i], alpha, rho, target_at if form == target else None)
-    return {
-        "case": label,
-        "alpha": alpha_str,
-        "argmax_graph6": scored[0][1],
-        "expected_graph6": target,
-        "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
-        "classes": len(classes),
-        "fallbacks": sum(p.fallback for p in pairs),
-    }
-
-
-def _sub_margin(case: dict) -> bool:
-    # A correct argmax at sub-margin gap is an anomaly, not a failure.
-    return case["gap"] is not None and case["gap"] <= GAP_MARGIN
-
-
-def _order_case(n: int, alphas: list[str]) -> list[tuple[dict, str]]:
-    classes = graphs_by_order(n, "minimally_two_connected")
     forms = [emit_graph6(g) for g in classes]
-    target = canonical_form(complete_bipartite(2, n - 2))
-    confirm = _Confirmations()
-    cases = [
-        _extremal_case(f"n={n}", classes, forms, target, alpha_str, pairs, confirm)
-        for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas]))
-    ]
-    confirm.run()
-    out = []
-    for case in cases:
-        alpha_str = case["alpha"]
-        ok = case["argmax_graph6"] == target
-        case.update(ok=ok, note="gap below strictness margin" if ok and _sub_margin(case) else "")
-        out.append((
-            case,
-            f"n={n}, alpha={alpha_str}: argmax {case['argmax_graph6']} (expected {target}), "
-            f"gap {case['gap']}",
-        ))
-    return out
-
-
-def _size_case(m: int, alphas: list[str]) -> list[tuple[dict, str]]:
-    classes = graphs_by_size(m)
-    forms = [emit_graph6(g) for g in classes]
-    even = m % 2 == 0
-    asserted = (even and m >= 6) or (not even and m >= 9)
-    if even:
-        target = canonical_form(complete_bipartite(2, m // 2))
-    elif m >= 5:
-        target = canonical_form(subdivided_k2((m - 1) // 2))
-    else:
-        target = None
-    pin = subdivided_k2((m - 1) // 2) if asserted and not even else None
     confirm = _Confirmations()
     cases = []
     for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
-        # The cubic pin's power-iteration rho also confirms an SK argmax.
-        pin_at = None if pin is None else confirm.solve(pin, float(alpha_str))
-        case = _extremal_case(f"m={m}", classes, forms, target, alpha_str, pairs, confirm, pin_at)
-        cases.append((case, pin_at))
+        alpha = float(alpha_str)
+        pin_at = None if pin is None else confirm.solve(pin, alpha)
+        scored = sorted(zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True)
+        for rho, form, i in scored[:2]:
+            confirm.check(classes[i], alpha, rho, pin_at if form == target else None)
+        cases.append(({
+            "case": label,
+            "alpha": alpha_str,
+            "argmax_graph6": scored[0][1],
+            "expected_graph6": target,
+            "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
+            "classes": len(classes),
+            "fallbacks": sum(p.fallback for p in pairs),
+        }, pin_at))
     powers = confirm.run()
-    out = []
-    for case, pin_at in cases:
-        alpha_str = case["alpha"]
-        ok = True
-        note = ""
+    return [(case, None if at is None else powers[at]) for case, at in cases]
+
+
+# Every asserted case has at least two classes, so its gap is a number; a
+# correct argmax at a sub-margin gap is an anomaly, not a failure.
+_SUB_MARGIN = "gap below strictness margin"
+
+
+def _order_cases(n: int, alphas: list[str]) -> Iterator[dict]:
+    classes = graphs_by_order(n, "minimally_two_connected")
+    target = canonical_form(complete_bipartite(2, n - 2))
+    for case, _ in _extremal_cases(f"n={n}", classes, target, alphas):
+        ok = case["argmax_graph6"] == target
+        case.update(ok=ok, note=_SUB_MARGIN if ok and case["gap"] <= GAP_MARGIN else "")
+        yield case
+
+
+def _size_cases(m: int, alphas: list[str]) -> Iterator[dict]:
+    classes = graphs_by_size(m)
+    even = m % 2 == 0
+    asserted = m >= (6 if even else 9)
+    # K_{2,m/2} for even m, SK_{2,(m-1)/2} for odd m >= 5; an odd asserted
+    # case's alpha-index is pinned by the cubic's root.
+    shape = complete_bipartite(2, m // 2) if even else subdivided_k2((m - 1) // 2) if m >= 5 else None
+    target = None if shape is None else canonical_form(shape)
+    pin = shape if asserted and not even else None
+    for case, pin_rho in _extremal_cases(f"m={m}", classes, target, alphas, pin):
+        ok = not asserted or case["argmax_graph6"] == target
+        note = "" if asserted else "outside theorem hypotheses; reported without assertion"
         root_dev = None
-        if asserted:
-            ok = case["argmax_graph6"] == target
-            if not even:
-                root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))
-                root_dev = abs(powers[pin_at] - root)
-                if root_dev > 1e-9:
-                    ok = False
-                    note = f"cubic root deviates from rho by {root_dev:.3e}"
-            if ok and _sub_margin(case):
-                note = "gap below strictness margin"
-        else:
-            note = "outside theorem hypotheses; reported without assertion"
+        if pin is not None:
+            root_dev = abs(pin_rho - ct.largest_real_root(ct.sk_cubic(m, float(case["alpha"]))))
+        if root_dev is not None and root_dev > 1e-9:
+            ok, note = False, f"cubic root deviates from rho by {root_dev:.3e}"
+        elif asserted and ok and case["gap"] <= GAP_MARGIN:
+            note = _SUB_MARGIN
         case.update(root_deviation=root_dev, ok=ok, informational=not asserted, note=note)
-        out.append((
-            case,
-            f"m={m}, alpha={alpha_str}: argmax {case['argmax_graph6']} (expected {target}), "
-            f"gap {case['gap']}, {note}",
-        ))
-    return out
+        yield case
 
 
 def _theorem(
     target: str, name: str, params: dict, alphas: Sequence[str], case_fn, values: list[int],
 ) -> VerificationReport:
-    """Run ``case_fn(value, alphas)`` for each value; a case's note is
-    flagged when the case holds."""
+    """Record the cases of ``case_fn(value, alphas)`` for each value.  A
+    failed case's violation ends with its note, if any; a held case's
+    note is flagged."""
     alphas = list(alphas)
     for s in alphas:
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
     report = VerificationReport(target, params, alphas)
     for value in values:
-        for case, violation in case_fn(value, alphas):
-            report.add(case, violation)
+        for case in case_fn(value, alphas):
+            where = f"{case['case']}, alpha={case['alpha']}"
+            note = f", {case['note']}" if case["note"] else ""
+            report.add(case, (
+                f"{where}: argmax {case['argmax_graph6']} (expected {case['expected_graph6']}), "
+                f"gap {case['gap']}{note}"
+            ))
             if case["ok"] and case["note"]:
-                report.flags.append(f"{case['case']}, alpha={case['alpha']}: {case['note']}")
+                report.flags.append(f"{where}: {case['note']}")
     return report
 
 
@@ -333,7 +305,7 @@ def verify_theorem_order(
         if n < 5:
             raise ValueError("the order theorem starts at n = 5")
     return _run(_theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
-                _order_case, n_values)
+                _order_cases, n_values)
 
 
 def verify_theorem_size(
@@ -346,7 +318,7 @@ def verify_theorem_size(
     m = 7) are computed and reported without assertion."""
     m_values = sorted(set(int(m) for m in m_values))
     return _run(_theorem, "theorem1.4", "size theorem", {"m": m_values}, alphas,
-                _size_case, m_values)
+                _size_cases, m_values)
 
 
 # -- lemma suite -------------------------------------------------------------

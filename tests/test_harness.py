@@ -63,6 +63,63 @@ def test_theorem_size_m7_informational():
     assert report.flags
 
 
+def test_theorem_size_below_hypotheses_is_informational():
+    # m = 3..5 precede both size statements: the cases are computed and
+    # reported, never asserted, so the report has no tightest gap.
+    report = verify_theorem_size((3, 4, 5), ["0.50"])
+    assert report.passed and report.gap is None and report.argmax_graph6 is None
+    assert [
+        (c["case"], c["classes"], c["argmax_graph6"], c["expected_graph6"], c["gap"])
+        for c in report.case_results
+    ] == [("m=3", 1, "Bw", None, None), ("m=4", 1, "Cr", "Cr", None), ("m=5", 1, "DqK", "DqK", None)]
+    assert all(c["informational"] and c["root_deviation"] is None for c in report.case_results)
+    assert report.flags == [
+        f"m={m}, alpha=0.50: outside theorem hypotheses; reported without assertion"
+        for m in (3, 4, 5)
+    ]
+
+
+def test_theorem_sub_margin_gap_is_flagged_not_violated(monkeypatch):
+    monkeypatch.setattr(harness, "GAP_MARGIN", 10.0)
+    order = verify_theorem_order((5,), ["0.50"])
+    size = verify_theorem_size((8, 9), ["0.50"])
+    assert order.passed and size.passed
+    assert order.flags == ["n=5, alpha=0.50: gap below strictness margin"]
+    assert size.flags == [f"m={m}, alpha=0.50: gap below strictness margin" for m in (8, 9)]
+    assert all(c["note"] == "gap below strictness margin" for c in order.case_results + size.case_results)
+
+
+def test_theorem_size_cubic_root_deviation_is_a_violation(monkeypatch):
+    real = harness.ct.largest_real_root
+    monkeypatch.setattr(harness.ct, "largest_real_root", lambda poly: real(poly) + 1e-6)
+    report = verify_theorem_size((9,), ["0.50"])
+    (case,) = report.case_results
+    sk = canonical_form(subdivided_k2(4))
+    assert not case["ok"] and case["argmax_graph6"] == sk
+    assert report.violations == [
+        f"m=9, alpha=0.50: argmax {sk} (expected {sk}), gap {case['gap']}, "
+        "cubic root deviates from rho by 1.000e-06"
+    ]
+    assert report.flags == []
+
+
+def test_theorem_wrong_argmax_is_a_violation(monkeypatch):
+    # With K_{2,k} replaced by a cycle, every even target is missed; the
+    # violation names the case, the argmax, the target and the gap, and
+    # carries no note.
+    monkeypatch.setattr(harness, "complete_bipartite", lambda a, b: cycle(a + b))
+    order = verify_theorem_order((5,), ["0.50"])
+    size = verify_theorem_size((6,), ["0.50"])
+    k23, c5 = canonical_form(complete_bipartite(2, 3)), canonical_form(cycle(5))
+    (case,) = order.case_results
+    assert (case["ok"], case["note"], case["expected_graph6"]) == (False, "", c5)
+    assert order.violations == [f"n=5, alpha=0.50: argmax {k23} (expected {c5}), gap {case['gap']}"]
+    (case,) = size.case_results
+    assert (case["ok"], case["note"]) == (False, "")
+    assert size.violations == [f"m=6, alpha=0.50: argmax {k23} (expected {c5}), gap {case['gap']}"]
+    assert order.flags == size.flags == []
+
+
 def test_lemma_suite_structural_small():
     reports = verify_lemma_suite(["lemma3", "lemma4", "lemma5"], n_max=6)
     assert all(r.passed for r in reports)
