@@ -53,6 +53,7 @@ from .graphs import Graph6Error, GraphError, emit_graph6, parse_graph6
 from .spectral import (
     SpectralError,
     alpha_index,
+    alpha_indices,
     column_sum_certificate,
     lower_bound_max_degree,
     upper_bound_degree_average,
@@ -139,18 +140,18 @@ def _print_records(args, records: list[dict], line) -> None:
 
 
 def _cmd_rho(args) -> int:
-    records = []
-    for label, g in _input_graphs(args):
-        result = alpha_index(g, float(args.alpha))
-        records.append({
-            "input": label,
-            "graph6": emit_graph6(g),
-            "alpha": args.alpha,
-            "rho": result.rho,
-            "perron": [float(x) for x in result.perron],
-            "residual": result.residual,
-            "iterations": result.iterations,
-        })
+    inputs = _input_graphs(args)
+    # One stacked solve; a case gives the same bits alone or stacked.
+    results = alpha_indices([(g, float(args.alpha)) for _, g in inputs])
+    records = [{
+        "input": label,
+        "graph6": emit_graph6(g),
+        "alpha": args.alpha,
+        "rho": result.rho,
+        "perron": [float(x) for x in result.perron],
+        "residual": result.residual,
+        "iterations": result.iterations,
+    } for (label, g), result in zip(inputs, results)]
     _print_records(args, records, lambda r: (
         f"{r['input']}  alpha={r['alpha']}  rho={r['rho']:.12f}\n"
         f"  perron = [{', '.join(f'{x:.12f}' for x in r['perron'])}]\n"

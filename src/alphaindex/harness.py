@@ -7,8 +7,9 @@ flags for anomalies that are reported without being asserted (near-zero
 gaps, out-of-hypothesis parameter points, known discrepancies).
 
 Every target is built by one function that fills a report and run by
-:func:`_run`, which times it, flags batched eigen-solves that fell back to
-power iteration, and refuses a report with no cases.  Lemma targets
+:func:`_run`, which times it, flags each case's ``fallbacks`` count of
+batched eigen-solves that fell back to power iteration, and refuses a
+report with no cases.  Lemma targets
 register themselves in ``_LEMMAS`` with :func:`_lemma`.
 
 The signatures are the usage contract: a theorem entry point, and each
@@ -151,16 +152,12 @@ def _run(build_report, *args, **kwargs) -> VerificationReport:
         raise ValueError(f"{report.target} has no cases for {report.params}")
     for case in report.case_results:
         if case.get("fallbacks"):
-            report.flags.append(_fallback_flag(case, case["fallbacks"]))
+            report.flags.append(
+                f"{case['case']}, alpha={case['alpha']}: {case['fallbacks']} batched "
+                "eigen-solves failed the certificate and were re-solved by power iteration"
+            )
     report.runtime_ms = int((time.monotonic() - start) * 1000)
     return report
-
-
-def _fallback_flag(case: dict, count: int) -> str:
-    return (
-        f"{case['case']}, alpha={case['alpha']}: {count} batched "
-        "eigen-solves failed the certificate and were re-solved by power iteration"
-    )
 
 
 class _Confirmations:
@@ -421,7 +418,7 @@ def _sandwich(
 # (holds, note).
 _STRUCTURAL = {
     "lemma3": lambda g: (min(g.degrees()) == 2, f"min degree {min(g.degrees())}"),
-    "lemma4": lambda g: (triangle_free(g), "triangle found"),
+    "lemma4": lambda g: (free := triangle_free(g), "triangle-free" if free else "triangle found"),
 }
 
 
@@ -441,16 +438,14 @@ def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
         extremal_expected = canonical_form(complete_bipartite(2, n - 2))
-        at_bound = []
-        for g in graphs_by_order(n, "minimally_two_connected"):
-            if g.m > 2 * n - 4:
-                report.violations.append(f"n={n}, {emit_graph6(g)}: m={g.m} > 2n-4")
-            if g.m == 2 * n - 4:
-                at_bound.append(emit_graph6(g))
+        classes = graphs_by_order(n, "minimally_two_connected")
+        bad = [f"n={n}, {emit_graph6(g)}: m={g.m} > 2n-4" for g in classes if g.m > 2 * n - 4]
+        at_bound = [emit_graph6(g) for g in classes if g.m == 2 * n - 4]
+        if at_bound != [extremal_expected]:
+            bad.append(f"n={n}: classes at m=2n-4 are {at_bound}, expected [{extremal_expected}]")
         report.add(
-            {"case": f"n={n}", "at_bound": at_bound, "expected": extremal_expected,
-             "ok": at_bound == [extremal_expected]},
-            f"n={n}: classes at m=2n-4 are {at_bound}, expected [{extremal_expected}]",
+            {"case": f"n={n}", "at_bound": at_bound, "expected": extremal_expected, "ok": not bad},
+            *bad,
         )
     return report
 
@@ -559,13 +554,10 @@ def _lemma7(
                     f"{emit_graph6(g)}, u={rot.u}, v={rot.v}, alpha={alpha}: "
                     f"near-zero increase {chk.increase:.3e}"
                 )
-    corpus = {
+    report.add({
         "case": "random-corpus", "alpha": "0.5|0.75", "attempted": collected,
-        "precondition_satisfied": satisfied, "ok": not bad,
-    }
-    report.add(corpus, *bad)
-    if fallbacks:
-        report.flags.append(_fallback_flag(corpus, fallbacks))
+        "precondition_satisfied": satisfied, "fallbacks": fallbacks, "ok": not bad,
+    }, *bad)
     _gab_chain(report, alphas)
     return report
 
@@ -574,31 +566,25 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
     """The G(a, b) chain: for k = (m-1)/2, rho(G(a, k-a)) falls strictly as
     a grows to k/2, and G(1, k-1) is SK_{2,k}.
 
-    The chains of every m are solved at every alpha in one batched call.
-    Each m's verdict rests on its tightest step, so the two graphs of that
-    step are confirmed by power iteration, every m's in one call.
+    Each m's chain is solved at every alpha in one batched call.  Each m's
+    verdict rests on its tightest step, so the two graphs of that step are
+    confirmed by power iteration, every m's in one call.
     """
-    chains = [
-        [gab(a, k - a) for a in range(1, k // 2 + 1)] + [subdivided_k2(k)]
-        for k in ((m - 1) // 2 for m in CHAIN_SIZES)
-    ]
-    graphs = [g for chain in chains for g in chain]
-    solved = perron_pairs(graphs, [float(s) for s in alphas])
     confirm = _Confirmations()
-    start = 0
-    for m, chain in zip(CHAIN_SIZES, chains):
+    for m in CHAIN_SIZES:
         k = (m - 1) // 2
-        end = start + len(chain)
-        tightest = None  # (step margin, alpha position, position of the step's lower graph)
+        chain = [gab(a, k - a) for a in range(1, k // 2 + 1)] + [subdivided_k2(k)]
+        solved = perron_pairs(chain, [float(s) for s in alphas])
+        tightest = None  # (step margin, alpha position, position of the step's first graph)
         for j, (alpha_str, pairs) in enumerate(zip(alphas, solved)):
-            *rhos, sk_rho = (p.rho for p in pairs[start:end])
+            *rhos, sk_rho = (p.rho for p in pairs)
             bad = []
             if abs(rhos[0] - sk_rho) > 1e-9:
                 bad.append(f"m={m}, alpha={alpha_str}: G(1,{k-1}) rho {rhos[0]} != SK rho {sk_rho}")
             for a in range(2, k // 2 + 1):
                 diff = rhos[a - 2] - rhos[a - 1]
                 if tightest is None or diff < tightest[0]:
-                    tightest = (diff, j, start + a - 1)
+                    tightest = (diff, j, a - 2)
                 if diff < -GAP_MARGIN:
                     bad.append(
                         f"m={m}, alpha={alpha_str}: rho(G({a-1},{k-a+1})) < rho(G({a},{k-a}))"
@@ -608,15 +594,13 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
                         f"m={m}, alpha={alpha_str}: chain step a={a} margin {diff:.3e} "
                         "below strictness threshold"
                     )
-            case = {"case": f"chain m={m}", "alpha": alpha_str, "rho_values": rhos, "ok": not bad}
-            report.add(case, *bad)
-            fallbacks = sum(p.fallback for p in pairs[start:end])
-            if fallbacks:
-                report.flags.append(_fallback_flag(case, fallbacks))
+            report.add({
+                "case": f"chain m={m}", "alpha": alpha_str, "rho_values": rhos,
+                "fallbacks": sum(p.fallback for p in pairs), "ok": not bad,
+            }, *bad)
         _, j, i = tightest
-        for g, pair in zip(graphs[i - 1:i + 1], solved[j][i - 1:i + 1]):
+        for g, pair in zip(chain[i:i + 2], solved[j][i:i + 2]):
             confirm.check(g, float(alphas[j]), pair.rho)
-        start = end
     confirm.run()
 
 
@@ -644,10 +628,10 @@ def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verification
             if not ok:
                 rechecks += 1
                 ok = perron_symmetry_check(g, blocks, float(alpha_str))
-            case = {"case": fam, "alpha": alpha_str, "ok": ok}
-            report.add(case, f"{fam}, alpha={alpha_str}: orbit coordinates differ")
-            if pairs[i].fallback:
-                report.flags.append(_fallback_flag(case, 1))
+            report.add(
+                {"case": fam, "alpha": alpha_str, "fallbacks": int(pairs[i].fallback), "ok": ok},
+                f"{fam}, alpha={alpha_str}: orbit coordinates differ",
+            )
     if rechecks:
         report.flags.append(
             f"{rechecks} of {report.cases} cases spread past {SYMMETRY_TOL:g} on the batched "

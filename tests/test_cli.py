@@ -56,6 +56,33 @@ def test_rho_graph6_literal(capsys):
     assert code == 0 and "rho=2" in out
 
 
+def test_rho_solves_every_input_in_one_stacked_call(capsys, monkeypatch, tmp_path):
+    inputs = ["Cr", "DqK", "FGEzo"]  # orders 4, 5 and 7
+    singles = [run_cli(capsys, "rho", "--graph6", g6, "--alpha", "0.5") for g6 in inputs]
+    assert [code for code, _ in singles] == [0, 0, 0]
+    real = cli.alpha_indices
+    calls = []
+    monkeypatch.setattr(cli, "alpha_indices", lambda cases: calls.append(len(cases)) or real(cases))
+    src = tmp_path / "in.g6"
+    src.write_text("".join(g6 + "\n" for g6 in inputs))
+    code, out = run_cli(capsys, "rho", "--in", str(src), "--alpha", "0.5", "--format", "text")
+    assert code == 0 and calls == [3]
+    assert out == "".join(out for _, out in singles)
+
+
+def test_rho_reports_the_first_bad_input(capsys, tmp_path):
+    # Alpha is checked before connectivity, one input after another, and
+    # nothing is printed before the solve.
+    src = tmp_path / "in.g6"
+    src.write_text("Cr\nC`\nDqK\n")  # C` is disconnected
+    for alpha, message in (("1.0", "alpha must lie in [0, 1)"), ("0.5", "needs a connected graph")):
+        with pytest.raises(SystemExit) as err:
+            main(["rho", "--in", str(src), "--alpha", alpha])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_bounds_sandwich(capsys):
     code, out = run_cli(capsys, "bounds", "--family", "K2,3", "--alpha", "0.5", "--format", "json")
     assert code == 0
@@ -578,7 +605,7 @@ def test_internal_numerical_failure_exit_3(capsys, monkeypatch):
     def stalled(*args, **kwargs):
         raise ConvergenceError(1e-3, 10)
 
-    monkeypatch.setattr(cli, "alpha_index", stalled)
+    monkeypatch.setattr(cli, "alpha_indices", stalled)
     with pytest.raises(SystemExit) as err:
         main(["rho", "--family", "K2,3", "--alpha", "0.5"])
     assert err.value.code == 3

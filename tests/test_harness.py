@@ -7,6 +7,7 @@ import pytest
 from alphaindex import cli, enumeration, harness, spectral
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
+from alphaindex.graphs import parse_graph6
 from alphaindex.harness import (
     DEFAULT_ALPHAS,
     THEOREM_ALPHAS,
@@ -124,6 +125,33 @@ def test_lemma_suite_structural_small():
     reports = verify_lemma_suite(["lemma3", "lemma4", "lemma5"], n_max=6)
     assert all(r.passed for r in reports)
     assert {r.target for r in reports} == {"lemma3", "lemma4", "lemma5"}
+
+
+def _add_to_order_4(monkeypatch, g6):
+    """Make the harness see one more minimally 2-connected class of order 4."""
+    real = harness.graphs_by_order
+    monkeypatch.setattr(
+        harness, "graphs_by_order",
+        lambda n, *rest: real(n, *rest) + ([parse_graph6(g6)] if n == 4 else []),
+    )
+
+
+def test_lemma4_notes_what_it_observed(monkeypatch):
+    (report,) = verify_lemma_suite(["lemma4"], n_max=6)
+    assert report.passed and {c["note"] for c in report.case_results} == {"triangle-free"}
+    _add_to_order_4(monkeypatch, "C|")  # K4 minus an edge: two triangles
+    (report,) = verify_lemma_suite(["lemma4"], n_max=4)
+    assert [c["note"] for c in report.case_results] == ["triangle-free", "triangle found"]
+    assert report.violations == ["n=4, C|: triangle found"]
+
+
+def test_lemma5_over_bound_class_fails_its_case(monkeypatch):
+    _add_to_order_4(monkeypatch, "C|")  # K4 minus an edge: m = 5 > 2n - 4
+    (report,) = verify_lemma_suite(["lemma5"], n_max=5)
+    assert not report.passed
+    assert report.violations == ["n=4, C|: m=5 > 2n-4"]
+    assert [c["ok"] for c in report.case_results] == [False, True]
+    assert report.case_results[0]["at_bound"] == ["Cr"]
 
 
 def test_lemma6_cross_oracle_small():
@@ -431,6 +459,60 @@ def test_lemma8_recheck_keeps_a_real_asymmetry(monkeypatch):
     assert report.flags == [
         "2 of 64 cases spread past 1e-09 on the batched Perron vectors "
         "and were re-checked by power iteration"
+    ]
+
+
+def _corrupt_order(monkeypatch, n):
+    """Make every batched eigen-solve of order ``n`` fail its certificate
+    (its top eigenvector turns sign-mixed); returns the order of each
+    ``eigh`` stack, in call order."""
+    eigh = np.linalg.eigh
+    orders = []
+
+    def corrupted(a):
+        orders.append(a.shape[-1])
+        w, v = eigh(a)
+        if a.shape[-1] == n:
+            v = v.copy()
+            v[:, 0, -1] *= -1.0
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted)
+    return orders
+
+
+def test_chain_cases_count_fallbacks_and_flag_them(monkeypatch):
+    # The chain of m = 9 (k = 4) is G(1,3), G(2,2) and SK_{2,4}, all of
+    # order 7; the corpus at n_max = 6 has no graph of order 7.
+    alphas = ["0.50", "0.75"]
+    run = lambda: verify_lemma_suite(["lemma7"], n_max=6, rotation_cases=10, seed=7, alphas=alphas)
+    (clean,) = run()
+    orders = _corrupt_order(monkeypatch, 7)
+    (report,) = run()
+    assert report.passed
+    assert all(type(c["fallbacks"]) is int for c in report.case_results)
+    assert {(c["case"], c["alpha"]): c["fallbacks"] for c in report.case_results if c["fallbacks"]} == {
+        ("chain m=9", "0.50"): 3, ("chain m=9", "0.75"): 3,
+    }
+    assert report.flags == clean.flags + [
+        f"chain m=9, alpha={a}: 3 batched eigen-solves failed the certificate "
+        "and were re-solved by power iteration"
+        for a in alphas
+    ]
+    # One eigh stack per chain size, each holding every alpha of that size.
+    assert [n for n in orders if n >= 7] == [7, 8, 9]
+
+
+def test_lemma8_cases_count_fallbacks_and_flag_them(monkeypatch):
+    _corrupt_order(monkeypatch, 5)
+    (report,) = verify_lemma_suite(["lemma8"], alphas=["0.50", "0.90"])
+    assert report.passed
+    for case in report.case_results:
+        assert case["fallbacks"] == int(build(case["case"])[0].n == 5)
+    assert report.flags == [
+        f"{fam}, alpha={a}: 1 batched eigen-solves failed the certificate "
+        "and were re-solved by power iteration"
+        for fam in ("K3,2", "K4,1", "SK2,2", "G1,1", "C5") for a in ("0.50", "0.90")
     ]
 
 

@@ -577,16 +577,16 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     assert [chk.fallbacks for chk in checks] == expected_fallbacks
 
     # The campaign counts the fallbacks of the draws it consumed and flags
-    # them in _run's wording; the corpus case keeps its fields.
+    # them in _run's wording from the corpus case's count.
     (report,) = verify_lemma_suite(["lemma7"], n_max=6, rotation_cases=15, seed=7)
     corpus = report.case_results[0]
-    assert set(corpus) == {"case", "alpha", "attempted", "precondition_satisfied", "ok"}
+    assert set(corpus) == {"case", "alpha", "attempted", "precondition_satisfied", "fallbacks", "ok"}
     consumed = sum(
         chk.fallbacks for chk in rotation_monotonicity_checks(
             sample_rotation_cases(random.Random(7), 6, corpus["attempted"]),
         )
     )
-    assert consumed
+    assert consumed and corpus["fallbacks"] == consumed
     assert report.flags == [
         f"random-corpus, alpha=0.5|0.75: {consumed} batched eigen-solves failed "
         "the certificate and were re-solved by power iteration"
