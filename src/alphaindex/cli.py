@@ -52,7 +52,6 @@ from .families import build
 from .graphs import Graph6Error, GraphError, emit_graph6, parse_graph6
 from .spectral import (
     SpectralError,
-    alpha_index,
     alpha_indices,
     column_sum_certificate,
     lower_bound_max_degree,
@@ -161,16 +160,19 @@ def _cmd_rho(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    records = []
-    for label, g in _input_graphs(args):
-        alpha = float(args.alpha)
-        records.append({
-            "input": label,
-            "alpha": args.alpha,
-            "lower": lower_bound_max_degree(g, alpha),
-            "rho": alpha_index(g, alpha).rho,
-            "upper": upper_bound_degree_average(g, alpha),
-        })
+    inputs = _input_graphs(args)
+    alpha = float(args.alpha)
+    # The lower bound checks alpha, so every input's runs before the solve
+    # and its error comes first, as it would one input at a time.
+    lowers = [lower_bound_max_degree(g, alpha) for _, g in inputs]
+    results = alpha_indices([(g, alpha) for _, g in inputs])
+    records = [{
+        "input": label,
+        "alpha": args.alpha,
+        "lower": lower,
+        "rho": result.rho,
+        "upper": upper_bound_degree_average(g, alpha),
+    } for (label, g), lower, result in zip(inputs, lowers, results)]
     _print_records(args, records, lambda r: (
         f"{r['input']}  alpha={r['alpha']}  "
         f"lower={r['lower']:.12f}  rho={r['rho']:.12f}  upper={r['upper']:.12f}"

@@ -48,6 +48,7 @@ from .families import build, complete_bipartite, gab, subdivided_k2
 from .graphs import Graph, emit_graph6
 from .spectral import (
     SYMMETRY_TOL,
+    Perron,
     SpectralError,
     adjacency_stack,
     alpha_indices,
@@ -55,6 +56,7 @@ from .spectral import (
     column_sum_certificate,
     closed_form_complete_bipartite,
     lower_bounds_max_degree,
+    perron_bounds,
     perron_pairs,
     perron_symmetry_check,
     upper_bounds_degree_average,
@@ -62,6 +64,7 @@ from .spectral import (
 from .transforms import Rotation, rotation_monotonicity_checks, valid_moved_candidates
 
 GAP_MARGIN = 1e-10
+SCREEN_MARGIN = 1e-9  # slack under the runner-up's floor before a theorem class goes unsolved
 CROSS_CHECK_TOL = 1e-9
 DEFAULT_ALPHAS = ["0.50", "0.55", "0.60", "0.65", "0.70", "0.75", "0.80", "0.85", "0.90", "0.95"]
 PROBE_ALPHA = "0.999"
@@ -192,6 +195,14 @@ class _Confirmations:
         return powers
 
 
+def _pairs_by_alpha(graphs: list[Graph], alphas: list[str]) -> list[list[Perron]]:
+    """Every graph at every alpha in one :func:`perron_pairs` call, its
+    cases listed alpha-major; one list of pairs per alpha."""
+    pairs = perron_pairs([(g, float(s)) for s in alphas for g in graphs])
+    k = len(graphs)
+    return [pairs[j * k:(j + 1) * k] for j in range(len(alphas))]
+
+
 # -- theorem campaigns -------------------------------------------------------
 
 
@@ -199,9 +210,22 @@ def _extremal_cases(
     label: str, classes: list[Graph], target: str | None, alphas: list[str], pin: Graph | None = None,
 ) -> list[tuple[dict, float | None]]:
     """One theorem case per alpha up to its verdict, from one batched solve
-    of ``classes``: the argmax canonical form, the ``target`` form, the gap
-    to the runner-up and the number of batched solves that failed their
-    certificate.
+    of the classes that can rank first or second: the argmax canonical
+    form, the ``target`` form, the gap to the runner-up and the number of
+    solves that failed their certificate.
+
+    The screen brackets every class's rho at every alpha by
+    :func:`perron_bounds` and solves only the classes whose upper bound is
+    at least t - ``SCREEN_MARGIN``, where t is the second-largest lower
+    bound; a case of at most two classes solves them all, since there is
+    nothing to drop.  No class that
+    ranks in the top two is lost: two classes have rho >= t, so the
+    runner-up's rho is at least t, and a dropped class has rho <= its upper
+    bound < t - ``SCREEN_MARGIN``.  The margin also absorbs the bounds'
+    rounding.  ``eigh`` solves each matrix of a stack on its own, so every
+    solved rho, and with it the argmax, runner-up and gap, is the one a
+    solve of every class gives; ``fallbacks`` counts among the solved
+    classes only.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
     confirmed by power iteration, every alpha's in one call.  The ``pin``
@@ -209,12 +233,24 @@ def _extremal_cases(
     back with each case (None without a pin) and confirms a target class.
     """
     forms = [emit_graph6(g) for g in classes]
+    values = [float(s) for s in alphas]
+    solving = [list(range(len(classes)))] * len(values)
+    if len(classes) > 2:
+        lower, upper = perron_bounds(classes, values)
+        # Sorted in Python: numpy's sort would map code that no other step
+        # of a campaign touches, about 0.2 MB of peak RSS.
+        floors = [sorted(row)[-2] - SCREEN_MARGIN for row in lower.tolist()]
+        solving = [
+            [i for i, bound in enumerate(row) if bound >= floor]
+            for row, floor in zip(upper.tolist(), floors)
+        ]
+    solved = iter(perron_pairs([(classes[i], alpha) for alpha, row in zip(values, solving) for i in row]))
     confirm = _Confirmations()
     cases = []
-    for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
-        alpha = float(alpha_str)
+    for alpha_str, alpha, row in zip(alphas, values, solving):
+        pairs = [next(solved) for _ in row]
         pin_at = None if pin is None else confirm.solve(pin, alpha)
-        scored = sorted(zip((p.rho for p in pairs), forms, range(len(classes))), reverse=True)
+        scored = sorted(zip((p.rho for p in pairs), (forms[i] for i in row), row), reverse=True)
         for rho, form, i in scored[:2]:
             confirm.check(classes[i], alpha, rho, pin_at if form == target else None)
         cases.append(({
@@ -395,7 +431,7 @@ def _sandwich(
     for n in range(2, n_max + 1):
         classes = [g for g in graphs_by_order(n) if is_connected(g)]
         adj = adjacency_stack(classes)
-        for alpha_str, pairs in zip(alphas, perron_pairs(classes, [float(s) for s in alphas])):
+        for alpha_str, pairs in zip(alphas, _pairs_by_alpha(classes, alphas)):
             alpha = float(alpha_str)
             slacks = slack_of(adj, alpha, np.array([p.rho for p in pairs])).tolist()
             # The verdict rests on the tightest slack, so its rho is confirmed.
@@ -574,7 +610,7 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
     for m in CHAIN_SIZES:
         k = (m - 1) // 2
         chain = [gab(a, k - a) for a in range(1, k // 2 + 1)] + [subdivided_k2(k)]
-        solved = perron_pairs(chain, [float(s) for s in alphas])
+        solved = _pairs_by_alpha(chain, alphas)
         tightest = None  # (step margin, alpha position, position of the step's first graph)
         for j, (alpha_str, pairs) in enumerate(zip(alphas, solved)):
             *rhos, sk_rho = (p.rho for p in pairs)
@@ -620,7 +656,7 @@ def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verification
     fams += [f"C{n}" for n in range(3, 11)]
     report = VerificationReport(target, {"families": fams}, alphas)
     built = [build(fam) for fam in fams]
-    solved = perron_pairs([g for g, _ in built], [float(s) for s in alphas])
+    solved = _pairs_by_alpha([g for g, _ in built], alphas)
     rechecks = 0
     for i, (fam, (g, blocks)) in enumerate(zip(fams, built)):
         for alpha_str, pairs in zip(alphas, solved):
@@ -649,7 +685,7 @@ def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> Verifica
         report.violations.append(f"anchor rho_1/2(K_2,3) = {anchor!r}, expected 2.5")
     shapes = [(a, b) for a in range(1, 13) for b in range(1, a + 1)]
     graphs = [complete_bipartite(a, b) for a, b in shapes]
-    for alpha_str, pairs in zip(alphas, perron_pairs(graphs, [float(s) for s in alphas])):
+    for alpha_str, pairs in zip(alphas, _pairs_by_alpha(graphs, alphas)):
         alpha = float(alpha_str)
         worst = max(
             abs(closed_form_complete_bipartite(a, b, alpha) - p.rho)
@@ -668,7 +704,7 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
     graphs = [subdivided_k2((m - 1) // 2) for m in ms]
-    solved = perron_pairs(graphs, [float(s) for s in alphas])
+    solved = _pairs_by_alpha(graphs, alphas)
     for i, m in enumerate(ms):
         for alpha_str, pairs in zip(alphas, solved):
             root = ct.largest_real_root(ct.sk_cubic(m, float(alpha_str)))

@@ -21,19 +21,36 @@ alpha -> 1) needs no detector and no refinement; the products of
 nonnegative matrices involve no cancellation.  It squares the cases of one
 order as one stack, each case reading its own slice by ``matmul``, so a
 case gives the same bits alone or stacked; :func:`alpha_index` is the one
-case.  :func:`perron_pairs` serves campaigns: it builds one adjacency
-stack per order and makes one LAPACK ``eigh`` call per run of that
-order's alphas, a run stacking as many alphas' matrices as fit in
-``_STACK_ENTRIES`` (so small orders pay numpy's per-call cost once, while
-a large order keeps one alpha per call and the memory of one), and
-:func:`lambda_maxes` (per component) takes its values from it.  Each
+case.  :func:`perron_pairs` serves campaigns: it takes ``(graph, alpha)``
+cases, builds one adjacency stack per order that packs each distinct
+graph once, and makes one LAPACK ``eigh`` call per run of that order's
+cases, a run holding as many cases as fit in ``_STACK_ENTRIES`` or as
+the order has at one alpha, whichever is more (so alpha-major cases of a
+small order pay numpy's per-call cost once, while a large order keeps
+one alpha per call and the memory of one), and :func:`lambda_maxes` (per
+component) takes its values from it.  Each
 batched eigenpair is certified (residual within the power-iteration
 tolerance, unit-sum top eigenvector positive up to that tolerance, which
 on an irreducible nonnegative matrix singles out the Perron vector); the
 graphs that fail are re-solved by power iteration, in one call per run,
 and their :class:`Perron` pairs carry ``fallback`` so that the caller can
-flag them.  Campaigns solve through :func:`perron_pairs`,
-and power iteration stays the independent cross-check of the batched
+flag them.  Campaigns solve through :func:`perron_pairs`.
+
+:func:`perron_bounds` brackets rho without a solve: for any nonnegative
+matrix and positive x, rho lies between the least and the largest ratio
+(A_alpha x)_u / x_u (Collatz-Wielandt).  At x = d the upper ratio is
+Lemma 1's degree average; x is d after ``BOUND_STEPS`` normalised power
+steps, taken on the 0/1 stack with the alphas as a broadcast axis.  The
+theorem campaigns screen with it: at each alpha they solve only the
+classes whose upper bound reaches the second-largest lower bound t less
+a margin of 1e-9 (``harness.SCREEN_MARGIN``, which also absorbs the
+bounds' rounding); a case of at most two classes solves them all.  No class that ranks first or second is dropped, since
+two classes have rho >= t while a dropped one has rho < t - margin; and
+since an eigenpair does not depend on its stack, every verdict and gap
+is the one a solve of every class gives.  A theorem case's ``fallbacks``
+counts among the classes it solved.
+
+Power iteration stays the independent cross-check of the batched
 values: it confirms the values a verdict rests on, all those of one
 theorem order or size (or of one lemma target) in one call, and
 :func:`perron_symmetry_check` re-tests a block whose :func:`block_spread`
@@ -47,6 +64,7 @@ runs on; the chord recognizer's block walk stays separate from both.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -60,12 +78,19 @@ POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
 COLUMN_SUM_CROSS_TOL = 1e-9
 SYMMETRY_TOL = 1e-9
 
-# At most this many entries (k n^2 over the k matrices) in one perron_pairs
-# stack.  Merging an order's alphas into one eigh call saves numpy's
-# per-call cost, which dominates small stacks; stacking every alpha of a
-# large order at once was no faster and raised the theorem1.4 campaign's
-# peak RSS by 4.3%, so a large order keeps one alpha per stack.
+# At most this many entries (n^2 per case of order n) in one perron_pairs
+# stack, unless one order's cases at one alpha alone exceed it.  Merging an
+# order's alphas into one eigh call saves numpy's per-call cost, which
+# dominates small stacks; stacking every alpha of a large order at once
+# was no faster and raised the theorem1.4 campaign's peak RSS by 4.3%, so
+# a large order keeps one alpha per stack.
 _STACK_ENTRIES = 4096
+
+# Normalised power steps from x = d before perron_bounds reads its
+# Collatz-Wielandt ratios.  Timed over 4 to 16 steps on the theorem
+# campaigns: fewer steps leave more classes to solve, and past 8 the steps
+# over 1,602 classes of order 13 cost more than they save.
+BOUND_STEPS = 8
 
 
 class SpectralError(RuntimeError):
@@ -126,14 +151,12 @@ def _alpha_stack(
     adj: np.ndarray, degrees: np.ndarray, alpha: float | Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """alpha*D + (1-alpha)*A as one stack: (1-alpha) off the diagonal where
-    A has an edge, alpha*d(v) on it.  ``alpha`` broadcasts against the
-    matrix axis of ``adj``: one value, or one per matrix (shape (k,)), gives
-    k matrices; a column of r values (shape (r, 1)) gives r*k, alpha-major,
-    formed directly from the one adjacency stack."""
+    A has an edge, alpha*d(v) on it.  ``alpha`` is one value, or one per
+    matrix of ``adj`` (shape (k,))."""
     alpha = np.asarray(alpha, float)
     n = adj.shape[1]
-    a = ((1.0 - alpha)[..., None, None] * adj).reshape(-1, n, n)
-    a.reshape(len(a), -1)[:, :: n + 1] = (alpha[..., None] * degrees).reshape(-1, n)  # the diagonals
+    a = (1.0 - alpha)[..., None, None] * adj
+    a.reshape(len(a), -1)[:, :: n + 1] = alpha[..., None] * degrees  # the diagonals
     return a
 
 
@@ -207,17 +230,21 @@ def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
     return out
 
 
-def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[Perron]]:
-    """:class:`Perron` pairs of many graphs at each of ``alphas``: one list
-    per alpha, in input order; ``x`` is the unit-sum Perron vector.
+def perron_pairs(cases: Sequence[tuple[Graph, float]]) -> list[Perron]:
+    """:class:`Perron` pairs of many ``(graph, alpha)`` cases, one per case,
+    in input order; ``x`` is the unit-sum Perron vector.
 
-    The graphs are checked for connectivity once, and the adjacency stack of
-    each order is built once and serves every alpha.  The alphas of an
-    order are solved in runs: the A_alpha matrices of a run's alphas form
-    one stack, with one ``eigh`` call and one certification each.  A run
-    takes as many alphas as keep its stack within ``_STACK_ENTRIES``
-    entries (k n^2 per alpha for k graphs of order n), and at least one.
-    Every alpha is range-checked before any solve.
+    Every alpha is range-checked, and then every graph object tested for
+    connectivity once, before any solve.  The cases of one order share one
+    adjacency stack, which packs each graph object once, and are solved in
+    runs of consecutive cases: the A_alpha matrices of a run form one
+    stack, with one ``eigh`` call and one certification each.  A run takes
+    as many cases as keep its stack within ``_STACK_ENTRIES`` entries (n^2
+    per case of order n), and at least as many as the order has at its
+    most frequent alpha, so a stack holds at most one alpha's worth of a
+    large order, and a caller that lists its cases alpha-major gets one
+    run per alpha of a large order and every alpha of a small one in one
+    run.
 
     Every eigenpair is certified before it is used, vectorised over the
     stack: it must pass the residual test of :func:`alpha_index`, and the
@@ -228,30 +255,42 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
     entry of 1e-19 (far vertices as alpha -> 1) can come back as -1e-16,
     and a strict ``> 0`` would send such a graph to power iteration for a
     rounding error.  Power iteration keeps the strict test, since its
-    products of nonnegative matrices cannot round below zero.  The pairs of
+    products of nonnegative matrices cannot round below zero.  The cases of
     a run that fail are re-solved in one :func:`alpha_indices` call and
     have ``fallback`` set.  Each matrix's eigenpair and certificate depend
-    on no other matrix of its stack, so a pair comes out bit for bit the
-    same whichever alphas share its run.
+    on no other matrix of its stack, so a case comes out bit for bit the
+    same whichever cases share its run.
     """
-    alphas = list(alphas)
-    for alpha in alphas:
+    cases = list(cases)
+    for _, alpha in cases:
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        if not is_connected(g):
-            raise DisconnectedGraphError("perron_pairs needs connected graphs")
-        by_order.setdefault(g.n, []).append(i)
-    out: list[list] = [[None] * len(graphs) for _ in alphas]
-    for positions in by_order.values():
-        adj = adjacency_stack([graphs[i] for i in positions])
+    # order -> (id of a graph -> its position in the order's stack, the
+    # stack's graphs, the order's cases); keyed by id, since hashing a Graph
+    # costs more than the solve's other per-case work, and callers repeat
+    # a graph by passing the same object.
+    by_order: dict[int, tuple[dict[int, int], list[Graph], list[int]]] = {}
+    slots = []  # each case's position in its order's stack
+    for i, (g, _) in enumerate(cases):
+        packed, graphs, members = by_order.setdefault(g.n, ({}, [], []))
+        slot = packed.get(id(g))
+        if slot is None:
+            if not is_connected(g):
+                raise DisconnectedGraphError("perron_pairs needs connected graphs")
+            slot = packed[id(g)] = len(graphs)
+            graphs.append(g)
+        slots.append(slot)
+        members.append(i)
+    out: list = [None] * len(cases)
+    for n, (_, graphs, members) in by_order.items():
+        adj = adjacency_stack(graphs)
         degrees = adj.sum(axis=2)
-        k, n = len(positions), adj.shape[1]
-        step = max(1, _STACK_ENTRIES // (k * n * n))
-        for start in range(0, len(alphas), step):
-            run = alphas[start:start + step]
-            a = _alpha_stack(adj, degrees, np.reshape(run, (-1, 1)))
+        at_one_alpha = max(Counter(cases[i][1] for i in members).values())
+        step = max(_STACK_ENTRIES // (n * n), at_one_alpha)
+        for start in range(0, len(members), step):
+            run = members[start:start + step]
+            which = [slots[i] for i in run]
+            a = _alpha_stack(adj[which], degrees[which], [cases[i][1] for i in run])
             w, v = np.linalg.eigh(a)
             rho = w[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
@@ -262,15 +301,58 @@ def perron_pairs(graphs: Sequence[Graph], alphas: Sequence[float]) -> list[list[
                 certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
             del a, v  # free the run's stack before its fallbacks and the next run
             certified = certified.tolist()
-            cells = [(pairs, alpha, i) for pairs, alpha in zip(out[start:], run) for i in positions]
-            failed = [(graphs[i], alpha) for (_, alpha, i), ok in zip(cells, certified) if not ok]
+            failed = [cases[i] for i, ok in zip(run, certified) if not ok]
             redone = iter(alpha_indices(failed) if failed else ())
-            for (pairs, _, i), value, vector, ok in zip(cells, rho.tolist(), x, certified):
+            for i, value, vector, ok in zip(run, rho.tolist(), x, certified):
                 if not ok:
                     result = next(redone)
                     value, vector = result.rho, result.perron
-                pairs[i] = Perron(value, vector, not ok)
+                out[i] = Perron(value, vector, not ok)
     return out
+
+
+def perron_bounds(
+    graphs: Sequence[Graph], alphas: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on rho of each graph at each alpha, as two
+    arrays of shape (len(alphas), len(graphs)).
+
+    For any nonnegative matrix and positive x, min_u (A_alpha x)_u / x_u <=
+    rho <= max_u (A_alpha x)_u / x_u (Collatz-Wielandt), so the bounds need
+    no connectivity argument.  At x = d the upper one is Lemma 1's degree
+    average; here x is d after ``BOUND_STEPS`` normalised power steps,
+    which narrows the bracket.  Each step is alpha d*x + (1-alpha) A x on
+    the 0/1 adjacency stack of one order, every alpha a broadcast axis, so
+    no A_alpha matrix is formed.
+    """
+    alpha = np.reshape(np.asarray(alphas, float), (-1, 1, 1))
+    lower = np.empty((len(alpha), len(graphs)))
+    upper = np.empty_like(lower)
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    for positions in by_order.values():
+        adj = adjacency_stack([graphs[i] for i in positions])
+        d = adj.sum(axis=2)
+        if d.min() == 0.0:
+            raise GraphError("Collatz-Wielandt bounds from x = d need no isolated vertices")
+
+        def step(x: np.ndarray) -> np.ndarray:
+            """A_alpha x for every alpha (axis 0) and graph (axis 1), by one
+            matrix-vector product per graph, the form power iteration
+            uses.  A matrix product over the alphas' columns was faster on
+            1,602 graphs of order 13 but raised the theorem1.4 campaign's
+            peak RSS by about 0.1 MB, as did keeping alpha*d as an array."""
+            return alpha * d * x + (1.0 - alpha) * (adj @ x[..., None])[..., 0]
+
+        x = np.broadcast_to(d, (len(alpha), *d.shape))
+        for _ in range(BOUND_STEPS):
+            x = step(x)
+            x = x / x.max(axis=2, keepdims=True)
+        ratios = step(x) / x
+        lower[:, positions] = ratios.min(axis=2)
+        upper[:, positions] = ratios.max(axis=2)
+    return lower, upper
 
 
 def lambda_max(g: Graph, alpha: float) -> float:
@@ -283,24 +365,24 @@ def lambda_max(g: Graph, alpha: float) -> float:
     return best
 
 
-def lambda_maxes(graphs: Sequence[Graph], alpha: float) -> list[tuple[float, int]]:
-    """:func:`lambda_max` of many possibly disconnected graphs, each with
-    the number of its components that fell back to power iteration.
+def lambda_maxes(cases: Sequence[tuple[Graph, float]]) -> list[tuple[float, int]]:
+    """:func:`lambda_max` of many ``(graph, alpha)`` cases on possibly
+    disconnected graphs, each with the number of its components that fell
+    back to power iteration.
 
-    Every graph is split into its components, which are solved together by
-    :func:`perron_pairs`; each graph takes the largest of its components'
-    values.
+    Every graph is split into its components, which are solved together,
+    each at its case's alpha, by :func:`perron_pairs`; each case takes the
+    largest of its components' values.
     """
-    parts: list[Graph] = []
+    parts: list[tuple[Graph, float]] = []
     owner: list[int] = []
-    for i, g in enumerate(graphs):
+    for i, (g, alpha) in enumerate(cases):
         for comp in components(g):
-            parts.append(g if len(comp) == g.n else induced_subgraph(g, comp))
+            parts.append((g if len(comp) == g.n else induced_subgraph(g, comp), alpha))
             owner.append(i)
-    best = [0.0] * len(graphs)
-    fallbacks = [0] * len(graphs)
-    (pairs,) = perron_pairs(parts, [alpha])
-    for i, pair in zip(owner, pairs):
+    best = [0.0] * len(cases)
+    fallbacks = [0] * len(cases)
+    for i, pair in zip(owner, perron_pairs(parts)):
         best[i] = max(best[i], pair.rho)
         fallbacks[i] += pair.fallback
     return list(zip(best, fallbacks))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .graphs import Graph, GraphError, iter_bits
-from .spectral import Perron, alpha_index, lambda_max, lambda_maxes, perron_pairs
+from .spectral import alpha_index, lambda_max, lambda_maxes, perron_pairs
 
 PRECONDITION_TOL = 1e-12
 
@@ -85,7 +85,8 @@ def rotation_monotonicity_checks(
     cases: Sequence[tuple[Graph, Rotation, float]],
 ) -> list[RotationCheck]:
     """:func:`rotation_monotonicity_check` of many ``(g, rotation, alpha)``
-    cases by certified batched solves, one group per alpha.
+    cases by certified batched solves: one solve of every ``g``, each at its
+    case's alpha, and one of the rotated graphs.
 
     Only a case that meets the precondition has its rotated graph solved;
     the others come back with ``increase`` NaN (not measured).  The
@@ -94,20 +95,16 @@ def rotation_monotonicity_checks(
     power iteration.
     """
     out: list = [None] * len(cases)
-    by_alpha: dict[float, list[int]] = {}
-    for i, (_, _, alpha) in enumerate(cases):
-        by_alpha.setdefault(alpha, []).append(i)
-    for alpha, positions in by_alpha.items():
-        kept: list[tuple[int, Perron]] = []
-        rotated: list[Graph] = []
-        (pairs,) = perron_pairs([cases[i][0] for i in positions], [alpha])
-        for i, pair in zip(positions, pairs):
-            g, r, _ = cases[i]
-            if pair.x[r.u] >= pair.x[r.v] - PRECONDITION_TOL:
-                kept.append((i, pair))
-                rotated.append(rotate(g, r))
-            else:
-                out[i] = RotationCheck(math.nan, False, int(pair.fallback))
-        for (i, pair), (value, fallbacks) in zip(kept, lambda_maxes(rotated, alpha)):
-            out[i] = RotationCheck(value - pair.rho, True, pair.fallback + fallbacks)
+    kept: list[tuple[int, float, bool]] = []  # (case, rho, fallback)
+    rotated: list[tuple[Graph, float]] = []
+    solved = perron_pairs([(g, alpha) for g, _, alpha in cases])
+    for i, ((g, r, alpha), pair) in enumerate(zip(cases, solved)):
+        if pair.x[r.u] >= pair.x[r.v] - PRECONDITION_TOL:
+            kept.append((i, pair.rho, pair.fallback))
+            rotated.append((rotate(g, r), alpha))
+        else:
+            out[i] = RotationCheck(math.nan, False, int(pair.fallback))
+    del solved  # free the Perron vectors before the rotated graphs are solved
+    for (i, rho, fallback), (value, fallbacks) in zip(kept, lambda_maxes(rotated)):
+        out[i] = RotationCheck(value - rho, True, fallback + fallbacks)
     return out

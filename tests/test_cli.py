@@ -90,6 +90,35 @@ def test_bounds_sandwich(capsys):
     assert rec["lower"] <= rec["rho"] <= rec["upper"] + 1e-12
 
 
+def test_bounds_solves_every_input_in_one_stacked_call(capsys, monkeypatch, tmp_path):
+    inputs = ["Cr", "DqK", "FGEzo"]  # orders 4, 5 and 7
+    singles = [run_cli(capsys, "bounds", "--graph6", g6, "--alpha", "0.5") for g6 in inputs]
+    assert [code for code, _ in singles] == [0, 0, 0]
+    real = cli.alpha_indices
+    calls = []
+    monkeypatch.setattr(cli, "alpha_indices", lambda cases: calls.append(len(cases)) or real(cases))
+    src = tmp_path / "in.g6"
+    src.write_text("".join(g6 + "\n" for g6 in inputs))
+    code, out = run_cli(capsys, "bounds", "--in", str(src), "--alpha", "0.5")
+    assert code == 0 and calls == [3]
+    assert out == "".join(out for _, out in singles)
+
+
+def test_bounds_reports_the_alpha_error_before_a_later_disconnected_input(capsys, tmp_path):
+    # The lower bound's own alpha check runs for every input before the
+    # solve, so its message wins over the solve's connectivity test and over
+    # the solve's own alpha check.
+    src = tmp_path / "in.g6"
+    src.write_text("Cr\nC`\nDqK\n")  # C` is disconnected
+    for alpha, message in (("1.0", "alpha must lie in [0, 1), got 1.0"),
+                           ("0.5", "needs a connected graph")):
+        with pytest.raises(SystemExit) as err:
+            main(["bounds", "--in", str(src), "--alpha", alpha])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 def test_enumerate_order5_min2c(capsys):
     code, out = run_cli(capsys, "enumerate", "--order", "5", "--filter", "min2c")
     assert code == 0
@@ -611,7 +640,7 @@ def test_internal_numerical_failure_exit_3(capsys, monkeypatch):
     assert err.value.code == 3
     assert capsys.readouterr().err.startswith("internal error: power iteration stalled")
 
-    def unconfirmed(*args, **kwargs):
+    def unconfirmed(cases):
         raise SpectralError("batched rho disagrees with power iteration")
 
     monkeypatch.setattr(harness, "perron_pairs", unconfirmed)

@@ -406,6 +406,70 @@ def test_order_campaign_confirms_each_order_in_one_call(monkeypatch, capsys):
     assert per_call == [22, 22, 22]
 
 
+def _count_eigh(monkeypatch):
+    """Record the number of matrices of every ``eigh`` call."""
+    eigh = np.linalg.eigh
+    stacks = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(len(a)) or eigh(a))
+    return stacks
+
+
+@pytest.mark.parametrize("argv, calls, matrices", [
+    # 1,650 matrices in 66 calls without the screen: 150 classes x 11 alphas.
+    (["verify", "theorem1.4"], 17, 303),
+    # 121 matrices without the screen: 11 classes x 11 alphas.
+    (["verify", "theorem1.3", "--n", "5..7"], 3, 72),
+])
+def test_theorem_campaigns_eigen_solve_only_the_screened_classes(monkeypatch, capsys, argv, calls, matrices):
+    stacks = _count_eigh(monkeypatch)
+    assert cli.main(argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert (len(stacks), sum(stacks)) == (calls, matrices)
+
+
+SCREEN_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9", "0.99", "0.999", "0.999999"]
+
+
+@pytest.mark.parametrize("by, value", [("m", m) for m in range(3, 17)] + [("n", n) for n in range(5, 14)])
+def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, by, value):
+    if by == "m":
+        classes = enumeration.graphs_by_size(value)
+    else:
+        classes = enumeration.graphs_by_order(value, "minimally_two_connected")
+    values = [float(s) for s in SCREEN_ALPHAS]
+    real = harness.perron_pairs
+    screened = []
+
+    def recorded(cases):
+        pairs = real(cases)
+        screened.extend(zip(cases, pairs))
+        return pairs
+
+    monkeypatch.setattr(harness, "perron_pairs", recorded)
+    label = f"{by}={value}"
+    cases = [case for case, _ in harness._extremal_cases(label, classes, None, SCREEN_ALPHAS)]
+    full = spectral.perron_pairs([(g, alpha) for alpha in values for g in classes])
+    lower, upper = spectral.perron_bounds(classes, values)
+    forms = [harness.emit_graph6(g) for g in classes]
+    index = {g: i for i, g in enumerate(classes)}
+    k = len(classes)
+    for j, (alpha, case) in enumerate(zip(values, cases)):
+        rhos = [p.rho for p in full[j * k:(j + 1) * k]]
+        # The bounds bracket every class's rho, up to rounding.
+        tol = 1e-12 * max(max(rhos), 1.0)
+        assert all(lo - tol <= rho <= up + tol for lo, rho, up in zip(lower[j], rhos, upper[j]))
+        kept = {index[g]: pair.rho for (g, a), pair in screened if a == alpha}
+        ranked = sorted(zip(rhos, forms, range(k)), reverse=True)
+        assert sorted(zip(kept.values(), (forms[i] for i in kept), kept), reverse=True)[:2] == ranked[:2]
+        assert case["argmax_graph6"] == ranked[0][1]
+        assert case["gap"] == (ranked[0][0] - ranked[1][0] if k > 1 else None)
+        assert case["classes"] == k
+        if k <= 2:
+            assert len(kept) == k
+        # A dropped class ranks strictly below the runner-up.
+        assert all(rhos[i] < ranked[1][0] for i in range(k) if i not in kept)
+
+
 @pytest.mark.parametrize("target", ["lemma1", "lemma2"])
 def test_sandwich_cross_check_disagreement_is_internal(monkeypatch, target):
     _shift_power_iteration(monkeypatch)

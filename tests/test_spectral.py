@@ -31,9 +31,11 @@ from alphaindex.spectral import (
     lambda_max,
     lambda_maxes,
     lower_bound_max_degree,
+    perron_bounds,
     perron_pairs,
     perron_symmetry_check,
     upper_bound_degree_average,
+    upper_bounds_degree_average,
 )
 from alphaindex.transforms import rotate, rotation_monotonicity_check, rotation_monotonicity_checks
 
@@ -384,7 +386,7 @@ def connected_classes():
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.999])
 def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
-    (pairs,) = perron_pairs(connected_classes, [alpha])
+    pairs = perron_pairs([(g, alpha) for g in connected_classes])
     values = [p.rho for p in pairs]
     assert len(values) == len(connected_classes) == 996
     assert not any(p.fallback for p in pairs)
@@ -402,7 +404,7 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
         assert np.max(np.abs(x - power.perron)) <= 1e-9 + 2 * g.n * power.residual / gap
     # The P4 rotation of the transforms tests (K3 + K1) and a single vertex.
     extra = [Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]), Graph.from_rows([0])]
-    maxima, fallbacks = zip(*lambda_maxes(connected_classes + extra, alpha))
+    maxima, fallbacks = zip(*lambda_maxes([(g, alpha) for g in connected_classes + extra]))
     assert list(maxima[:-2]) == values and not any(fallbacks)
     assert maxima[-2:] == pytest.approx([lambda_max(g, alpha) for g in extra], abs=1e-12)
 
@@ -410,7 +412,7 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
 @pytest.mark.parametrize("alpha", [0.5, 0.999])
 def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
     graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m)]
-    (pairs,) = perron_pairs(graphs, [alpha])
+    pairs = perron_pairs([(g, alpha) for g in graphs])
     for g, (rho, _, _) in zip(graphs, pairs):
         # A batched value that failed its certificate is itself power iteration,
         # so the eigvalsh top eigenvalue is the independent reference as well.
@@ -427,7 +429,7 @@ def test_no_fallback_on_the_largest_ear_classes_near_alpha_one():
     # negatives; positivity is certified to the residual's tolerance, so
     # these pairs stay batched instead of falling back to power iteration.
     graphs = graphs_by_size(15) + graphs_by_size(16)
-    (pairs,) = perron_pairs(graphs, [0.999])
+    pairs = perron_pairs([(g, 0.999) for g in graphs])
     assert not any(p.fallback for p in pairs)
 
 
@@ -435,39 +437,47 @@ def test_alpha_indices_keep_input_order():
     rng = random.Random(2024)
     graphs = [connected_sample(rng, 1, 9) for _ in range(40)]
     assert len({g.n for g in graphs}) > 3
-    (pairs,) = perron_pairs(graphs, [0.6])
+    pairs = perron_pairs([(g, 0.6) for g in graphs])
     values = [p.rho for p in pairs]
     assert values == pytest.approx([alpha_index(g, 0.6).rho for g in graphs], abs=1e-12)
 
 
+def _alpha_major(graphs, alphas):
+    """Every graph at every alpha, as ``perron_pairs`` cases listed alpha-major."""
+    return [(g, alpha) for alpha in alphas for g in graphs]
+
+
+def _same_pairs(pairs, alone):
+    assert [p.rho for p in pairs] == [p.rho for p in alone]
+    assert [p.fallback for p in pairs] == [p.fallback for p in alone]
+    assert all(np.array_equal(p.x, q.x) for p, q in zip(pairs, alone))
+
+
 def test_perron_pairs_of_many_alphas_equal_the_one_alpha_calls(monkeypatch, connected_classes):
     # The connected classes of order <= 7 at the theorem grid and with
-    # K12,12 at three alphas, then the graph sets of lemma8, lemma9 and
+    # K12,12 at three alphas, then the case lists of lemma8, lemma9 and
     # lemma10 at their own grids.
     theorem_alphas = [float(s) for s in harness.THEOREM_ALPHAS]
     sets = [
-        (connected_classes, theorem_alphas),
-        (connected_classes + [complete_bipartite(12, 12)], [0.0, 0.5, 0.999]),
+        _alpha_major(connected_classes, theorem_alphas),
+        _alpha_major(connected_classes + [complete_bipartite(12, 12)], [0.0, 0.5, 0.999]),
     ]
     real = harness.perron_pairs
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "perron_pairs",
-                      lambda graphs, alphas: sets.append((graphs, alphas)) or real(graphs, alphas))
+        patch.setattr(harness, "perron_pairs", lambda cases: sets.append(cases) or real(cases))
         verify_lemma_suite(["lemma8", "lemma9", "lemma10"])
     assert len(sets) == 5
     eigh = np.linalg.eigh
     stacks = []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: stacks.append(a.shape) or eigh(a))
-    for graphs, alphas in sets:
-        solved = perron_pairs(graphs, alphas)
-        assert len(solved) == len(alphas)
-        if alphas is theorem_alphas:
+    for cases in sets:
+        solved = perron_pairs(cases)
+        assert len(solved) == len(cases)
+        if cases is sets[0]:
             merged = stacks[:]
-        for alpha, pairs in zip(alphas, solved):
-            (alone,) = perron_pairs(graphs, [alpha])
-            assert [p.rho for p in pairs] == [p.rho for p in alone]
-            assert [p.fallback for p in pairs] == [p.fallback for p in alone]
-            assert all(np.array_equal(p.x, q.x) for p, q in zip(pairs, alone))
+        for alpha in dict.fromkeys(alpha for _, alpha in cases):
+            at = [i for i, (_, a) in enumerate(cases) if a == alpha]
+            _same_pairs([solved[i] for i in at], perron_pairs([cases[i] for i in at]))
     # Both paths ran: the 853 classes of order 7 exceed the stack cap alone,
     # so each alpha has its own stack, while the 6 of order 4 take every
     # alpha in one stack.
@@ -476,10 +486,67 @@ def test_perron_pairs_of_many_alphas_equal_the_one_alpha_calls(monkeypatch, conn
     assert [s for s in merged if s[1] == 4] == [(11 * 6, 4, 4)]
 
 
+def test_a_case_in_a_mixed_list_equals_the_case_alone(monkeypatch, connected_classes):
+    # Orders 1..7 at five alphas, shuffled, with repeated graphs and a
+    # repeated case; every order-5 eigenpair is corrupted, so those cases
+    # fall back to power iteration in the list and alone alike.
+    rng = random.Random(30)
+    alphas = [0.0, 0.5, 0.75, 0.9, 0.999]
+    by_order = {}
+    for g in connected_classes:
+        by_order.setdefault(g.n, []).append(g)
+    cases = [(rng.choice(by_order[rng.randint(1, 7)]), rng.choice(alphas)) for _ in range(300)]
+    cases += cases[:5]
+    rng.shuffle(cases)
+    assert len({g.n for g, _ in cases}) == 7
+    eigh = np.linalg.eigh
+
+    def nudged(a):
+        w, v = eigh(a)
+        if a.shape[1] == 5:
+            w = w.copy()
+            w[:, -1] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", nudged)
+    solved = perron_pairs(cases)
+    assert [p.fallback for p in solved] == [g.n == 5 for g, _ in cases]
+    for case, pair in zip(cases, solved):
+        _same_pairs([pair], perron_pairs([case]))
+
+
+def test_perron_bounds_bracket_rho_and_start_from_lemma1(monkeypatch):
+    rng = random.Random(30)
+    # Mixed orders, and a disconnected graph without isolated vertices: the
+    # Collatz-Wielandt bounds hold for any nonnegative matrix.
+    two_triangles_and_an_edge = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5),
+                                                     (3, 5), (6, 7)])
+    graphs = [connected_sample(rng) for _ in range(40)] + [two_triangles_and_an_edge]
+    alphas = [0.0, 0.3, 0.5, 0.9, 0.999]
+    lower, upper = perron_bounds(graphs, alphas)
+    assert lower.shape == upper.shape == (len(alphas), len(graphs))
+    for j, alpha in enumerate(alphas):
+        for i, g in enumerate(graphs):
+            rho = lambda_max(g, alpha)
+            tol = 1e-12 * max(rho, 1.0)
+            assert lower[j, i] - tol <= rho <= upper[j, i] + tol
+    # With no power steps, x = d and the upper bound is Lemma 1's.
+    monkeypatch.setattr(spectral, "BOUND_STEPS", 0)
+    _, at_degrees = perron_bounds(graphs, alphas)
+    for j, alpha in enumerate(alphas):
+        for i, g in enumerate(graphs):
+            lemma1 = upper_bounds_degree_average(spectral.adjacency_stack([g]), alpha)[0]
+            assert at_degrees[j, i] == pytest.approx(lemma1, abs=1e-12)
+    # The steps narrow the bracket.
+    assert (upper <= at_degrees + 1e-12).all()
+    with pytest.raises(GraphError, match="isolated"):
+        perron_bounds([cycle(4), Graph.from_edges(3, [(0, 1)])], [0.5])
+
+
 def test_perron_pairs_of_no_graphs_or_no_alphas(c4):
-    assert perron_pairs([], [0.5, 0.75]) == [[], []]
-    assert perron_pairs([], []) == []
-    assert perron_pairs([c4], []) == []
+    for graphs, alphas in [([], [0.5, 0.75]), ([], []), ([c4], [])]:
+        assert perron_pairs(_alpha_major(graphs, alphas)) == []
+    assert lambda_maxes([]) == []
 
 
 @pytest.mark.parametrize("alphas", [[0.5, 0.75, 1.0], [-0.1, 0.5], [0.5, math.nan]])
@@ -490,15 +557,15 @@ def test_a_bad_alpha_anywhere_raises_before_any_solve(c4, k23, monkeypatch, alph
     monkeypatch.setattr(np.linalg, "eigh", no_solve)
     monkeypatch.setattr(spectral, "alpha_indices", no_solve)
     with pytest.raises(ValueError, match="alpha must lie in"):
-        perron_pairs([c4, k23], alphas)
+        perron_pairs(_alpha_major([c4, k23], alphas))
 
 
 def test_alpha_indices_reject_disconnected_and_bad_alpha(c4):
     two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(DisconnectedGraphError):
-        perron_pairs([c4, two_edges], [0.5])
+        perron_pairs([(c4, 0.5), (two_edges, 0.5)])
     with pytest.raises(ValueError):
-        perron_pairs([c4], [1.0])
+        perron_pairs([(c4, 1.0)])
 
 
 def _swap_top_and_bottom(w, v):
@@ -545,7 +612,8 @@ def test_alpha_indices_route_failed_certificates_to_power_iteration(monkeypatch,
     with monkeypatch.context() as patch:
         real = spectral.alpha_indices
         patch.setattr(spectral, "alpha_indices", lambda cases: redone.append(cases) or real(cases))
-        solved = perron_pairs(graphs, alphas)
+        pairs = perron_pairs(_alpha_major(graphs, alphas))
+    solved = [pairs[:4], pairs[4:]]
     assert redone == [[(graphs[2], 0.75), (graphs[3], 0.75)]]
     # K_{1,5} and K_{2,4} have order 6
     assert [[p.fallback for p in pairs] for pairs in solved] == [
