@@ -49,9 +49,7 @@ from .spectral import (
     alpha_matrix,
     closed_form_complete_bipartite,
     column_sum_certificate,
-    lower_bound_max_degree,
     perron_symmetry_check,
-    upper_bound_degree_average,
 )
 from .transforms import (
     Rotation,

@@ -52,10 +52,11 @@ from .families import build
 from .graphs import Graph6Error, GraphError, emit_graph6, parse_graph6
 from .spectral import (
     SpectralError,
+    adjacency_stack,
     alpha_indices,
     column_sum_certificate,
-    lower_bound_max_degree,
-    upper_bound_degree_average,
+    lower_bounds_max_degree,
+    upper_bounds_degree_average,
 )
 
 _FILTER_NAMES = {
@@ -103,6 +104,13 @@ def _parse_alphas(text: str) -> list[str]:
     if not out:
         raise argparse.ArgumentTypeError(f"no alpha values in {text!r}")
     return out
+
+
+def _parse_targets(text: str) -> list[str]:
+    """Comma-separated lemma targets; the empty text names none.  A module
+    function, not a lambda in the parser, which argparse holds in
+    reference cycles."""
+    return text.split(",") if text else []
 
 
 def _input_graphs(args) -> list[tuple[str, object]]:
@@ -162,17 +170,18 @@ def _cmd_rho(args) -> int:
 def _cmd_bounds(args) -> int:
     inputs = _input_graphs(args)
     alpha = float(args.alpha)
+    stacks = [adjacency_stack([g]) for _, g in inputs]
     # The lower bound checks alpha, so every input's runs before the solve
     # and its error comes first, as it would one input at a time.
-    lowers = [lower_bound_max_degree(g, alpha) for _, g in inputs]
+    lowers = [float(lower_bounds_max_degree(adj, alpha)[0]) for adj in stacks]
     results = alpha_indices([(g, alpha) for _, g in inputs])
     records = [{
         "input": label,
         "alpha": args.alpha,
         "lower": lower,
         "rho": result.rho,
-        "upper": upper_bound_degree_average(g, alpha),
-    } for (label, g), lower, result in zip(inputs, lowers, results)]
+        "upper": float(upper_bounds_degree_average(adj, alpha)[0]),
+    } for (label, _), adj, lower, result in zip(inputs, stacks, lowers, results)]
     _print_records(args, records, lambda r: (
         f"{r['input']}  alpha={r['alpha']}  "
         f"lower={r['lower']:.12f}  rho={r['rho']:.12f}  upper={r['upper']:.12f}"
@@ -407,7 +416,7 @@ def _add_verify(sub) -> None:
         p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_parse_alphas,
                        help="comma-separated alpha grid (default: each target's own; for "
                             "theorems 0.50..0.95 step 0.05 plus 0.999)"),
-        p.add_argument("--targets", type=lambda text: text.split(",") if text else [],
+        p.add_argument("--targets", type=_parse_targets,
                        help="comma-separated lemma targets (default: all)"),
         p.add_argument("--n-max", type=int,
                        help=f"order cap for lemma corpora (default {hz.LEMMA_N_MAX})"),

@@ -236,6 +236,9 @@ def _canonical_order(
         return n
 
     descend(cells, [], [], False)
+    # descend's closure holds descend itself: clearing it frees the search's
+    # state now instead of at the next cyclic collection.
+    del descend
     return best_order, automorphisms, best_cols
 
 

@@ -26,6 +26,8 @@ import inspect
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ from .spectral import (
     block_spread,
     column_sum_certificate,
     closed_form_complete_bipartite,
+    degree_sums,
     lower_bounds_max_degree,
     perron_bounds,
     perron_pairs,
@@ -218,14 +221,13 @@ def _extremal_cases(
     :func:`perron_bounds` and solves only the classes whose upper bound is
     at least t - ``SCREEN_MARGIN``, where t is the second-largest lower
     bound; a case of at most two classes solves them all, since there is
-    nothing to drop.  No class that
-    ranks in the top two is lost: two classes have rho >= t, so the
-    runner-up's rho is at least t, and a dropped class has rho <= its upper
-    bound < t - ``SCREEN_MARGIN``.  The margin also absorbs the bounds'
-    rounding.  ``eigh`` solves each matrix of a stack on its own, so every
-    solved rho, and with it the argmax, runner-up and gap, is the one a
-    solve of every class gives; ``fallbacks`` counts among the solved
-    classes only.
+    nothing to drop.  No class that ranks in the top two is lost: two
+    classes have rho >= t, so the runner-up's rho is at least t, and a
+    dropped class has rho <= its upper bound < t - ``SCREEN_MARGIN``.  The
+    margin also absorbs the bounds' rounding.  ``eigh`` solves each matrix
+    of a stack on its own, so every solved rho, and with it the argmax,
+    runner-up and gap, is the one a solve of every class gives;
+    ``fallbacks`` counts among the solved classes only.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
     confirmed by power iteration, every alpha's in one call.  The ``pin``
@@ -802,12 +804,16 @@ def _fact1(target: str) -> VerificationReport:
     for m in (9, 11, 13):
         classes = graphs_by_size(m)
         bad = []
-        for g in classes:
-            degs = g.degrees()
-            for w in range(g.n):
-                s = sum(degs[v] for v in g.neighbors(w))
-                if s > m - 1:
-                    bad.append(f"m={m}, {emit_graph6(g)}, w={w}: neighbour degree sum {s} > m-1")
+        # One stack per run of classes of one order, so the violations keep
+        # the class order.
+        for _, run in groupby(classes, attrgetter("n")):
+            run = list(run)
+            _, sums = degree_sums(adjacency_stack(run))
+            bad += [
+                f"m={m}, {emit_graph6(run[k])}, w={w}: "
+                f"neighbour degree sum {int(sums[k, w])} > m-1"
+                for k, w in np.argwhere(sums > m - 1).tolist()
+            ]
         report.add({"case": f"m={m}", "classes": len(classes), "ok": not bad}, *bad)
     return report
 

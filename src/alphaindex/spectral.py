@@ -5,8 +5,9 @@ is irreducible and nonnegative, so its largest eigenvalue is the Perron
 root with a unique positive eigenvector.  Every A_alpha is formed by one
 array expression from an adjacency stack, the 0/1 matrices of graphs of
 one order unpacked from their bit rows in one numpy step; a single
-graph's :func:`alpha_matrix` is the stack of one.  The degree bounds read
-d = A 1 and S = A d from the same stack.
+graph's :func:`alpha_matrix` is the stack of one.  :func:`degree_sums`
+reads each vertex's degree d = A 1 and neighbour-degree sum S = A d from
+the same stack, for the degree bounds and the column-sum certificate.
 
 Two solvers compute the Perron pair.  :func:`alpha_indices` is power
 iteration on P = A_alpha + I (the shift makes P primitive even at
@@ -41,14 +42,9 @@ matrix and positive x, rho lies between the least and the largest ratio
 (A_alpha x)_u / x_u (Collatz-Wielandt).  At x = d the upper ratio is
 Lemma 1's degree average; x is d after ``BOUND_STEPS`` normalised power
 steps, taken on the 0/1 stack with the alphas as a broadcast axis.  The
-theorem campaigns screen with it: at each alpha they solve only the
-classes whose upper bound reaches the second-largest lower bound t less
-a margin of 1e-9 (``harness.SCREEN_MARGIN``, which also absorbs the
-bounds' rounding); a case of at most two classes solves them all.  No class that ranks first or second is dropped, since
-two classes have rho >= t while a dropped one has rho < t - margin; and
-since an eigenpair does not depend on its stack, every verdict and gap
-is the one a solve of every class gives.  A theorem case's ``fallbacks``
-counts among the classes it solved.
+theorem campaigns screen the classes they solve with it
+(``harness._extremal_cases`` gives the argument that the screen loses no
+verdict).
 
 Power iteration stays the independent cross-check of the batched
 values: it confirms the values a verdict rests on, all those of one
@@ -71,7 +67,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .connectivity import components, is_connected
-from .graphs import Graph, GraphError, iter_bits
+from .graphs import Graph, GraphError
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
@@ -115,7 +111,6 @@ class ConvergenceError(SpectralError):
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
-    alpha: float
     rho: float
     perron: np.ndarray  # positive, unit sum
     residual: float
@@ -215,9 +210,7 @@ def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
             if done.any():
                 for j in np.flatnonzero(done).tolist():
                     i = live[j]
-                    out[i] = SpectralResult(
-                        cases[i][1], float(rho[j]), x[j], float(residual[j]), iteration,
-                    )
+                    out[i] = SpectralResult(float(rho[j]), x[j], float(residual[j]), iteration)
                 if done.all():
                     break
                 left = np.flatnonzero(~done)
@@ -411,13 +404,20 @@ def closed_form_complete_bipartite(a: int, b: int, alpha: float) -> float:
     return float(0.5 * (alpha * (a + b) + np.sqrt(disc)))
 
 
+def degree_sums(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The degrees d = A 1 and the neighbour-degree sums S = A d of each
+    graph of an adjacency stack, each of shape (k, n); every entry is an
+    exact integer in float64."""
+    d = adj.sum(axis=2)
+    return d, np.einsum("kij,kj->ki", adj, d)
+
+
 def upper_bounds_degree_average(adj: np.ndarray, alpha: float) -> np.ndarray:
     """max_u of alpha*d(u) + (1-alpha)*S(u)/d(u) for each graph of an
-    adjacency stack, where d = A 1 and S = A d (the neighbour degree sums)."""
-    d = adj.sum(axis=2)
+    adjacency stack (:func:`degree_sums`)."""
+    d, s = degree_sums(adj)
     if not d.all():
         raise GraphError("degree-average bound needs no isolated vertices")
-    s = np.einsum("kij,kj->ki", adj, d)
     return (alpha * d + (1.0 - alpha) * s / d).max(axis=1)
 
 
@@ -432,23 +432,14 @@ def lower_bounds_max_degree(adj: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * delta + (1.0 - alpha) ** 2 / alpha
 
 
-def upper_bound_degree_average(g: Graph, alpha: float) -> float:
-    """:func:`upper_bounds_degree_average` of one graph."""
-    return float(upper_bounds_degree_average(adjacency_stack([g]), alpha)[0])
-
-
-def lower_bound_max_degree(g: Graph, alpha: float) -> float:
-    """:func:`lower_bounds_max_degree` of one graph."""
-    return float(lower_bounds_max_degree(adjacency_stack([g]), alpha)[0])
-
-
 def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float, ...]:
     """Column sums of the proof matrix B, by closed expansion.
 
     Both variants are B = p A_alpha^2 - q alpha A_alpha + 2(2alpha-1) r I,
     with (p, q, r) = (1, n, n-2) for order and (2, m+4, m) for size.
     Since column sums of A_alpha are the degrees and c_u(A_alpha^2) =
-    alpha*d(u)^2 + (1-alpha)*S(u), where S(u) = sum_{uv in E} d(v),
+    alpha*d(u)^2 + (1-alpha)*S(u), where S(u) = sum_{uv in E} d(v)
+    (:func:`degree_sums`),
 
         c_u = p (alpha*d(u)^2 + (1-alpha)*S(u)) - q*alpha*d(u) + 2(2alpha-1) r.
 
@@ -462,19 +453,14 @@ def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float,
         p, q, r = 2, g.m + 4, g.m
     else:
         raise ValueError(f"unknown certificate variant {variant!r}")
-    degs = g.degrees()
+    d, s = degree_sums(adjacency_stack([g]))
     shift = 2.0 * (2.0 * alpha - 1.0) * r
-    sums = tuple(
-        p * (alpha * degs[u] ** 2 + (1.0 - alpha) * sum(degs[v] for v in iter_bits(g.rows[u])))
-        - q * alpha * degs[u]
-        + shift
-        for u in range(g.n)
-    )
+    sums = p * (alpha * d[0] ** 2 + (1.0 - alpha) * s[0]) - q * alpha * d[0] + shift
     a = alpha_matrix(g, alpha)
     literal = (p * (a @ a) - q * alpha * a + shift * np.eye(g.n)).sum(axis=0)
-    if np.max(np.abs(literal - np.array(sums))) > COLUMN_SUM_CROSS_TOL:
+    if np.max(np.abs(literal - sums)) > COLUMN_SUM_CROSS_TOL:
         raise SpectralError("column-sum expansion disagrees with the literal matrix")
-    return sums
+    return tuple(sums.tolist())
 
 
 def block_spread(x: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:

@@ -107,6 +107,20 @@ def alpha_matrix_by_loop(g: Graph, alpha: float) -> np.ndarray:
     return entries
 
 
+def column_sums_by_loop(g: Graph, alpha: float, variant: str) -> tuple[float, ...]:
+    """The proof matrix's column sums c_u by the closed expansion, one
+    vertex at a time, each S(u) summed over the neighbours of u."""
+    p, q, r = (1, g.n, g.n - 2) if variant == "order" else (2, g.m + 4, g.m)
+    degs = g.degrees()
+    shift = 2.0 * (2.0 * alpha - 1.0) * r
+    return tuple(
+        p * (alpha * degs[u] ** 2 + (1.0 - alpha) * sum(degs[v] for v in iter_bits(g.rows[u])))
+        - q * alpha * degs[u]
+        + shift
+        for u in range(g.n)
+    )
+
+
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 

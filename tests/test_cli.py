@@ -1,7 +1,9 @@
 import argparse
+import gc
 import inspect
 import json
 import random
+import types
 
 import pytest
 
@@ -151,6 +153,31 @@ def test_verify_theorem_order_json(capsys):
     assert payload["passed"] is True
     assert payload["cases"] == 4
     assert payload["runtime_ms"] == 0  # timings off by default
+
+
+def test_verify_leaves_no_package_function_in_a_garbage_cycle(capsys):
+    # A closure that refers to itself, or a lambda that argparse keeps in
+    # its parser's cycles, would stay alive until the cyclic collector
+    # runs; DEBUG_SAVEALL keeps what a collection finds so it can be named.
+    enabled, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(["verify", "theorem1.4"]) == 0
+        gc.collect()
+        held = sorted(
+            f"{obj.__module__}.{obj.__qualname__}" for obj in gc.garbage
+            if isinstance(obj, types.FunctionType)
+            and (obj.__module__ or "").startswith("alphaindex")
+        )
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
+    assert held == []
 
 
 def test_verify_output_deterministic(capsys):

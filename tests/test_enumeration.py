@@ -1,3 +1,4 @@
+import gc
 import random
 from functools import lru_cache
 
@@ -163,6 +164,23 @@ def test_canonical_search_prunes_automorphic_branches(monkeypatch, given, form):
     monkeypatch.setattr(enumeration, "_refine", counted)
     assert canonical_form(parse_graph6(given)) == form
     assert len(calls) <= 200  # an unpruned search makes millions
+
+
+def test_canonical_searches_leave_no_garbage_cycles():
+    # A search's state is freed when it returns, not at the next cyclic
+    # collection: with the collector off, nothing is left unreachable.
+    graphs = [subdivided_k2(5), cycle(9)]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            for g in graphs:
+                enumeration._canonical(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_canonical_distinguishes(c5, k23):

@@ -7,7 +7,7 @@ import pytest
 from alphaindex import cli, enumeration, harness, spectral
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
-from alphaindex.graphs import parse_graph6
+from alphaindex.graphs import Graph, parse_graph6
 from alphaindex.harness import (
     DEFAULT_ALPHAS,
     THEOREM_ALPHAS,
@@ -209,6 +209,19 @@ def test_fact1_neighbour_degree_sums():
     assert report.passed
 
 
+def test_fact1_prints_integer_neighbour_degree_sums(monkeypatch):
+    # K_{2,5} (every S = 10), C5 and K4 (every S = 9) in falling order: the
+    # violations follow the class list, and each vertex in turn.
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    classes = [complete_bipartite(2, 5), cycle(5), k4]
+    monkeypatch.setattr(harness, "graphs_by_size", lambda m: classes)
+    (report,) = verify_lemma_suite(["fact1"])
+    assert [c["ok"] for c in report.case_results] == [False, True, True]
+    assert report.violations == [
+        f"m=9, F]rE?, w={w}: neighbour degree sum 10 > m-1" for w in range(7)
+    ] + [f"m=9, C~, w={w}: neighbour degree sum 9 > m-1" for w in range(4)]
+
+
 def test_fact2_identity_passes():
     (report,) = verify_lemma_suite(["fact2"])
     assert report.passed
@@ -346,8 +359,7 @@ def _shift_power_iteration(monkeypatch):
 
     def shifted(cases):
         return [
-            type(result)(result.alpha, result.rho + 1e-6, result.perron, result.residual,
-                         result.iterations)
+            type(result)(result.rho + 1e-6, result.perron, result.residual, result.iterations)
             for result in real(cases)
         ]
 

@@ -27,19 +27,19 @@ from alphaindex.spectral import (
     closed_form_complete_bipartite,
     column_sum_certificate,
     components,
+    degree_sums,
     induced_subgraph,
     lambda_max,
     lambda_maxes,
-    lower_bound_max_degree,
+    lower_bounds_max_degree,
     perron_bounds,
     perron_pairs,
     perron_symmetry_check,
-    upper_bound_degree_average,
     upper_bounds_degree_average,
 )
 from alphaindex.transforms import rotate, rotation_monotonicity_check, rotation_monotonicity_checks
 
-from conftest import alpha_matrix_by_loop, jacobi_eigenvalues, random_graph
+from conftest import alpha_matrix_by_loop, column_sums_by_loop, jacobi_eigenvalues, random_graph
 
 
 def connected_sample(rng, n_lo=2, n_hi=10):
@@ -255,54 +255,70 @@ def test_block_spread_is_the_widest_block():
     assert block_spread(x, ((0, 4), (2,))) == 0.1 - 0.05
 
 
+def test_degree_sums_by_hand(k23):
+    d, s = degree_sums(spectral.adjacency_stack([k23]))
+    assert d.tolist() == [[3, 3, 2, 2, 2]]
+    assert s.tolist() == [[6, 6, 6, 6, 6]]
+    # A path 0-1-2-3 and a star on centre 0, stacked: each keeps its own rows.
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    d, s = degree_sums(spectral.adjacency_stack([path, star]))
+    assert d.tolist() == [[1, 2, 2, 1], [3, 1, 1, 1]]
+    assert s.tolist() == [[2, 3, 3, 2], [3, 3, 3, 3]]
+
+
 def test_upper_bound_k23(k23):
-    assert abs(upper_bound_degree_average(k23, 0.5) - 2.5) < 1e-12
+    assert abs(upper_bounds_degree_average(spectral.adjacency_stack([k23]), 0.5)[0] - 2.5) < 1e-12
 
 
 def test_upper_bound_regular_equality():
     for n in (5, 9):
+        adj = spectral.adjacency_stack([cycle(n)])
         for a in (0.6, 0.75, 0.9):
-            assert abs(upper_bound_degree_average(cycle(n), a) - 2.0) < 1e-12
+            assert abs(upper_bounds_degree_average(adj, a)[0] - 2.0) < 1e-12
 
 
 def test_upper_bound_star():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    assert abs(upper_bound_degree_average(star, 0.5) - 2.0) < 1e-12
-    assert upper_bound_degree_average(star, 0.5) >= alpha_index(star, 0.5).rho - 1e-10
+    upper = upper_bounds_degree_average(spectral.adjacency_stack([star]), 0.5)[0]
+    assert abs(upper - 2.0) < 1e-12
+    assert upper >= alpha_index(star, 0.5).rho - 1e-10
 
 
 def test_upper_bound_isolated_vertex_rejected():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(GraphError):
-        upper_bound_degree_average(g, 0.5)
+        upper_bounds_degree_average(spectral.adjacency_stack([g]), 0.5)
 
 
 def test_lower_bound_k23(k23):
-    assert abs(lower_bound_max_degree(k23, 0.5) - 2.0) < 1e-12
+    assert abs(lower_bounds_max_degree(spectral.adjacency_stack([k23]), 0.5)[0] - 2.0) < 1e-12
 
 
 def test_lower_bound_branches_meet_at_half():
     for delta_graph in (cycle(6), complete_bipartite(3, 2)):
         delta = max(delta_graph.degrees())
-        below = lower_bound_max_degree(delta_graph, 0.5 - 1e-12)
-        above = lower_bound_max_degree(delta_graph, 0.5)
+        adj = spectral.adjacency_stack([delta_graph])
+        below = lower_bounds_max_degree(adj, 0.5 - 1e-12)[0]
+        above = lower_bounds_max_degree(adj, 0.5)[0]
         assert abs(below - above) < 1e-9
         assert abs(above - (delta / 2 + 0.5)) < 1e-12
 
 
 def test_lower_bound_cycle_below_two():
     for a in (0.5, 0.7, 0.9):
-        assert lower_bound_max_degree(cycle(8), a) <= 2.0 + 1e-12
+        assert lower_bounds_max_degree(spectral.adjacency_stack([cycle(8)]), a)[0] <= 2.0 + 1e-12
 
 
 def test_sandwich_on_random_graphs():
     rng = random.Random(999)
     for _ in range(80):
         g = connected_sample(rng, 2, 8)
+        adj = spectral.adjacency_stack([g])
         for a in (0.5, 0.75, 0.9):
             rho = alpha_index(g, a).rho
-            assert lower_bound_max_degree(g, a) <= rho + 1e-10
-            assert upper_bound_degree_average(g, a) >= rho - 1e-10
+            assert lower_bounds_max_degree(adj, a)[0] <= rho + 1e-10
+            assert upper_bounds_degree_average(adj, a)[0] >= rho - 1e-10
 
 
 def test_rho_between_degree_extremes():
@@ -351,6 +367,20 @@ def test_column_sums_cross_checked_on_random_graphs():
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         for variant in ("order", "size"):
             column_sum_certificate(g, rng.choice((0.5, 0.6, 0.75, 0.9)), variant)
+
+
+def test_column_sums_equal_the_vertex_loop_bit_for_bit():
+    # Every d and S is an exact integer in float64 and the stacked form
+    # applies the loop's operations in the loop's order.
+    classes = [g for m in range(3, 13) for g in graphs_by_size(m) if g.n <= 9]
+    assert len(classes) == 49
+    for alpha in [float(a) for a in harness.CERT_ALPHAS] + [0.999]:
+        for variant in ("order", "size"):
+            for g in classes:
+                sums = column_sum_certificate(g, alpha, variant)
+                assert list(map(float.hex, sums)) == list(
+                    map(float.hex, column_sums_by_loop(g, alpha, variant))
+                )
 
 
 def test_column_sum_variant_checked(c4):
@@ -679,7 +709,6 @@ def test_stacked_power_iteration_equals_one_case_at_a_time(monkeypatch):
     assert len({result.iterations for result in stacked}) > 3
     for (g, alpha), result in zip(cases, stacked):
         alone = alpha_index(g, alpha)
-        assert result.alpha == alone.alpha == alpha
         assert result.rho == alone.rho
         assert result.residual == alone.residual
         assert result.iterations == alone.iterations
