@@ -46,9 +46,8 @@ from .spectral import (
     SpectralError,
     SpectralResult,
     alpha_index,
-    alpha_matrix,
     closed_form_complete_bipartite,
-    column_sum_certificate,
+    column_sums,
     perron_symmetry_check,
 )
 from .transforms import (

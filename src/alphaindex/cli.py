@@ -54,7 +54,7 @@ from .spectral import (
     SpectralError,
     adjacency_stack,
     alpha_indices,
-    column_sum_certificate,
+    column_sums,
     lower_bounds_max_degree,
     upper_bounds_degree_average,
 )
@@ -76,7 +76,9 @@ def _parse_int_range(text: str) -> list[range]:
         if part:
             lo, hi = part.split("..", 1) if ".." in part else (part, part)
             out.append(range(int(lo), int(hi) + 1))
-    if not any(out):
+            if not out[-1]:
+                raise argparse.ArgumentTypeError(f"empty range {part!r}")
+    if not out:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return out
 
@@ -211,13 +213,13 @@ def _cmd_enumerate(args) -> int:
 def _cmd_columns(args) -> int:
     records = []
     for label, g in _input_graphs(args):
-        sums = column_sum_certificate(g, float(args.alpha), args.variant)
+        sums = column_sums(adjacency_stack([g]), float(args.alpha), args.variant)[0].tolist()
         records.append({
             "input": label,
             "alpha": args.alpha,
             "variant": args.variant,
             "parameter": g.n if args.variant == "order" else g.m,
-            "column_sums": list(sums),
+            "column_sums": sums,
             "max": max(sums),
         })
     _print_records(args, records, lambda r: (

@@ -4,10 +4,10 @@ The matrix of interest is alpha*D + (1-alpha)*A.  For a connected graph it
 is irreducible and nonnegative, so its largest eigenvalue is the Perron
 root with a unique positive eigenvector.  Every A_alpha is formed by one
 array expression from an adjacency stack, the 0/1 matrices of graphs of
-one order unpacked from their bit rows in one numpy step; a single
-graph's :func:`alpha_matrix` is the stack of one.  :func:`degree_sums`
-reads each vertex's degree d = A 1 and neighbour-degree sum S = A d from
-the same stack, for the degree bounds and the column-sum certificate.
+one order unpacked from their bit rows in one numpy step.
+:func:`degree_sums` reads each vertex's degree d = A 1 and neighbour-degree
+sum S = A d from the same stack, for the degree bounds and the proof
+matrix's :func:`column_sums`.
 
 Two solvers compute the Perron pair.  :func:`alpha_indices` is power
 iteration on P = A_alpha + I (the shift makes P primitive even at
@@ -153,14 +153,6 @@ def _alpha_stack(
     a = (1.0 - alpha)[..., None, None] * adj
     a.reshape(len(a), -1)[:, :: n + 1] = alpha[..., None] * degrees  # the diagonals
     return a
-
-
-def alpha_matrix(g: Graph, alpha: float) -> np.ndarray:
-    """alpha*D + (1-alpha)*A; row sums equal the degrees."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    adj = adjacency_stack([g])
-    return _alpha_stack(adj, adj.sum(axis=2), alpha)[0]
 
 
 def alpha_index(g: Graph, alpha: float) -> SpectralResult:
@@ -432,35 +424,38 @@ def lower_bounds_max_degree(adj: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * delta + (1.0 - alpha) ** 2 / alpha
 
 
-def column_sum_certificate(g: Graph, alpha: float, variant: str) -> tuple[float, ...]:
-    """Column sums of the proof matrix B, by closed expansion.
+def column_sums(adj: np.ndarray, alpha: float, variant: str) -> np.ndarray:
+    """Column sums (k, n) of the proof matrix B of each stacked graph, by closed expansion.
 
     Both variants are B = p A_alpha^2 - q alpha A_alpha + 2(2alpha-1) r I,
-    with (p, q, r) = (1, n, n-2) for order and (2, m+4, m) for size.
-    Since column sums of A_alpha are the degrees and c_u(A_alpha^2) =
-    alpha*d(u)^2 + (1-alpha)*S(u), where S(u) = sum_{uv in E} d(v)
-    (:func:`degree_sums`),
+    with (p, q, r) = (1, n, n-2) for order and (2, m+4, m) for size (m is
+    half the degree sum).  Since column sums of A_alpha are the degrees
+    and c_u(A_alpha^2) = alpha*d(u)^2 + (1-alpha)*S(u), where S(u) =
+    sum_{uv in E} d(v) (:func:`degree_sums`),
 
         c_u = p (alpha*d(u)^2 + (1-alpha)*S(u)) - q*alpha*d(u) + 2(2alpha-1) r.
 
-    The expansion is cross-checked against the literal matrix column sums;
-    on K_{2,n-2} every order c_u vanishes identically, which is the
-    equality case of the order claim.
+    The expansion is cross-checked against the column sums of the literal
+    A_alpha stack and its square; on K_{2,n-2} every order c_u vanishes
+    identically, which is the equality case of the order claim.
     """
+    d, s = degree_sums(adj)
     if variant == "order":
-        p, q, r = 1, g.n, g.n - 2
+        p, q, r = 1, adj.shape[1], adj.shape[1] - 2
     elif variant == "size":
-        p, q, r = 2, g.m + 4, g.m
+        m = d.sum(axis=1, keepdims=True) // 2
+        p, q, r = 2, m + 4, m
     else:
         raise ValueError(f"unknown certificate variant {variant!r}")
-    d, s = degree_sums(adjacency_stack([g]))
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     shift = 2.0 * (2.0 * alpha - 1.0) * r
-    sums = p * (alpha * d[0] ** 2 + (1.0 - alpha) * s[0]) - q * alpha * d[0] + shift
-    a = alpha_matrix(g, alpha)
-    literal = (p * (a @ a) - q * alpha * a + shift * np.eye(g.n)).sum(axis=0)
+    sums = p * (alpha * d ** 2 + (1.0 - alpha) * s) - q * alpha * d + shift
+    a = _alpha_stack(adj, d, alpha)
+    literal = p * (a @ a).sum(axis=1) - q * alpha * a.sum(axis=1) + shift
     if np.max(np.abs(literal - sums)) > COLUMN_SUM_CROSS_TOL:
         raise SpectralError("column-sum expansion disagrees with the literal matrix")
-    return tuple(sums.tolist())
+    return sums
 
 
 def block_spread(x: np.ndarray, blocks: Sequence[Sequence[int]]) -> float:

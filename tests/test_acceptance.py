@@ -30,11 +30,10 @@ from alphaindex.families import complete_bipartite, subdivided_k2
 from alphaindex.graphs import emit_graph6
 from alphaindex.spectral import (
     alpha_index,
-    alpha_matrix,
     closed_form_complete_bipartite,
 )
 
-from conftest import jacobi_eigenvalues
+from conftest import alpha_matrix_by_loop, jacobi_eigenvalues
 
 ALPHAS_10 = hz.DEFAULT_ALPHAS  # 0.50, 0.55, ..., 0.95
 
@@ -250,7 +249,7 @@ def test_criterion_12_eigensolver_self_consistency():
     for _ in range(500):
         g = hz.sample_connected_graph(rng, 3, 10)
         for alpha in (0.5, 0.8):
-            lam = jacobi_eigenvalues(alpha_matrix(g, alpha))[-1]
+            lam = jacobi_eigenvalues(alpha_matrix_by_loop(g, alpha))[-1]
             rho = alpha_index(g, alpha).rho
             worst = max(worst, abs(lam - rho))
     report(

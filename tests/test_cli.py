@@ -256,6 +256,21 @@ def test_verify_range_past_generator_cap_is_usage_error(capsys, monkeypatch, arg
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["theorem1.3", "--n", "9..8"], "empty range '9..8'"),
+    (["theorem1.3", "--n", "9..8,5"], "empty range '9..8'"),
+    (["theorem1.4", "--m", "6,16..13"], "empty range '16..13'"),
+    (["theorem1.3", "--n", ",,"], "empty range ',,'"),
+])
+def test_verify_reversed_range_part_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", *argv])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("cases", ["0", "-3"])
 def test_verify_lemma7_without_rotation_cases_is_usage_error(capsys, cases):
     with pytest.raises(SystemExit) as err:

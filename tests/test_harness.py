@@ -204,6 +204,15 @@ def test_claim_reports_small():
     assert all(r.passed for r in reports)
 
 
+def test_claim_size_without_eligible_graphs_reports_none():
+    # No class of size 6 has 3 <= Delta <= 2, so m = 6 checks no graph and
+    # builds no adjacency stack.
+    (report,) = verify_lemma_suite(["claim-size"], alphas=["0.5", "0.9"])
+    empty = [c for c in report.case_results if c["case"] == "m=6"]
+    assert [(c["graphs"], c["max_column_sum"], c["ok"]) for c in empty] == [(0, None, True)] * 2
+    assert report.passed
+
+
 def test_fact1_neighbour_degree_sums():
     (report,) = verify_lemma_suite(["fact1"])
     assert report.passed

@@ -22,10 +22,9 @@ from alphaindex.spectral import (
     ConvergenceError,
     DisconnectedGraphError,
     alpha_index,
-    alpha_matrix,
     block_spread,
     closed_form_complete_bipartite,
-    column_sum_certificate,
+    column_sums,
     components,
     degree_sums,
     induced_subgraph,
@@ -49,31 +48,6 @@ def connected_sample(rng, n_lo=2, n_hi=10):
             return g
 
 
-def test_alpha_matrix_triangle_half():
-    k3 = cycle(3)
-    m = alpha_matrix(k3, 0.5)
-    assert np.allclose(np.diag(m), 1.0)
-    off = m[~np.eye(3, dtype=bool)]
-    assert np.allclose(off, 0.5)
-
-
-def test_alpha_matrix_endpoints(k23):
-    a0 = alpha_matrix(k23, 0.0)
-    assert np.all(np.diag(a0) == 0)
-    assert a0.sum() == 2 * k23.m
-    a1 = alpha_matrix(k23, 1.0)
-    assert np.all(a1 == np.diag(k23.degrees()))
-
-
-def test_alpha_matrix_row_sums_are_degrees():
-    rng = random.Random(3)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(2, 9), rng.random())
-        for a in (0.0, 0.3, 0.5, 0.9, 1.0):
-            sums = alpha_matrix(g, a).sum(axis=1)
-            assert np.allclose(sums, g.degrees(), atol=1e-12)
-
-
 def _stack_corpus():
     """Every class with n <= 7, a single vertex, K_{12,12} and C_1000 (rows
     wider than 64 bits), grouped by order."""
@@ -81,16 +55,14 @@ def _stack_corpus():
     return groups + [[Graph.from_rows([0])], [complete_bipartite(12, 12)], [cycle(1000)]]
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 1.0])
 def test_adjacency_stack_gives_the_loop_matrices_exactly(alpha):
     for graphs in _stack_corpus():
         adj = spectral.adjacency_stack(graphs)
         assert adj.shape == (len(graphs), graphs[0].n, graphs[0].n)
         stack = spectral._alpha_stack(adj, adj.sum(axis=2), alpha)
         for g, a in zip(graphs, stack):
-            reference = alpha_matrix_by_loop(g, alpha)
-            assert np.array_equal(a, reference)
-            assert np.array_equal(alpha_matrix(g, alpha), reference)
+            assert np.array_equal(a, alpha_matrix_by_loop(g, alpha))
 
 
 def test_adjacency_stack_needs_one_order(c4, k23):
@@ -122,9 +94,9 @@ def test_degree_bounds_from_the_stack_equal_the_vertex_loop(connected_classes, a
         assert list(zip(upper, lower)) == [_degree_bounds_by_loop(g, alpha) for g in graphs]
 
 
-def test_alpha_matrix_range_checked(c4):
-    with pytest.raises(ValueError):
-        alpha_matrix(c4, 1.5)
+def test_column_sums_range_checked(c4):
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\], got 1.5"):
+        column_sums(spectral.adjacency_stack([c4]), 1.5, "order")
 
 
 def test_cycles_have_rho_two():
@@ -188,14 +160,14 @@ def test_power_matches_jacobi_on_seeded_corpus():
     for _ in range(100):
         g = connected_sample(rng)
         for a in (0.5, 0.8):
-            lam = jacobi_eigenvalues(alpha_matrix(g, a))[-1]
+            lam = jacobi_eigenvalues(alpha_matrix_by_loop(g, a))[-1]
             rho = alpha_index(g, a).rho
             worst = max(worst, abs(lam - rho))
     assert worst <= 1e-10
 
 
 def test_jacobi_known_spectrum(c4):
-    values = jacobi_eigenvalues(alpha_matrix(c4, 0.0))
+    values = jacobi_eigenvalues(alpha_matrix_by_loop(c4, 0.0))
     assert np.allclose(values, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -204,7 +176,7 @@ def test_near_degenerate_top_pair_converges():
     theta = Graph.from_edges(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                                   (7, 8), (8, 0), (0, 9), (9, 10), (10, 4)])
     result = alpha_index(theta, 0.999)
-    lam = jacobi_eigenvalues(alpha_matrix(theta, 0.999))[-1]
+    lam = jacobi_eigenvalues(alpha_matrix_by_loop(theta, 0.999))[-1]
     assert abs(result.rho - lam) < 1e-10
     assert result.perron.min() > 0
 
@@ -346,19 +318,19 @@ def test_edge_addition_strictly_increases_rho():
 def test_column_sums_vanish_on_k2b(k23):
     # K_{2,n-2} is the equality case: every column of B sums to zero.
     for a in (0.5, 0.6, 0.75, 0.9):
-        sums = column_sum_certificate(k23, a, "order")
-        assert len(sums) == 5
-        assert max(abs(v) for v in sums) < 1e-12
+        sums = column_sums(spectral.adjacency_stack([k23]), a, "order")
+        assert sums.shape == (1, 5)
+        assert np.abs(sums).max() < 1e-12
     k24 = complete_bipartite(2, 4)
     for a in (0.5, 0.7):
-        sums = column_sum_certificate(k24, a, "size")
-        assert len(sums) == 6
-        assert max(abs(v) for v in sums) < 1e-12
+        sums = column_sums(spectral.adjacency_stack([k24]), a, "size")
+        assert sums.shape == (1, 6)
+        assert np.abs(sums).max() < 1e-12
 
 
 def test_column_sums_c5_strictly_negative(c5):
-    sums = column_sum_certificate(c5, 0.6, "order")
-    assert all(abs(v - (-0.8)) < 1e-12 for v in sums)
+    sums = column_sums(spectral.adjacency_stack([c5]), 0.6, "order")
+    assert np.all(np.abs(sums - (-0.8)) < 1e-12)
 
 
 def test_column_sums_cross_checked_on_random_graphs():
@@ -366,26 +338,33 @@ def test_column_sums_cross_checked_on_random_graphs():
     for _ in range(100):
         g = random_graph(rng, rng.randint(2, 9), rng.random())
         for variant in ("order", "size"):
-            column_sum_certificate(g, rng.choice((0.5, 0.6, 0.75, 0.9)), variant)
+            column_sums(spectral.adjacency_stack([g]), rng.choice((0.5, 0.6, 0.75, 0.9)), variant)
 
 
 def test_column_sums_equal_the_vertex_loop_bit_for_bit():
     # Every d and S is an exact integer in float64 and the stacked form
-    # applies the loop's operations in the loop's order.
+    # applies the loop's operations in the loop's order, on one stack per
+    # order of graphs of mixed sizes.
     classes = [g for m in range(3, 13) for g in graphs_by_size(m) if g.n <= 9]
     assert len(classes) == 49
+    by_order = {}
+    for g in classes:
+        by_order.setdefault(g.n, []).append(g)
+    assert any(len({g.m for g in graphs}) > 1 for graphs in by_order.values())
     for alpha in [float(a) for a in harness.CERT_ALPHAS] + [0.999]:
         for variant in ("order", "size"):
-            for g in classes:
-                sums = column_sum_certificate(g, alpha, variant)
-                assert list(map(float.hex, sums)) == list(
-                    map(float.hex, column_sums_by_loop(g, alpha, variant))
-                )
+            for graphs in by_order.values():
+                sums = column_sums(spectral.adjacency_stack(graphs), alpha, variant).tolist()
+                assert [list(map(float.hex, row)) for row in sums] == [
+                    list(map(float.hex, column_sums_by_loop(g, alpha, variant))) for g in graphs
+                ]
 
 
 def test_column_sum_variant_checked(c4):
-    with pytest.raises(ValueError):
-        column_sum_certificate(c4, 0.5, "girth")
+    # The variant is checked first, so it wins over a bad alpha too.
+    for alpha in (0.5, 1.5):
+        with pytest.raises(ValueError, match="unknown certificate variant 'girth'"):
+            column_sums(spectral.adjacency_stack([c4]), alpha, "girth")
 
 
 def test_perron_symmetry_families():
@@ -424,7 +403,7 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
         assert type(rho) is float
         tol = 1e-12 * max(rho, 1.0)
         power = alpha_index(g, alpha)
-        spectrum = jacobi_eigenvalues(alpha_matrix(g, alpha))
+        spectrum = jacobi_eigenvalues(alpha_matrix_by_loop(g, alpha))
         assert abs(rho - power.rho) <= tol
         assert abs(rho - spectrum[-1]) <= tol
         # A unit-sum vector with residual r is within 2 n r / gap of the
@@ -446,7 +425,7 @@ def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
     for g, (rho, _, _) in zip(graphs, pairs):
         # A batched value that failed its certificate is itself power iteration,
         # so the eigvalsh top eigenvalue is the independent reference as well.
-        top = np.linalg.eigvalsh(alpha_matrix(g, alpha))[-1]
+        top = np.linalg.eigvalsh(alpha_matrix_by_loop(g, alpha))[-1]
         result = alpha_index(g, alpha)
         assert abs(result.rho - rho) <= 1e-12 * max(rho, 1.0)
         assert abs(result.rho - top) <= 1e-12 * max(rho, 1.0)
