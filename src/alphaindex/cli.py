@@ -192,7 +192,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    filter_name = _FILTER_NAMES[args.filter]
+    filter_name = _FILTER_NAMES[args.filter or ("all" if args.order is not None else "min2c")]
     if args.order is not None:
         graphs = graphs_by_order(args.order, filter_name)
     else:
@@ -377,7 +377,8 @@ def _add_enumerate(sub) -> None:
                             f"otherwise n <= {MAX_BUILTIN_ORDER}; n = 9 takes about 30 s)")
     group.add_argument("--size", type=int,
                        help=f"enumerate minimally 2-connected graphs by size (m <= {MAX_SIZE})")
-    p.add_argument("--filter", choices=sorted(_FILTER_NAMES), default="all")
+    p.add_argument("--filter", choices=sorted(_FILTER_NAMES),
+                   help="default: all with --order, min2c with --size")
     _add_io(p, formats=("graph6", "json"))
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -8,7 +8,8 @@ breadth-first reach.  The chord-based one rests on the classical
 equivalence with "no cycle has a chord" (Dirac 1967, Plummer 1968): it
 first rejects an edge whose ends have two common neighbours (the chord of
 a 4-cycle), then runs only on the Tarjan block walk, which also decides
-its 2-connectivity and serves :func:`chording_ears` and
+its 2-connectivity and serves :func:`chording_ears` (one walk per thread
+and per edge between two vertices of degree >= 3) and
 :func:`is_removable`, the ear generator's thread test.  Their agreement on
 every small graph is a standing cross-check exercised by the test suite.
 """
@@ -117,25 +118,68 @@ def chording_ears(g: Graph) -> tuple[int, ...]:
     in the interior of x's end block (the block minus its cut vertex) and
     the other in the interior of y's.  If g - xy is itself 2-connected (g
     not minimal), its one block has no cut vertex and every pair is set.
+
+    The end blocks take one block walk of g - xy per edge whose ends both
+    have degree >= 3, one walk per thread for the thread edges, and none
+    for a cycle, where each edge closes only its own ends.  Let the thread
+    ``a t1 ... tk b`` have interior T, and let R = g - T.  Deleting a
+    thread edge xy leaves R with two pendant paths, a ... x and y ... b
+    (one may be the lone vertex a or b).  The blocks of g - xy are R's
+    blocks and the paths' bridges; its cut vertices are R's plus each path
+    vertex but the free end, a or b included where a path hangs on it.  So
+    an end x in T has the end block {x's path neighbour, x}, interior {x}.
+    The end x = a lies in no bridge; g is 2-connected, so a lies in the
+    interior of an end block of g - xy, which is then block_R(a), its only
+    block in R.  Less the cut vertices that is
+    A = block_R(a) - cuts(R) - {b}, b being the cut where the other path
+    hangs.  Hence (a, t1) closes t1 with A, (tk, b) closes tk with
+    B = block_R(b) - cuts(R) - {a}, and an edge inside the thread closes
+    only its own ends.  The argument needs only 2-connectivity, so
+    non-minimal ``g`` is covered too.
     """
-    rows = [0] * g.n
-    for x, y in g.edges():
-        seen = cuts = 0
-        end_x = end_y = 0
-        for block in _block_masks(g.remove_edge(x, y)):
-            cuts |= seen & block
-            seen |= block
-            if (block >> x) & 1:
-                end_x = block
-            if (block >> y) & 1:
-                end_y = block
-        end_x &= ~cuts
-        end_y &= ~cuts
-        for u in iter_bits(end_x):
-            rows[u] |= end_y
-        for v in iter_bits(end_y):
-            rows[v] |= end_x
-    return tuple(rows)
+    rows = g.rows
+    heavy = 0
+    for v, row in enumerate(rows):
+        if row.bit_count() >= 3:
+            heavy |= 1 << v
+    if not heavy:
+        return rows
+    closing = [0] * g.n
+    for a, b, interior in threads(g):
+        end_a, end_b = _end_interiors(_without(g, interior), a, b)
+        _close(closing, end_a & ~(1 << b), rows[a] & interior)
+        _close(closing, end_b & ~(1 << a), rows[b] & interior)
+        for t in iter_bits(interior):
+            closing[t] |= rows[t] & interior
+    while heavy:
+        low = heavy & -heavy
+        heavy ^= low  # now the vertices of degree >= 3 above x
+        x = low.bit_length() - 1
+        for y in iter_bits(rows[x] & heavy):
+            _close(closing, *_end_interiors(g.remove_edge(x, y), x, y))
+    return tuple(closing)
+
+
+def _end_interiors(h: Graph, x: int, y: int) -> tuple[int, int]:
+    """The blocks of ``h`` holding ``x`` and ``y`` (the last the walk yields),
+    less every cut vertex of ``h``."""
+    seen = cuts = end_x = end_y = 0
+    for block in _block_masks(h):
+        cuts |= seen & block
+        seen |= block
+        if (block >> x) & 1:
+            end_x = block
+        if (block >> y) & 1:
+            end_y = block
+    return end_x & ~cuts, end_y & ~cuts
+
+
+def _close(closing: list[int], ends_x: int, ends_y: int) -> None:
+    """Mark every pair between the vertex masks ``ends_x`` and ``ends_y``."""
+    for u in iter_bits(ends_x):
+        closing[u] |= ends_y
+    for v in iter_bits(ends_y):
+        closing[v] |= ends_x
 
 
 def threads(g: Graph) -> Iterator[tuple[int, int, int]]:
@@ -172,9 +216,7 @@ def is_removable(g: Graph, interior: int) -> bool:
     deleted vertices are left isolated, and an isolated vertex closes no
     block.  The rest has at least three vertices, since an end of the
     thread has two neighbours outside it."""
-    rows = tuple(0 if (interior >> v) & 1 else row & ~interior for v, row in enumerate(g.rows))
-    h = Graph._trusted(g.n, rows, g.m - interior.bit_count() - 1)
-    return next(_block_masks(h), 0) == ((1 << g.n) - 1) & ~interior
+    return next(_block_masks(_without(g, interior)), 0) == ((1 << g.n) - 1) & ~interior
 
 
 def triangle_free(g: Graph) -> bool:
@@ -182,6 +224,13 @@ def triangle_free(g: Graph) -> bool:
         if g.rows[u] & g.rows[v]:
             return False
     return True
+
+
+def _without(g: Graph, interior: int) -> Graph:
+    """``g`` less the edges at the inner vertices ``interior`` of one of its
+    threads, which stay behind isolated."""
+    rows = tuple(0 if (interior >> v) & 1 else row & ~interior for v, row in enumerate(g.rows))
+    return Graph._trusted(g.n, rows, g.m - interior.bit_count() - 1)
 
 
 def _reach(g: Graph, start: int, allowed: int) -> int:

@@ -57,25 +57,29 @@ Two generators are provided:
   Dirac 1967, Plummer 1968).  A cell is therefore its cycle, if ``n == m``,
   plus the chord-free results of one ear added to a class of a smaller
   cell.  Which ears keep a parent G minimal is decided once per parent,
-  with no test on the child: the ear's own edges are essential, and an old
-  edge xy becomes inessential exactly when the ear closes the chain of
-  blocks of G - xy, that is, runs from the interior of x's end block (the
-  block minus its cut vertex) to the interior of y's
-  (``connectivity.chording_ears``).  The minimally 2-connected classes of
-  an order are the union of its cells over ``n <= m <= 2n - 4``, those of
-  a size the union over ``n <= m``.  Each class in a cell keeps the
-  automorphisms its canonical search recorded, carried to its canonical
-  labels, and a parent's ear pairs ``{u, v}`` are expanded once per orbit
-  of the group they generate.  This is exact: an automorphism s of G maps
-  ``G + ear(u, v, L)`` onto ``G + ear(s(u), s(v), L)``, so a pair in the
-  orbit of an expanded one gives an isomorphic child.  Any subgroup of
-  Aut(G) is therefore safe, and a generator set that misses part of the
-  group costs speed only.  A child is labeled only if its new ear is a
-  largest removable thread (McKay's canonical construction path, J.
-  Algorithms 26, 1998).  A thread is a maximal path of length >= 2 whose
-  inner vertices have degree 2 and whose ends a, b have degree >= 3; it is
-  removable when the child minus its inner vertices is still 2-connected;
-  its key is ``(length, deg(a) + deg(b))`` in the child.  The child is
+  for every ear length, with no test on the child: the ear's own edges are
+  essential, and an old edge xy becomes inessential exactly when the ear
+  closes the chain of blocks of G - xy, that is, runs from the interior of
+  x's end block (the block minus its cut vertex) to the interior of y's
+  (``connectivity.chording_ears``, one block walk per thread of G and per
+  edge between two vertices of degree >= 3).  The minimally 2-connected
+  classes of an order are the union of its cells over
+  ``n <= m <= 2n - 4``, those of a size the union over ``n <= m``.  Each
+  class in a cell keeps the automorphisms its canonical search recorded,
+  carried to its canonical labels, and a parent's ear pairs ``{u, v}`` are
+  expanded once per orbit of the group they generate.  This is exact: an
+  automorphism s of G maps ``G + ear(u, v, L)`` onto
+  ``G + ear(s(u), s(v), L)``, so a pair in the orbit of an expanded one
+  gives an isomorphic child.  Any subgroup of Aut(G) is therefore safe,
+  and a generator set that misses part of the group costs speed only.  A
+  cell's pairs, one per orbit, are recorded the first time it serves as a
+  parent cell (``_ear_pairs``) and read for every ear length.  A child is
+  labeled only if its new ear is a largest removable thread (McKay's
+  canonical construction path, J. Algorithms 26, 1998).  A thread is a
+  maximal path of length >= 2 whose inner vertices have degree 2 and whose
+  ends a, b have degree >= 3; it is removable when the child minus its
+  inner vertices is still 2-connected; its key is
+  ``(length, deg(a) + deg(b))`` in the child.  The child is
   dropped when some removable thread has a larger key than the new ear,
   before any labeling (``connectivity.threads`` and ``is_removable``).
   No class is lost.  A non-cycle class G has a removable thread (the last
@@ -452,7 +456,7 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
 
     Each ear of length L adds L - 1 vertices and L edges, so the parents of
     a cell all sit in cells ``(n - L + 1, m - L)``, one excess edge lower.
-    A parent's ear pairs are expanded once per orbit of its generators.
+    A parent's ear pairs come from its cell's record (``_ear_pairs``).
     """
     if not 3 <= n <= m <= max(n, 2 * n - 4):
         return ()
@@ -467,19 +471,35 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
         add(Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]))
     for length in range(2, n - 2):
         # A parent needs a non-adjacent pair, so at least 4 vertices.
-        for g, generators, _ in _ear_classes(n - length + 1, m - length):
-            full = (1 << g.n) - 1
-            expanded: set[int] = set()
-            for u, closing in enumerate(chording_ears(g)):
-                # v > u, not adjacent to u, and every old edge stays essential.
-                for v in iter_bits(full & ~((2 << u) - 1) & ~(closing | g.rows[u])):
-                    pair = (1 << u) | (1 << v)
-                    if pair not in expanded:
-                        expanded |= _orbit(pair, generators)
-                        child = _add_ear(g, u, v, length)
-                        if _largest_thread(child, u, v, length):
-                            add(child)
+        cell = (n - length + 1, m - length)
+        for (g, _, _), pairs in zip(_ear_classes(*cell), _ear_pairs(*cell)):
+            for u, v in pairs:
+                child = _add_ear(g, u, v, length)
+                if _largest_thread(child, u, v, length):
+                    add(child)
     return tuple(seen[key] for key in sorted(seen))
+
+
+@lru_cache(maxsize=None)
+def _ear_pairs(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each class of the cell ``(n, m)``, in the cell's order, the ear
+    pairs ``(u, v)`` that keep it minimal, one per orbit of its generators,
+    ``u`` then ``v`` ascending.  The record is built the first time the
+    cell serves as a parent cell and read for every ear length after."""
+    record = []
+    for g, generators, _ in _ear_classes(n, m):
+        full = (1 << g.n) - 1
+        expanded: set[int] = set()
+        pairs = []
+        for u, closing in enumerate(chording_ears(g)):
+            # v > u, not adjacent to u, and every old edge stays essential.
+            for v in iter_bits(full & ~((2 << u) - 1) & ~(closing | g.rows[u])):
+                pair = (1 << u) | (1 << v)
+                if pair not in expanded:
+                    expanded |= _orbit(pair, generators)
+                    pairs.append((u, v))
+        record.append(tuple(pairs))
+    return tuple(record)
 
 
 def _largest_thread(child: Graph, u: int, v: int, length: int) -> bool:

@@ -1,8 +1,10 @@
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from alphaindex import enumeration
 from alphaindex.graphs import Graph, iter_bits
 
 JACOBI_OFFDIAG_NORM = 1e-13
@@ -47,6 +49,15 @@ def k4():
 def sk24():
     edges = [(0, 2), (2, 3), (3, 1)] + [(0, c) for c in (4, 5, 6)] + [(1, c) for c in (4, 5, 6)]
     return Graph.from_edges(7, edges)
+
+
+def fresh_ear_caches(monkeypatch) -> None:
+    """Give the ear cells and their parent records fresh caches for one
+    test: the sweep that follows runs cold and leaves the shared caches as
+    they were."""
+    for name in ("_ear_classes", "_ear_pairs"):
+        monkeypatch.setattr(enumeration, name,
+                            lru_cache(maxsize=None)(getattr(enumeration, name).__wrapped__))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -136,6 +136,27 @@ def test_enumerate_size_json(capsys):
     assert len(json.loads(out)) == 4
 
 
+def test_enumerate_size_implies_min2c(capsys):
+    code, implied = run_cli(capsys, "enumerate", "--size", "8")
+    assert code == 0
+    assert run_cli(capsys, "enumerate", "--size", "8", "--filter", "min2c") == (0, implied)
+    assert len(implied.split()) == 4
+
+
+def test_enumerate_size_rejects_an_explicit_other_filter(capsys):
+    for name in ("all", "2conn"):
+        with pytest.raises(SystemExit) as err:
+            main(["enumerate", "--size", "8", "--filter", name])
+        assert err.value.code == 2
+        assert "--size enumeration supports only --filter min2c" in capsys.readouterr().err
+
+
+def test_enumerate_order_defaults_to_all(capsys):
+    code, out = run_cli(capsys, "enumerate", "--order", "4")
+    assert code == 0 and len(out.split()) == 11
+    assert run_cli(capsys, "enumerate", "--order", "4", "--filter", "all") == (0, out)
+
+
 def test_enumerate_size_needs_min2c(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(capsys, "enumerate", "--size", "8", "--filter", "all")

@@ -314,6 +314,55 @@ def test_chording_ears_unchanged_by_the_block_walk(monkeypatch):
     assert got == [chording_ears(g) for g in ears]
 
 
+def _chording_ears_by_edge(g):
+    """The closing rows from one block walk of ``g - xy`` per edge xy, each
+    edge marking every pair between the interiors of x's and y's end
+    blocks: the definition ``chording_ears`` rests on, read off directly."""
+    rows = [0] * g.n
+    for x, y in g.edges():
+        seen = cuts = 0
+        end_x = end_y = 0
+        for block in connectivity._block_masks(g.remove_edge(x, y)):
+            cuts |= seen & block
+            seen |= block
+            if (block >> x) & 1:
+                end_x = block
+            if (block >> y) & 1:
+                end_y = block
+        end_x &= ~cuts
+        end_y &= ~cuts
+        for u in iter_bits(end_x):
+            rows[u] |= end_y
+        for v in iter_bits(end_y):
+            rows[v] |= end_x
+    return tuple(rows)
+
+
+def test_chording_ears_match_the_per_edge_walk():
+    ears = _ear_cells(16)
+    non_minimal = [g for n in range(3, 8) for g in graphs_by_order(n, "two_connected")]
+    assert len(ears) == 1358 and len(non_minimal) == 538
+    assert any(not is_minimally_two_connected_by_deletion(g) for g in non_minimal)
+    for g in ears + non_minimal:
+        closing = chording_ears(g)
+        # Whole rows, so the bits of adjacent pairs are compared too: every
+        # edge closes its own ends.
+        assert closing == _chording_ears_by_edge(g), g
+        assert all(row & ~c == 0 for row, c in zip(g.rows, closing)), g
+
+
+def test_chording_ears_walk_once_per_thread(monkeypatch, k4, k23):
+    walks = []
+    walk = connectivity._block_masks
+    monkeypatch.setattr(connectivity, "_block_masks", lambda h: walks.append(h) or walk(h))
+    for g in [cycle(3), cycle(7), k4, k23] + _ear_cells(12):
+        del walks[:]
+        chording_ears(g)
+        heavy = {v for v in range(g.n) if g.degree(v) >= 3}
+        heavy_edges = sum(1 for u, v in g.edges() if u in heavy and v in heavy)
+        assert len(walks) == len(list(threads(g))) + heavy_edges, g
+
+
 def _threads_by_components(g):
     """Threads from the components of the subgraph on the degree-2
     vertices: a component is a thread's interior when its vertices have

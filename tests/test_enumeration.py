@@ -25,6 +25,7 @@ from conftest import (
     SHARED_SIGNATURE_CLASSES_12,
     circulant,
     disjoint_union,
+    fresh_ear_caches,
     random_graph,
     relabelled,
     without,
@@ -261,6 +262,7 @@ def test_ear_generation_runs_no_chord_test(monkeypatch):
     monkeypatch.setattr(enumeration, "is_minimally_two_connected_by_chords", refuse)
     monkeypatch.setattr(connectivity, "has_chorded_cycle", refuse)
     enumeration._ear_classes.cache_clear()
+    enumeration._ear_pairs.cache_clear()
     assert len(graphs_by_size(13)) == 70
     assert len(graphs_by_order(10, "minimally_two_connected")) == 68
 
@@ -335,9 +337,7 @@ def test_ear_cell_generators_are_automorphisms():
 def _counted_ear_sweep(monkeypatch, m_max):
     """Class counts of sizes 3..m_max from a cold ear sweep, and the number
     of canonical searches it ran."""
-    # A fresh cache makes the sweep cold and leaves the shared one as it was.
-    monkeypatch.setattr(enumeration, "_ear_classes",
-                        lru_cache(maxsize=None)(enumeration._ear_classes.__wrapped__))
+    fresh_ear_caches(monkeypatch)
     calls = []
     search = enumeration._canonical_order
 

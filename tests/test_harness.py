@@ -21,6 +21,8 @@ from alphaindex.harness import (
 )
 from alphaindex.spectral import SpectralError, alpha_index, perron_symmetry_check
 
+from conftest import fresh_ear_caches
+
 
 def test_theorem_order_n5_anchor():
     report = verify_theorem_order((5,), ["0.50"])
@@ -325,11 +327,28 @@ def test_samplers_deterministic():
 ])
 def test_size_campaigns_sweep_once(run):
     enumeration._ear_classes.cache_clear()
+    enumeration._ear_pairs.cache_clear()
     run()
     misses = enumeration._ear_classes.cache_info().misses
+    records = enumeration._ear_pairs.cache_info().misses
     assert misses > 0
     run()
     assert enumeration._ear_classes.cache_info().misses == misses
+    assert enumeration._ear_pairs.cache_info().misses == records
+
+
+@pytest.mark.parametrize("run,calls", [
+    (lambda: verify_theorem_size(), 45),  # the parents of sizes m <= 13
+    (lambda: verify_theorem_order(tuple(range(5, 11))), 52),  # of orders n <= 10
+])
+def test_each_parent_is_expanded_once(monkeypatch, run, calls):
+    fresh_ear_caches(monkeypatch)
+    expanded = []
+    chording_ears = enumeration.chording_ears
+    monkeypatch.setattr(enumeration, "chording_ears",
+                        lambda g: expanded.append(g.rows) or chording_ears(g))
+    run()
+    assert len(set(expanded)) == len(expanded) == calls
 
 
 def test_theorem_order_skips_brute_force():
