@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -173,7 +173,12 @@ class _Confirmations:
 
     def __init__(self) -> None:
         self.cases: list[tuple[Graph, float]] = []
-        self.checks: list[tuple[Graph, float, float, int]] = []
+        # Each check's graph, batched rho and solve position, in three lists
+        # rather than one tuple per check: a campaign queues hundreds, and
+        # each live tuple counts towards the garbage collector's next pass.
+        self.graphs: list[Graph] = []
+        self.rhos: list[float] = []
+        self.solves: list[int] = []
 
     def solve(self, g: Graph, alpha: float) -> int:
         """Queue a solve of ``g``; returns the position of its value in :meth:`run`."""
@@ -182,17 +187,19 @@ class _Confirmations:
 
     def check(self, g: Graph, alpha: float, rho: float, at: int | None = None) -> None:
         """Queue the check of ``g``'s batched ``rho`` against the solve at
-        position ``at``, by default a new solve of ``g``."""
-        self.checks.append((g, alpha, rho, self.solve(g, alpha) if at is None else at))
+        position ``at`` (at the same alpha), by default a new solve of ``g``."""
+        self.graphs.append(g)
+        self.rhos.append(rho)
+        self.solves.append(self.solve(g, alpha) if at is None else at)
 
     def run(self) -> list[float]:
         """Solve every queued case and check every batched value; returns
         the power-iteration values in queue order."""
         powers = [result.rho for result in alpha_indices(self.cases)]
-        for g, alpha, rho, at in self.checks:
+        for g, rho, at in zip(self.graphs, self.rhos, self.solves):
             if abs(powers[at] - rho) > CROSS_CHECK_TOL:
                 raise SpectralError(
-                    f"{emit_graph6(g)}, alpha={alpha}: batched rho {rho!r} "
+                    f"{emit_graph6(g)}, alpha={self.cases[at][1]}: batched rho {rho!r} "
                     f"!= power-iteration rho {powers[at]!r}"
                 )
         return powers
@@ -209,63 +216,100 @@ def _pairs_by_alpha(graphs: list[Graph], alphas: list[str]) -> list[list[Perron]
 # -- theorem campaigns -------------------------------------------------------
 
 
-def _extremal_cases(
-    label: str, classes: list[Graph], target: str | None, alphas: list[str], pin: Graph | None = None,
-) -> list[tuple[dict, float | None]]:
-    """One theorem case per alpha up to its verdict, from one batched solve
-    of the classes that can rank first or second: the argmax canonical
-    form, the ``target`` form, the gap to the runner-up and the number of
-    solves that failed their certificate.
+def _screen(class_lists: Sequence[list[Graph]], values: list[float]) -> list[list[list[int]]]:
+    """Per class list and alpha, the positions of the classes that can rank
+    first or second in that case, from one :func:`perron_bounds` call over
+    every list of more than two classes.
 
-    The screen brackets every class's rho at every alpha by
-    :func:`perron_bounds` and solves only the classes whose upper bound is
-    at least t - ``SCREEN_MARGIN``, where t is the second-largest lower
-    bound; a case of at most two classes solves them all, since there is
-    nothing to drop.  No class that ranks in the top two is lost: two
-    classes have rho >= t, so the runner-up's rho is at least t, and a
-    dropped class has rho <= its upper bound < t - ``SCREEN_MARGIN``.  The
-    margin also absorbs the bounds' rounding.  ``eigh`` solves each matrix
-    of a stack on its own, so every solved rho, and with it the argmax,
-    runner-up and gap, is the one a solve of every class gives;
-    ``fallbacks`` counts among the solved classes only.
+    Within each case of more than two classes it keeps the classes whose
+    upper bound is at least t - ``SCREEN_MARGIN``, where t is the
+    second-largest lower bound among the case's own classes; a case of at
+    most two classes keeps them all, since there is nothing to drop.  No
+    class that ranks in the case's top two is lost: two of its classes
+    have rho >= t, so the runner-up's rho is at least t, and a dropped
+    class has rho <= its upper bound < t - ``SCREEN_MARGIN``.  The margin
+    also absorbs the bounds' rounding.  The bounds die with the call,
+    before the solve.
+    """
+    lower, upper = perron_bounds([g for classes in class_lists if len(classes) > 2 for g in classes], values)
+    lower, upper = lower.tolist(), upper.tolist()
+    solving = []
+    start = 0
+    for classes in class_lists:
+        if len(classes) <= 2:
+            solving.append([list(range(len(classes)))] * len(values))
+            continue
+        end = start + len(classes)
+        rows = []
+        for low, up in zip(lower, upper):
+            # Sorted in Python: numpy's sort would map code that no other
+            # step of a campaign touches, about 0.2 MB of peak RSS.
+            floor = sorted(low[start:end])[-2] - SCREEN_MARGIN
+            rows.append([i for i, bound in enumerate(up[start:end]) if bound >= floor])
+        solving.append(rows)
+        start = end
+    return solving
+
+
+def _extremal_cases(specs: Sequence[tuple], alphas: list[str]) -> list[list[tuple[dict, float | None]]]:
+    """The theorem cases of each spec ``(label, classes, target, pin)``, one
+    per alpha, up to their verdicts: the argmax canonical form, the
+    ``target`` form (None if no form is expected to win), the gap to the
+    runner-up and the number of solves that failed their certificate.
+
+    Every class that :func:`_screen` keeps in a case, of every spec, is
+    solved by one :func:`perron_pairs` call.  It solves each matrix of a
+    stack on its own, so every solved rho, and with it the argmax,
+    runner-up and gap, is the one a solve of the case's classes alone
+    gives; ``fallbacks`` counts among the solved classes only.
 
     The argmax and the runner-up carry the verdict and the gap, so both are
-    confirmed by power iteration, every alpha's in one call.  The ``pin``
-    graph, whose form is ``target``, is solved there too: its rho comes
-    back with each case (None without a pin) and confirms a target class.
+    confirmed by power iteration, every case's in one call.  A spec's
+    ``pin`` graph (or None), whose form is ``target``, is solved there too:
+    its rho comes back with each of the spec's cases (None without a pin)
+    and confirms a target class.
+
+    Few objects stay alive at once: only the pairs' rho values and
+    fallback flags outlive the solve, and the screen's rows go before the
+    confirmations run.  More live objects would set off a garbage
+    collection that scans every object the imports made, about 1 ms of a
+    10 ms ``verify theorem1.3 --n 5..7``.
     """
-    forms = [emit_graph6(g) for g in classes]
     values = [float(s) for s in alphas]
-    solving = [list(range(len(classes)))] * len(values)
-    if len(classes) > 2:
-        lower, upper = perron_bounds(classes, values)
-        # Sorted in Python: numpy's sort would map code that no other step
-        # of a campaign touches, about 0.2 MB of peak RSS.
-        floors = [sorted(row)[-2] - SCREEN_MARGIN for row in lower.tolist()]
-        solving = [
-            [i for i, bound in enumerate(row) if bound >= floor]
-            for row, floor in zip(upper.tolist(), floors)
-        ]
-    solved = iter(perron_pairs([(classes[i], alpha) for alpha, row in zip(values, solving) for i in row]))
+    solving = _screen([classes for _, classes, _, _ in specs], values)
+    pairs = perron_pairs([
+        (classes[i], alpha)
+        for (_, classes, _, _), rows in zip(specs, solving) for alpha, row in zip(values, rows) for i in row
+    ])
+    rhos = [pair.rho for pair in pairs]
+    fallbacks = [pair.fallback for pair in pairs]
+    del pairs
     confirm = _Confirmations()
-    cases = []
-    for alpha_str, alpha, row in zip(alphas, values, solving):
-        pairs = [next(solved) for _ in row]
-        pin_at = None if pin is None else confirm.solve(pin, alpha)
-        scored = sorted(zip((p.rho for p in pairs), (forms[i] for i in row), row), reverse=True)
-        for rho, form, i in scored[:2]:
-            confirm.check(classes[i], alpha, rho, pin_at if form == target else None)
-        cases.append(({
-            "case": label,
-            "alpha": alpha_str,
-            "argmax_graph6": scored[0][1],
-            "expected_graph6": target,
-            "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
-            "classes": len(classes),
-            "fallbacks": sum(p.fallback for p in pairs),
-        }, pin_at))
+    cases, pins = [], []  # each case, and the position of its pin's solve
+    start = 0
+    for (label, classes, target, pin), rows in zip(specs, solving):
+        forms = [emit_graph6(g) for g in classes]
+        for alpha_str, alpha, row in zip(alphas, values, rows):
+            solved = slice(start, start + len(row))
+            start = solved.stop
+            pin_at = None if pin is None else confirm.solve(pin, alpha)
+            scored = sorted(zip(rhos[solved], (forms[i] for i in row), row), reverse=True)
+            for rho, form, i in scored[:2]:
+                confirm.check(classes[i], alpha, rho, pin_at if form == target else None)
+            cases.append({
+                "case": label,
+                "alpha": alpha_str,
+                "argmax_graph6": scored[0][1],
+                "expected_graph6": target,
+                "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
+                "classes": len(classes),
+                "fallbacks": sum(fallbacks[solved]),
+            })
+            pins.append(pin_at)
+    del solving
     powers = confirm.run()
-    return [(case, None if at is None else powers[at]) for case, at in cases]
+    pinned = iter([(case, None if at is None else powers[at]) for case, at in zip(cases, pins)])
+    return [[next(pinned) for _ in alphas] for _ in specs]
 
 
 # Every asserted case has at least two classes, so its gap is a number; a
@@ -273,51 +317,62 @@ def _extremal_cases(
 _SUB_MARGIN = "gap below strictness margin"
 
 
-def _order_cases(n: int, alphas: list[str]) -> Iterator[dict]:
+def _order_spec(n: int) -> tuple:
+    """The order theorem's spec of order ``n``: its classes compete, and no pin."""
     classes = graphs_by_order(n, "minimally_two_connected")
-    target = canonical_form(complete_bipartite(2, n - 2))
-    for case, _ in _extremal_cases(f"n={n}", classes, target, alphas):
-        ok = case["argmax_graph6"] == target
-        case.update(ok=ok, note=_SUB_MARGIN if ok and case["gap"] <= GAP_MARGIN else "")
-        yield case
+    return f"n={n}", classes, canonical_form(complete_bipartite(2, n - 2)), None
 
 
-def _size_cases(m: int, alphas: list[str]) -> Iterator[dict]:
+def _order_verdict(n: int, case: dict, pin_rho: None) -> None:
+    ok = case["argmax_graph6"] == case["expected_graph6"]
+    case.update(ok=ok, note=_SUB_MARGIN if ok and case["gap"] <= GAP_MARGIN else "")
+
+
+def _size_asserted(m: int) -> bool:
+    """Whether the size theorem states the maximizer of size ``m``."""
+    return m >= (6 if m % 2 == 0 else 9)
+
+
+def _size_spec(m: int) -> tuple:
+    """The size theorem's spec of size ``m``: K_{2,m/2} is the target for
+    even m, SK_{2,(m-1)/2} for odd m >= 5, and an odd asserted size pins
+    the target's alpha-index by the cubic's root."""
     classes = graphs_by_size(m)
     even = m % 2 == 0
-    asserted = m >= (6 if even else 9)
-    # K_{2,m/2} for even m, SK_{2,(m-1)/2} for odd m >= 5; an odd asserted
-    # case's alpha-index is pinned by the cubic's root.
     shape = complete_bipartite(2, m // 2) if even else subdivided_k2((m - 1) // 2) if m >= 5 else None
     target = None if shape is None else canonical_form(shape)
-    pin = shape if asserted and not even else None
-    for case, pin_rho in _extremal_cases(f"m={m}", classes, target, alphas, pin):
-        ok = not asserted or case["argmax_graph6"] == target
-        note = "" if asserted else "outside theorem hypotheses; reported without assertion"
-        root_dev = None
-        if pin is not None:
-            root_dev = abs(pin_rho - ct.largest_real_root(ct.sk_cubic(m, float(case["alpha"]))))
-        if root_dev is not None and root_dev > 1e-9:
-            ok, note = False, f"cubic root deviates from rho by {root_dev:.3e}"
-        elif asserted and ok and case["gap"] <= GAP_MARGIN:
-            note = _SUB_MARGIN
-        case.update(root_deviation=root_dev, ok=ok, informational=not asserted, note=note)
-        yield case
+    return f"m={m}", classes, target, shape if _size_asserted(m) and not even else None
+
+
+def _size_verdict(m: int, case: dict, pin_rho: float | None) -> None:
+    asserted = _size_asserted(m)
+    ok = not asserted or case["argmax_graph6"] == case["expected_graph6"]
+    note = "" if asserted else "outside theorem hypotheses; reported without assertion"
+    root_dev = None
+    if pin_rho is not None:
+        root_dev = abs(pin_rho - ct.largest_real_root(ct.sk_cubic(m, float(case["alpha"]))))
+    if root_dev is not None and root_dev > 1e-9:
+        ok, note = False, f"cubic root deviates from rho by {root_dev:.3e}"
+    elif asserted and ok and case["gap"] <= GAP_MARGIN:
+        note = _SUB_MARGIN
+    case.update(root_deviation=root_dev, ok=ok, informational=not asserted, note=note)
 
 
 def _theorem(
-    target: str, name: str, params: dict, alphas: Sequence[str], case_fn, values: list[int],
+    target: str, name: str, params: dict, alphas: Sequence[str], spec_fn, verdict_fn, values: list[int],
 ) -> VerificationReport:
-    """Record the cases of ``case_fn(value, alphas)`` for each value.  A
-    failed case's violation ends with its note, if any; a held case's
-    note is flagged."""
+    """Record the cases of every value's ``spec_fn(value)``, all solved by
+    one :func:`_extremal_cases` call, in value order, each completed by
+    ``verdict_fn(value, case, pin_rho)``.  A failed case's violation ends
+    with its note, if any; a held case's note is flagged."""
     alphas = list(alphas)
     for s in alphas:
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
     report = VerificationReport(target, params, alphas)
-    for value in values:
-        for case in case_fn(value, alphas):
+    for value, cases in zip(values, _extremal_cases([spec_fn(value) for value in values], alphas)):
+        for case, pin_rho in cases:
+            verdict_fn(value, case, pin_rho)
             where = f"{case['case']}, alpha={case['alpha']}"
             note = f", {case['note']}" if case["note"] else ""
             report.add(case, (
@@ -340,7 +395,7 @@ def verify_theorem_order(
         if n < 5:
             raise ValueError("the order theorem starts at n = 5")
     return _run(_theorem, "theorem1.3", "order theorem", {"n": n_values}, alphas,
-                _order_cases, n_values)
+                _order_spec, _order_verdict, n_values)
 
 
 def verify_theorem_size(
@@ -353,7 +408,7 @@ def verify_theorem_size(
     m = 7) are computed and reported without assertion."""
     m_values = sorted(set(int(m) for m in m_values))
     return _run(_theorem, "theorem1.4", "size theorem", {"m": m_values}, alphas,
-                _size_cases, m_values)
+                _size_spec, _size_verdict, m_values)
 
 
 # -- lemma suite -------------------------------------------------------------

@@ -41,14 +41,14 @@ flag them.  Campaigns solve through :func:`perron_pairs`.
 matrix and positive x, rho lies between the least and the largest ratio
 (A_alpha x)_u / x_u (Collatz-Wielandt).  At x = d the upper ratio is
 Lemma 1's degree average; x is d after ``BOUND_STEPS`` normalised power
-steps, taken on the 0/1 stack with the alphas as a broadcast axis.  The
-theorem campaigns screen the classes they solve with it
-(``harness._extremal_cases`` gives the argument that the screen loses no
-verdict).
+steps, taken on the 0/1 stack with the alphas as a broadcast axis.  A
+theorem campaign screens the classes it solves with one call of it over
+all its orders or sizes (``harness._screen`` gives the argument that the
+screen loses no verdict).
 
 Power iteration stays the independent cross-check of the batched
 values: it confirms the values a verdict rests on, all those of one
-theorem order or size (or of one lemma target) in one call, and
+theorem campaign (or of one lemma target) in one call, and
 :func:`perron_symmetry_check` re-tests a block whose :func:`block_spread`
 on a batched vector is too wide, since that vector is accurate only to
 about residual / spectral gap.  It also serves the ``rho`` and ``bounds``
@@ -67,7 +67,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .connectivity import components, is_connected
-from .graphs import Graph, GraphError
+from .graphs import Graph, GraphError, emit_graph6
 
 POWER_TOL = 1e-12
 POWER_MAX_ITERATIONS = 64  # squarings: 2^64 power steps
@@ -88,13 +88,25 @@ _STACK_ENTRIES = 4096
 # over 1,602 classes of order 13 cost more than they save.
 BOUND_STEPS = 8
 
+# At most this many entries of the power iterate x (alphas x graphs x n) in
+# one perron_bounds block; an order's further graphs go to further blocks
+# of its stack.  A block's size sets the bounds' peak memory: one block per
+# order over the default theorem1.4 campaign's classes raised its traced
+# peak by 40 KB, and on 1,602 graphs of order 13 at 11 alphas blocks were
+# faster than one (41-51 ms against 68 ms on a 2-core VM).
+_BOUND_ENTRIES = 4096
+
 
 class SpectralError(RuntimeError):
     pass
 
 
 class DisconnectedGraphError(ValueError):
-    """Perron guarantees need a connected graph; split into components first."""
+    """Perron guarantees need a connected graph; split into components first.
+    The message names the graph by its graph6."""
+
+    def __init__(self, g: Graph):
+        super().__init__(f"{emit_graph6(g)} is disconnected; the Perron pair needs a connected graph")
 
 
 class ConvergenceError(SpectralError):
@@ -183,7 +195,7 @@ def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
         if not 0.0 <= alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
         if not is_connected(g):
-            raise DisconnectedGraphError("alpha_index needs a connected graph")
+            raise DisconnectedGraphError(g)
         by_order.setdefault(g.n, []).append(i)
     out: list = [None] * len(cases)
     for live in by_order.values():
@@ -261,7 +273,7 @@ def perron_pairs(cases: Sequence[tuple[Graph, float]]) -> list[Perron]:
         slot = packed.get(id(g))
         if slot is None:
             if not is_connected(g):
-                raise DisconnectedGraphError("perron_pairs needs connected graphs")
+                raise DisconnectedGraphError(g)
             slot = packed[id(g)] = len(graphs)
             graphs.append(g)
         slots.append(slot)
@@ -308,7 +320,8 @@ def perron_bounds(
     average; here x is d after ``BOUND_STEPS`` normalised power steps,
     which narrows the bracket.  Each step is alpha d*x + (1-alpha) A x on
     the 0/1 adjacency stack of one order, every alpha a broadcast axis, so
-    no A_alpha matrix is formed.
+    no A_alpha matrix is formed; an order's graphs are stepped in blocks of
+    at most ``_BOUND_ENTRIES`` entries of x.
     """
     alpha = np.reshape(np.asarray(alphas, float), (-1, 1, 1))
     lower = np.empty((len(alpha), len(graphs)))
@@ -321,23 +334,34 @@ def perron_bounds(
         d = adj.sum(axis=2)
         if d.min() == 0.0:
             raise GraphError("Collatz-Wielandt bounds from x = d need no isolated vertices")
-
-        def step(x: np.ndarray) -> np.ndarray:
-            """A_alpha x for every alpha (axis 0) and graph (axis 1), by one
-            matrix-vector product per graph, the form power iteration
-            uses.  A matrix product over the alphas' columns was faster on
-            1,602 graphs of order 13 but raised the theorem1.4 campaign's
-            peak RSS by about 0.1 MB, as did keeping alpha*d as an array."""
-            return alpha * d * x + (1.0 - alpha) * (adj @ x[..., None])[..., 0]
-
-        x = np.broadcast_to(d, (len(alpha), *d.shape))
-        for _ in range(BOUND_STEPS):
-            x = step(x)
-            x = x / x.max(axis=2, keepdims=True)
-        ratios = step(x) / x
-        lower[:, positions] = ratios.min(axis=2)
-        upper[:, positions] = ratios.max(axis=2)
+        block = max(1, _BOUND_ENTRIES // (max(len(alpha), 1) * adj.shape[1]))
+        for start in range(0, len(positions), block):
+            part = slice(start, start + block)
+            ratios = _collatz_wielandt_ratios(adj[part], d[part], alpha)
+            lower[:, positions[part]] = ratios.min(axis=2)
+            upper[:, positions[part]] = ratios.max(axis=2)
     return lower, upper
+
+
+def _collatz_wielandt_ratios(adj: np.ndarray, d: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The ratios (A_alpha x)_u / x_u of each alpha (axis 0), graph (axis 1)
+    and vertex of a 0/1 stack ``adj`` with degrees ``d``, where x is d after
+    ``BOUND_STEPS`` normalised power steps.  Every graph's ratios depend on
+    its own slice only, so a graph gives the same bits in any block."""
+
+    def step(x: np.ndarray) -> np.ndarray:
+        """A_alpha x for every alpha (axis 0) and graph (axis 1), by one
+        matrix-vector product per graph, the form power iteration
+        uses.  A matrix product over the alphas' columns was faster on
+        1,602 graphs of order 13 but raised the theorem1.4 campaign's
+        peak RSS by about 0.1 MB, as did keeping alpha*d as an array."""
+        return alpha * d * x + (1.0 - alpha) * (adj @ x[..., None])[..., 0]
+
+    x = np.broadcast_to(d, (len(alpha), *d.shape))
+    for _ in range(BOUND_STEPS):
+        x = step(x)
+        x = x / x.max(axis=2, keepdims=True)
+    return step(x) / x
 
 
 def lambda_max(g: Graph, alpha: float) -> float:

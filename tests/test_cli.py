@@ -77,7 +77,8 @@ def test_rho_reports_the_first_bad_input(capsys, tmp_path):
     # nothing is printed before the solve.
     src = tmp_path / "in.g6"
     src.write_text("Cr\nC`\nDqK\n")  # C` is disconnected
-    for alpha, message in (("1.0", "alpha must lie in [0, 1)"), ("0.5", "needs a connected graph")):
+    for alpha, message in (("1.0", "alpha must lie in [0, 1)"),
+                           ("0.5", "error: C` is disconnected; the Perron pair needs a connected graph")):
         with pytest.raises(SystemExit) as err:
             main(["rho", "--in", str(src), "--alpha", alpha])
         assert err.value.code == 2
@@ -113,7 +114,7 @@ def test_bounds_reports_the_alpha_error_before_a_later_disconnected_input(capsys
     src = tmp_path / "in.g6"
     src.write_text("Cr\nC`\nDqK\n")  # C` is disconnected
     for alpha, message in (("1.0", "alpha must lie in [0, 1), got 1.0"),
-                           ("0.5", "needs a connected graph")):
+                           ("0.5", "error: C` is disconnected; the Perron pair needs a connected graph")):
         with pytest.raises(SystemExit) as err:
             main(["bounds", "--in", str(src), "--alpha", alpha])
         assert err.value.code == 2

@@ -434,16 +434,17 @@ def test_size_campaign_power_iteration_count(monkeypatch):
     assert report.passed and report.flags == []
     assert len(report.case_results) == 77
     assert len(calls) == 2 * 77
-    assert per_call == [2 * 11] * 7
+    assert per_call == [2 * 77]
 
 
 def test_order_campaign_confirms_each_order_in_one_call(monkeypatch, capsys):
-    # The order-campaign workload: 3 orders x 11 alphas x (argmax, runner-up).
+    # The order-campaign workload: 3 orders x 11 alphas x (argmax, runner-up),
+    # every order's in the same call.
     calls, per_call = _count_solved_cases(monkeypatch, spectral, harness)
     assert cli.main(["verify", "theorem1.3", "--n", "5..7"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == 66
-    assert per_call == [22, 22, 22]
+    assert per_call == [66]
 
 
 def _count_eigh(monkeypatch):
@@ -456,7 +457,8 @@ def _count_eigh(monkeypatch):
 
 @pytest.mark.parametrize("argv, calls, matrices", [
     # 1,650 matrices in 66 calls without the screen: 150 classes x 11 alphas.
-    (["verify", "theorem1.4"], 17, 303),
+    # Sizes that share an order share its stacks.
+    (["verify", "theorem1.4"], 9, 303),
     # 121 matrices without the screen: 11 classes x 11 alphas.
     (["verify", "theorem1.3", "--n", "5..7"], 3, 72),
 ])
@@ -465,6 +467,42 @@ def test_theorem_campaigns_eigen_solve_only_the_screened_classes(monkeypatch, ca
     assert cli.main(argv) == 0
     assert "PASS" in capsys.readouterr().out
     assert (len(stacks), sum(stacks)) == (calls, matrices)
+
+
+def test_size_campaign_screens_solves_and_confirms_in_one_call_each(monkeypatch, capsys):
+    calls = {}
+    for name in ("perron_bounds", "perron_pairs", "alpha_indices"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *args, name=name, real=real: calls.setdefault(name, []).append(1) or real(*args))
+    stacks = []
+    adjacency_stack = spectral.adjacency_stack
+    monkeypatch.setattr(spectral, "adjacency_stack", lambda graphs: stacks.append(1) or adjacency_stack(graphs))
+    matrices = _count_eigh(monkeypatch)
+    assert cli.main(["verify", "theorem1.4"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert {name: len(made) for name, made in calls.items()} == {
+        "perron_bounds": 1, "perron_pairs": 1, "alpha_indices": 1,
+    }
+    # One stack per order in each call: 8 bounded, 6 solved, 5 confirmed.
+    assert len(stacks) == 19
+    assert (len(matrices), sum(matrices)) == (9, 303)
+
+
+@pytest.mark.parametrize("alphas", [THEOREM_ALPHAS, ["0.5", "0.5", "0.75", "0.999999"]])
+@pytest.mark.parametrize("verify, values", [
+    (verify_theorem_order, range(5, 14)),
+    (verify_theorem_size, range(3, 17)),
+])
+def test_a_campaign_equals_its_one_value_campaigns(verify, values, alphas):
+    # Every value's bits are its own, whatever else shares its stacks.
+    campaign = verify(values, alphas)
+    singles = [verify([value], alphas) for value in values]
+    assert campaign.case_results == [case for report in singles for case in report.case_results]
+    assert campaign.violations == [v for report in singles for v in report.violations]
+    # A report lists its fallback flags after its notes.
+    flags = [flag for report in singles for flag in report.flags]
+    assert campaign.flags == sorted(flags, key=lambda flag: flag.endswith("re-solved by power iteration"))
 
 
 SCREEN_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9", "0.99", "0.999", "0.999999"]
@@ -487,7 +525,7 @@ def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, by, value):
 
     monkeypatch.setattr(harness, "perron_pairs", recorded)
     label = f"{by}={value}"
-    cases = [case for case, _ in harness._extremal_cases(label, classes, None, SCREEN_ALPHAS)]
+    cases = [case for case, _ in harness._extremal_cases([(label, classes, None, None)], SCREEN_ALPHAS)[0]]
     full = spectral.perron_pairs([(g, alpha) for alpha in values for g in classes])
     lower, upper = spectral.perron_bounds(classes, values)
     forms = [harness.emit_graph6(g) for g in classes]

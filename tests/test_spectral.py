@@ -130,6 +130,14 @@ def test_disconnected_rejected():
     assert abs(lambda_max(g, 0.5) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("solve", [spectral.alpha_indices, perron_pairs])
+def test_a_disconnected_graph_is_named_by_its_graph6(c4, solve):
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(DisconnectedGraphError) as err:
+        solve([(c4, 0.5), (two_edges, 0.5)])
+    assert str(err.value) == "C` is disconnected; the Perron pair needs a connected graph"
+
+
 def test_alpha_one_rejected(c4):
     with pytest.raises(ValueError):
         alpha_index(c4, 1.0)
@@ -550,6 +558,18 @@ def test_perron_bounds_bracket_rho_and_start_from_lemma1(monkeypatch):
     assert (upper <= at_degrees + 1e-12).all()
     with pytest.raises(GraphError, match="isolated"):
         perron_bounds([cycle(4), Graph.from_edges(3, [(0, 1)])], [0.5])
+
+
+def test_perron_bounds_blocks_change_no_bit(monkeypatch):
+    graphs = [g for m in range(3, 14) for g in graphs_by_size(m)]
+    alphas = [0.0, 0.5, 0.75, 0.999999]
+    lower, upper = perron_bounds(graphs, alphas)
+    # One graph per block, small blocks, and one block per order.
+    for entries in (1, 50, 10 ** 9):
+        monkeypatch.setattr(spectral, "_BOUND_ENTRIES", entries)
+        blocked = perron_bounds(graphs, alphas)
+        assert np.array_equal(blocked[0], lower) and np.array_equal(blocked[1], upper)
+    assert perron_bounds(graphs, [])[0].shape == (0, len(graphs))
 
 
 def test_perron_pairs_of_no_graphs_or_no_alphas(c4):
