@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import inspect
 import io
 import json
@@ -75,7 +76,10 @@ def _parse_int_range(text: str) -> list[range]:
     for part in map(str.strip, text.split(",")):
         if part:
             lo, hi = part.split("..", 1) if ".." in part else (part, part)
-            out.append(range(int(lo), int(hi) + 1))
+            try:
+                out.append(range(int(lo), int(hi) + 1))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"bad range {part!r}, expected N or LO..HI") from None
             if not out[-1]:
                 raise argparse.ArgumentTypeError(f"empty range {part!r}")
     if not out:
@@ -96,12 +100,20 @@ def _listed(values: Sequence[int]) -> str:
 
 
 def _parse_alphas(text: str) -> list[str]:
-    """Alphas stay decimal strings so reports echo them verbatim."""
+    """Alphas stay decimal strings so reports echo them verbatim; two that
+    are equal in value (0.5 and 0.50) would repeat every case."""
     out = []
+    seen: dict[float, str] = {}
     for part in text.split(","):
         part = part.strip()
         if part:
-            float(part)  # validate
+            try:
+                value = float(part)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"bad alpha {part!r}, expected a decimal") from None
+            if value in seen:
+                raise argparse.ArgumentTypeError(f"alpha {part!r} repeats {seen[value]!r}")
+            seen[value] = part
             out.append(part)
     if not out:
         raise argparse.ArgumentTypeError(f"no alpha values in {text!r}")
@@ -109,10 +121,14 @@ def _parse_alphas(text: str) -> list[str]:
 
 
 def _parse_targets(text: str) -> list[str]:
-    """Comma-separated lemma targets; the empty text names none.  A module
-    function, not a lambda in the parser, which argparse holds in
-    reference cycles."""
-    return text.split(",") if text else []
+    """Comma-separated lemma targets; the empty text names none, and a
+    repeated target is an error.  A module function, not a lambda in the
+    parser, which argparse holds in reference cycles."""
+    targets = text.split(",") if text else []
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            raise argparse.ArgumentTypeError(f"repeated target {target!r}")
+    return targets
 
 
 def _input_graphs(args) -> list[tuple[str, object]]:
@@ -141,11 +157,12 @@ def _emit(args, text: str) -> None:
 
 
 def _print_records(args, records: list[dict], line) -> None:
-    """The records as a JSON list, or one ``line(record)`` each as text."""
+    """The records as a JSON list, or one ``line(record)`` each as text
+    (nothing for no records)."""
     if args.format == "json":
         _emit(args, json.dumps(records, indent=2) + "\n")
     else:
-        _emit(args, "\n".join(map(line, records)) + "\n")
+        _emit(args, "".join(line(record) + "\n" for record in records))
 
 
 def _cmd_rho(args) -> int:
@@ -480,6 +497,10 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # The imports' objects live as long as the process, so no collection
+    # should scan them again: freezing them also resets the collector's
+    # counts, and a run's collections see only the objects it makes.
+    gc.freeze()
     argv = sys.argv[1:] if argv is None else list(argv)
     # Only the invoked verb's subparser is built; argument lists that do not
     # start with a verb (none, -h, a typo) get every verb for their message.

@@ -173,12 +173,7 @@ class _Confirmations:
 
     def __init__(self) -> None:
         self.cases: list[tuple[Graph, float]] = []
-        # Each check's graph, batched rho and solve position, in three lists
-        # rather than one tuple per check: a campaign queues hundreds, and
-        # each live tuple counts towards the garbage collector's next pass.
-        self.graphs: list[Graph] = []
-        self.rhos: list[float] = []
-        self.solves: list[int] = []
+        self.checks: list[tuple[Graph, float, int]] = []  # (graph, batched rho, solve position)
 
     def solve(self, g: Graph, alpha: float) -> int:
         """Queue a solve of ``g``; returns the position of its value in :meth:`run`."""
@@ -188,15 +183,13 @@ class _Confirmations:
     def check(self, g: Graph, alpha: float, rho: float, at: int | None = None) -> None:
         """Queue the check of ``g``'s batched ``rho`` against the solve at
         position ``at`` (at the same alpha), by default a new solve of ``g``."""
-        self.graphs.append(g)
-        self.rhos.append(rho)
-        self.solves.append(self.solve(g, alpha) if at is None else at)
+        self.checks.append((g, rho, self.solve(g, alpha) if at is None else at))
 
     def run(self) -> list[float]:
         """Solve every queued case and check every batched value; returns
         the power-iteration values in queue order."""
         powers = [result.rho for result in alpha_indices(self.cases)]
-        for g, rho, at in zip(self.graphs, self.rhos, self.solves):
+        for g, rho, at in self.checks:
             if abs(powers[at] - rho) > CROSS_CHECK_TOL:
                 raise SpectralError(
                     f"{emit_graph6(g)}, alpha={self.cases[at][1]}: batched rho {rho!r} "
@@ -251,67 +244,6 @@ def _screen(class_lists: Sequence[list[Graph]], values: list[float]) -> list[lis
     return solving
 
 
-def _extremal_cases(specs: Sequence[tuple], alphas: list[str]) -> list[list[tuple[dict, float | None]]]:
-    """The theorem cases of each spec ``(label, classes, target, pin)``, one
-    per alpha, up to their verdicts: the argmax canonical form, the
-    ``target`` form (None if no form is expected to win), the gap to the
-    runner-up and the number of solves that failed their certificate.
-
-    Every class that :func:`_screen` keeps in a case, of every spec, is
-    solved by one :func:`perron_pairs` call.  It solves each matrix of a
-    stack on its own, so every solved rho, and with it the argmax,
-    runner-up and gap, is the one a solve of the case's classes alone
-    gives; ``fallbacks`` counts among the solved classes only.
-
-    The argmax and the runner-up carry the verdict and the gap, so both are
-    confirmed by power iteration, every case's in one call.  A spec's
-    ``pin`` graph (or None), whose form is ``target``, is solved there too:
-    its rho comes back with each of the spec's cases (None without a pin)
-    and confirms a target class.
-
-    Few objects stay alive at once: only the pairs' rho values and
-    fallback flags outlive the solve, and the screen's rows go before the
-    confirmations run.  More live objects would set off a garbage
-    collection that scans every object the imports made, about 1 ms of a
-    10 ms ``verify theorem1.3 --n 5..7``.
-    """
-    values = [float(s) for s in alphas]
-    solving = _screen([classes for _, classes, _, _ in specs], values)
-    pairs = perron_pairs([
-        (classes[i], alpha)
-        for (_, classes, _, _), rows in zip(specs, solving) for alpha, row in zip(values, rows) for i in row
-    ])
-    rhos = [pair.rho for pair in pairs]
-    fallbacks = [pair.fallback for pair in pairs]
-    del pairs
-    confirm = _Confirmations()
-    cases, pins = [], []  # each case, and the position of its pin's solve
-    start = 0
-    for (label, classes, target, pin), rows in zip(specs, solving):
-        forms = [emit_graph6(g) for g in classes]
-        for alpha_str, alpha, row in zip(alphas, values, rows):
-            solved = slice(start, start + len(row))
-            start = solved.stop
-            pin_at = None if pin is None else confirm.solve(pin, alpha)
-            scored = sorted(zip(rhos[solved], (forms[i] for i in row), row), reverse=True)
-            for rho, form, i in scored[:2]:
-                confirm.check(classes[i], alpha, rho, pin_at if form == target else None)
-            cases.append({
-                "case": label,
-                "alpha": alpha_str,
-                "argmax_graph6": scored[0][1],
-                "expected_graph6": target,
-                "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
-                "classes": len(classes),
-                "fallbacks": sum(fallbacks[solved]),
-            })
-            pins.append(pin_at)
-    del solving
-    powers = confirm.run()
-    pinned = iter([(case, None if at is None else powers[at]) for case, at in zip(cases, pins)])
-    return [[next(pinned) for _ in alphas] for _ in specs]
-
-
 # Every asserted case has at least two classes, so its gap is a number; a
 # correct argmax at a sub-margin gap is an anomaly, not a failure.
 _SUB_MARGIN = "gap below strictness margin"
@@ -361,26 +293,69 @@ def _size_verdict(m: int, case: dict, pin_rho: float | None) -> None:
 def _theorem(
     target: str, name: str, params: dict, alphas: Sequence[str], spec_fn, verdict_fn, values: list[int],
 ) -> VerificationReport:
-    """Record the cases of every value's ``spec_fn(value)``, all solved by
-    one :func:`_extremal_cases` call, in value order, each completed by
-    ``verdict_fn(value, case, pin_rho)``.  A failed case's violation ends
-    with its note, if any; a held case's note is flagged."""
+    """Record the cases of every value's spec ``(label, classes, form,
+    pin) = spec_fn(value)``, one per alpha, in value order, each completed
+    by ``verdict_fn(value, case, pin_rho)``.  A case names the argmax
+    canonical form, the expected ``form`` (None if no form is expected to
+    win), the gap to the runner-up and the number of solves that failed
+    their certificate.  A failed case's violation ends with its note, if
+    any; a held case's note is flagged.
+
+    Every class that :func:`_screen` keeps in a case, of every value, is
+    solved by one :func:`perron_pairs` call.  It solves each matrix of a
+    stack on its own, so every solved rho, and with it the argmax,
+    runner-up and gap, is the one a solve of the case's classes alone
+    gives; ``fallbacks`` counts among the solved classes only.
+
+    The argmax and the runner-up carry the verdict and the gap, so both are
+    confirmed by power iteration, every case's in one call.  A spec's
+    ``pin`` graph (or None), whose form is ``form``, is solved there too:
+    its rho is the ``pin_rho`` of each of the value's cases (None without
+    a pin) and confirms a class of that form.
+    """
     alphas = list(alphas)
     for s in alphas:
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
+    grid = [float(s) for s in alphas]
+    specs = [spec_fn(value) for value in values]
+    solving = _screen([classes for _, classes, _, _ in specs], grid)
+    pairs = iter(perron_pairs([
+        (classes[i], alpha)
+        for (_, classes, _, _), rows in zip(specs, solving) for alpha, row in zip(grid, rows) for i in row
+    ]))
+    confirm = _Confirmations()
+    cases = []  # (value, case, position of its pin's solve)
+    for value, (label, classes, form, pin), rows in zip(values, specs, solving):
+        forms = [emit_graph6(g) for g in classes]
+        for alpha_str, alpha, row in zip(alphas, grid, rows):
+            solved = [next(pairs) for _ in row]
+            pin_at = None if pin is None else confirm.solve(pin, alpha)
+            scored = sorted(zip((pair.rho for pair in solved), (forms[i] for i in row), row), reverse=True)
+            for rho, graph6, i in scored[:2]:
+                confirm.check(classes[i], alpha, rho, pin_at if graph6 == form else None)
+            cases.append((value, {
+                "case": label,
+                "alpha": alpha_str,
+                "argmax_graph6": scored[0][1],
+                "expected_graph6": form,
+                "gap": scored[0][0] - scored[1][0] if len(scored) > 1 else None,
+                "classes": len(classes),
+                "fallbacks": sum(pair.fallback for pair in solved),
+            }, pin_at))
+    del pairs, solving  # the memory peak comes in the confirmations
+    powers = confirm.run()
     report = VerificationReport(target, params, alphas)
-    for value, cases in zip(values, _extremal_cases([spec_fn(value) for value in values], alphas)):
-        for case, pin_rho in cases:
-            verdict_fn(value, case, pin_rho)
-            where = f"{case['case']}, alpha={case['alpha']}"
-            note = f", {case['note']}" if case["note"] else ""
-            report.add(case, (
-                f"{where}: argmax {case['argmax_graph6']} (expected {case['expected_graph6']}), "
-                f"gap {case['gap']}{note}"
-            ))
-            if case["ok"] and case["note"]:
-                report.flags.append(f"{where}: {case['note']}")
+    for value, case, pin_at in cases:
+        verdict_fn(value, case, None if pin_at is None else powers[pin_at])
+        where = f"{case['case']}, alpha={case['alpha']}"
+        note = f", {case['note']}" if case["note"] else ""
+        report.add(case, (
+            f"{where}: argmax {case['argmax_graph6']} (expected {case['expected_graph6']}), "
+            f"gap {case['gap']}{note}"
+        ))
+        if case["ok"] and case["note"]:
+            report.flags.append(f"{where}: {case['note']}")
     return report
 
 

@@ -511,10 +511,30 @@ SCREEN_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9", "0.99", "0.999", "0.999999"]
 @pytest.mark.parametrize("by, value", [("m", m) for m in range(3, 17)] + [("n", n) for n in range(5, 14)])
 def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, by, value):
     if by == "m":
-        classes = enumeration.graphs_by_size(value)
+        classes, verify = enumeration.graphs_by_size(value), verify_theorem_size
     else:
-        classes = enumeration.graphs_by_order(value, "minimally_two_connected")
+        classes, verify = enumeration.graphs_by_order(value, "minimally_two_connected"), verify_theorem_order
     values = [float(s) for s in SCREEN_ALPHAS]
+    (kept_rows,) = harness._screen([classes], values)
+    full = spectral.perron_pairs([(g, alpha) for alpha in values for g in classes])
+    lower, upper = spectral.perron_bounds(classes, values)
+    forms = [harness.emit_graph6(g) for g in classes]
+    k = len(classes)
+    ranked_at = {}
+    for j, (alpha, kept) in enumerate(zip(values, kept_rows)):
+        rhos = [p.rho for p in full[j * k:(j + 1) * k]]
+        # The bounds bracket every class's rho, up to rounding.
+        tol = 1e-12 * max(max(rhos), 1.0)
+        assert all(lo - tol <= rho <= up + tol for lo, rho, up in zip(lower[j], rhos, upper[j]))
+        ranked = ranked_at[alpha] = sorted(zip(rhos, forms, range(k)), reverse=True)
+        assert {i for _, _, i in ranked[:2]} <= set(kept)
+        if k <= 2:
+            assert kept == list(range(k))
+        # A dropped class ranks strictly below the runner-up.
+        assert all(rhos[i] < ranked[1][0] for i in range(k) if i not in kept)
+
+    # At the alphas the theorem takes, its cases read the full solve's
+    # argmax and gap, and count the fallbacks of the classes they solved.
     real = harness.perron_pairs
     screened = []
 
@@ -524,28 +544,15 @@ def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, by, value):
         return pairs
 
     monkeypatch.setattr(harness, "perron_pairs", recorded)
-    label = f"{by}={value}"
-    cases = [case for case, _ in harness._extremal_cases([(label, classes, None, None)], SCREEN_ALPHAS)[0]]
-    full = spectral.perron_pairs([(g, alpha) for alpha in values for g in classes])
-    lower, upper = spectral.perron_bounds(classes, values)
-    forms = [harness.emit_graph6(g) for g in classes]
-    index = {g: i for i, g in enumerate(classes)}
-    k = len(classes)
-    for j, (alpha, case) in enumerate(zip(values, cases)):
-        rhos = [p.rho for p in full[j * k:(j + 1) * k]]
-        # The bounds bracket every class's rho, up to rounding.
-        tol = 1e-12 * max(max(rhos), 1.0)
-        assert all(lo - tol <= rho <= up + tol for lo, rho, up in zip(lower[j], rhos, upper[j]))
-        kept = {index[g]: pair.rho for (g, a), pair in screened if a == alpha}
-        ranked = sorted(zip(rhos, forms, range(k)), reverse=True)
-        assert sorted(zip(kept.values(), (forms[i] for i in kept), kept), reverse=True)[:2] == ranked[:2]
+    report = verify([value], [s for s in SCREEN_ALPHAS if 0.5 <= float(s) < 1.0])
+    assert len(report.case_results) == 6
+    for case in report.case_results:
+        alpha = float(case["alpha"])
+        ranked = ranked_at[alpha]
         assert case["argmax_graph6"] == ranked[0][1]
         assert case["gap"] == (ranked[0][0] - ranked[1][0] if k > 1 else None)
         assert case["classes"] == k
-        if k <= 2:
-            assert len(kept) == k
-        # A dropped class ranks strictly below the runner-up.
-        assert all(rhos[i] < ranked[1][0] for i in range(k) if i not in kept)
+        assert case["fallbacks"] == sum(pair.fallback for (_, a), pair in screened if a == alpha)
 
 
 @pytest.mark.parametrize("target", ["lemma1", "lemma2"])
