@@ -194,6 +194,21 @@ def identity_check_g_derived(alpha: float, m: int) -> float:
     return _relative_error(g_identity_lhs(alpha, m), eval_g_derived(alpha, m))
 
 
+def grid_points(
+    evaluate: Callable[[float, int], float],
+    m_values: Sequence[int],
+    alphas: Sequence[str],
+) -> list[tuple[int, str, float]]:
+    """``(m, alpha, evaluate(alpha, m))`` at every grid point, m outer, with
+    alpha the decimal string it was given as.
+
+    An empty grid checks nothing, so it must not read as a pass.
+    """
+    if not m_values or not alphas:
+        raise ValueError(f"empty grid: {len(m_values)} m values and {len(alphas)} alphas")
+    return [(m, s, evaluate(float(s), m)) for m in m_values for s in alphas]
+
+
 def sign_grid(
     polynomial: str,
     m_values: Sequence[int],
@@ -207,24 +222,18 @@ def sign_grid(
     """
     if polynomial not in ("f", "g"):
         raise ValueError(f"unknown sign polynomial {polynomial!r}")
-    evaluate = eval_f if polynomial == "f" else eval_g
-    want_positive = polynomial == "f"
-    _require_points(m_values, alphas)
+    # An empty grid is refused before the region checks, so that a grid both
+    # empty and out of region is reported as empty.
+    points = grid_points(eval_f if polynomial == "f" else eval_g, m_values, alphas)
     for m in m_values:
         if m < 9:
             raise ValueError(f"sign grid needs m >= 9, got {m}")
     for s in alphas:
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"sign grid needs alpha in [1/2, 1), got {s}")
-    violations = []
-    min_abs = float("inf")
-    for m in m_values:
-        for s in alphas:
-            value = evaluate(float(s), m)
-            min_abs = min(min_abs, abs(value))
-            if (value > 0.0) != want_positive or value == 0.0:
-                violations.append((m, s, value))
-    return min_abs, violations
+    want_positive = polynomial == "f"
+    min_abs = min(abs(value) for _, _, value in points)
+    return min_abs, [p for p in points if (p[2] > 0.0) != want_positive or p[2] == 0.0]
 
 
 def identity_grid(
@@ -237,22 +246,9 @@ def identity_grid(
     Returns the worst relative error and the ``(m, alpha, error)`` points
     whose error exceeds ``IDENTITY_RTOL``, in grid order.
     """
-    _require_points(m_values, alphas)
-    worst = 0.0
-    failures = []
-    for m in m_values:
-        for alpha_str in alphas:
-            err = check(float(alpha_str), m)
-            worst = max(worst, err)
-            if err > IDENTITY_RTOL:
-                failures.append((m, alpha_str, err))
-    return worst, failures
-
-
-def _require_points(m_values: Sequence[int], alphas: Sequence[str]) -> None:
-    """An empty grid checks nothing, so it must not read as a pass."""
-    if not m_values or not alphas:
-        raise ValueError(f"empty grid: {len(m_values)} m values and {len(alphas)} alphas")
+    points = grid_points(check, m_values, alphas)
+    worst = max(0.0, *(err for _, _, err in points))
+    return worst, [p for p in points if p[2] > IDENTITY_RTOL]
 
 
 def odd_range(start: int, stop: int) -> list[int]:

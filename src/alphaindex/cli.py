@@ -391,7 +391,7 @@ def _add_enumerate(sub) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", type=int,
                        help=f"enumerate by order (n <= {MAX_MIN2C_ORDER} with --filter min2c, "
-                            f"otherwise n <= {MAX_BUILTIN_ORDER}; n = 9 takes about 30 s)")
+                            f"otherwise n <= {MAX_BUILTIN_ORDER}; n = 9 takes about 41 s and 172 MB)")
     group.add_argument("--size", type=int,
                        help=f"enumerate minimally 2-connected graphs by size (m <= {MAX_SIZE})")
     p.add_argument("--filter", choices=sorted(_FILTER_NAMES),
@@ -499,19 +499,26 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     # The imports' objects live as long as the process, so no collection
     # should scan them again: freezing them also resets the collector's
-    # counts, and a run's collections see only the objects it makes.
+    # counts, and a run's collections see only the objects it makes.  The
+    # freeze comes before the parse, so that the parse's garbage stays
+    # collectable, and is undone on the way out, so that a long-lived
+    # caller's garbage does not stay frozen.
     gc.freeze()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Only the invoked verb's subparser is built; argument lists that do not
-    # start with a verb (none, -h, a typo) get every verb for their message.
-    parser = build_parser(argv[0] if argv else None)
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except (GraphError, Graph6Error, EnumerationLimitError, ValueError, OSError) as exc:
-        parser.exit(2, f"error: {exc}\n")
-    except SpectralError as exc:  # ConvergenceError included
-        parser.exit(3, f"internal error: {exc}\n")
+        argv = sys.argv[1:] if argv is None else list(argv)
+        # Only the invoked verb's subparser is built; argument lists that do
+        # not start with a verb (none, -h, a typo) get every verb for their
+        # message.
+        parser = build_parser(argv[0] if argv else None)
+        args = parser.parse_args(argv)
+        try:
+            return args.fn(args)
+        except (GraphError, Graph6Error, EnumerationLimitError, ValueError, OSError) as exc:
+            parser.exit(2, f"error: {exc}\n")
+        except SpectralError as exc:  # ConvergenceError included
+            parser.exit(3, f"internal error: {exc}\n")
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

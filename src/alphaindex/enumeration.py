@@ -131,6 +131,12 @@ _FILTERS: dict[str, Callable[[Graph], bool]] = {
 }
 
 
+def _predicate(filter: str) -> Callable[[Graph], bool]:
+    if filter not in _FILTERS:
+        raise ValueError(f"unknown filter {filter!r}")
+    return _FILTERS[filter]
+
+
 class EnumerationLimitError(GraphError):
     """Requested order or size beyond the builtin generator limits."""
 
@@ -425,8 +431,7 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
     ``MAX_BUILTIN_ORDER`` (the augmentation sweep makes 442,352 canonical
     forms at n = 9; n = 10 would need millions more and several GB).
     """
-    if filter not in _FILTERS:
-        raise ValueError(f"unknown filter {filter!r}")
+    predicate = _predicate(filter)
     if n < 1:
         raise EnumerationLimitError("order must be at least 1")
     if filter == "minimally_two_connected":
@@ -441,7 +446,6 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
             f"builtin by-order generation stops at n = {MAX_BUILTIN_ORDER}; "
             "supply a graph6 stream for larger orders"
         )
-    predicate = _FILTERS[filter]
     return [g for g in _all_classes(n) if predicate(g)]
 
 
@@ -563,7 +567,7 @@ def ingest_graph6(
     Only a new class pays for the full canonical search; a repeat matches
     its class's minimum bitstring (see the module docstring).
     """
-    predicate = _FILTERS[filter]
+    predicate = _predicate(filter)
     seen: set[str] = set()
     # Signature -> the minimum bitstring of the one stored class that has
     # it, or None once a second stored class has it too.

@@ -749,6 +749,10 @@ def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verificatio
     return report
 
 
+# The odd m of the f/g grid, shared by lemma11, fact2 and fact3.
+_GRID_MS = ct.odd_range(*ct.GRID_M)
+
+
 def _grid_report(target: str) -> VerificationReport:
     """An empty report over the f/g grid."""
     return VerificationReport(target, {"m": list(ct.GRID_M), "step": 2}, ct.alpha_grid(*ct.GRID_ALPHA))
@@ -757,9 +761,8 @@ def _grid_report(target: str) -> VerificationReport:
 @_lemma("lemma11")
 def _lemma11(target: str) -> VerificationReport:
     report = _grid_report(target)
-    ms = ct.odd_range(*ct.GRID_M)
     for poly in ("f", "g"):
-        min_abs, violations = ct.sign_grid(poly, ms, report.alpha_grid)
+        min_abs, violations = ct.sign_grid(poly, _GRID_MS, report.alpha_grid)
         report.add({
             "case": f"sign {poly}", "alpha": "grid",
             "min_abs_value": min_abs,
@@ -778,7 +781,7 @@ def _lemma11(target: str) -> VerificationReport:
     # Increasing in m at fixed alpha (finite differences).
     for alpha_str in ("0.5", "0.75", "0.99"):
         alpha = float(alpha_str)
-        monotone = all(ct.eval_f(alpha, m + 2) > ct.eval_f(alpha, m) for m in ms[:-1])
+        monotone = all(ct.eval_f(alpha, m + 2) > ct.eval_f(alpha, m) for m in _GRID_MS[:-1])
         report.add(
             {"case": "f increasing in m", "alpha": alpha_str, "ok": monotone},
             f"f not increasing in m at alpha={alpha_str}",
@@ -852,9 +855,8 @@ def _fact1(target: str) -> VerificationReport:
 
 def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) -> bool:
     """Run one identity check over the f/g grid."""
-    ms = ct.odd_range(*ct.GRID_M)
-    points = len(ms) * len(report.alpha_grid)
-    worst, failures = ct.identity_grid(check, ms, report.alpha_grid)
+    points = len(_GRID_MS) * len(report.alpha_grid)
+    worst, failures = ct.identity_grid(check, _GRID_MS, report.alpha_grid)
     report.add({
         "case": case, "alpha": "grid", "max_rel_error": worst,
         "grid_points": points, "failing_points": len(failures),
@@ -888,11 +890,7 @@ def _fact3(target: str) -> VerificationReport:
         "4 p(x1) vs -(1-a)^2 h/2",
     )
     # The inequality the size-theorem proof actually rests on: p(x1) < 0.
-    worst = max(
-        ct.g_identity_lhs(float(alpha_str), m)
-        for m in ct.odd_range(*ct.GRID_M)
-        for alpha_str in report.alpha_grid
-    )
+    worst = max(value for _, _, value in ct.grid_points(ct.g_identity_lhs, _GRID_MS, report.alpha_grid))
     report.add(
         {"case": "bound 4 p(x1) < 0", "alpha": "grid", "max_value": worst, "ok": worst < 0},
         f"4 p(x1) reaches {worst:.3e} >= 0 on the grid",

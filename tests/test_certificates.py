@@ -14,6 +14,7 @@ from alphaindex.certificates import (
     f_at_m9_factored,
     f_identity_lhs,
     g_identity_lhs,
+    grid_points,
     identity_check_f,
     identity_check_g,
     identity_check_g_derived,
@@ -218,6 +219,27 @@ def test_empty_grids_are_rejected():
             sign_grid("f", ms, alphas)
         with pytest.raises(ValueError, match="empty grid"):
             identity_grid(identity_check_f, ms, alphas)
+
+
+def test_grid_points_walk_m_outer_and_keep_alpha_strings():
+    seen = []
+
+    def evaluate(alpha, m):
+        seen.append((m, alpha))
+        return m + alpha
+
+    points = grid_points(evaluate, [9, 11], ["0.50", "0.75"])
+    assert points == [(9, "0.50", 9.5), (9, "0.75", 9.75), (11, "0.50", 11.5), (11, "0.75", 11.75)]
+    assert seen == [(9, 0.5), (9, 0.75), (11, 0.5), (11, 0.75)]
+
+
+def test_grid_points_refuse_an_empty_grid():
+    for ms, alphas, counts in (
+        ([], ["0.5"], "0 m values and 1 alphas"),
+        ([9], [], "1 m values and 0 alphas"),
+    ):
+        with pytest.raises(ValueError, match=f"empty grid: {counts}"):
+            grid_points(eval_f, ms, alphas)
 
 
 def test_identity_grid_reports_worst_and_failures_in_grid_order():

@@ -202,22 +202,28 @@ def test_verify_leaves_no_package_function_in_a_garbage_cycle(capsys):
     assert held == []
 
 
-def test_a_campaign_collects_only_the_objects_it_makes(capsys):
-    # cli.main freezes the objects made before it, so no collection in a
-    # run scans them again and only the run's own objects set the
-    # collector's pace.  The lists stand for what an import leaves young:
-    # 600 of the 700 allocations that set off a collection.  The first run
-    # fills the class caches, as the suite's other tests do.
+def test_a_campaign_collects_only_the_objects_it_makes(capsys, monkeypatch):
+    # cli.main freezes the objects made before the run, so no collection in
+    # it scans them again and only the run's own objects set the
+    # collector's pace; it unfreezes them on return.  The lists stand for
+    # what an import leaves young: 600 of the 700 allocations that set off
+    # a collection.  The first run fills the class caches, as the suite's
+    # other tests do.
     assert main(["verify", "theorem1.3", "--n", "5..7"]) == 0
-    gc.freeze()
     imported = [[] for _ in range(600)]
-    frozen = gc.get_freeze_count()
     generations = []
+    frozen = []
+    verify = cli._cmd_verify
 
     def record(phase, info):
         if phase == "start":
             generations.append(info["generation"])
 
+    def counted(args):
+        frozen.append(gc.get_freeze_count())
+        return verify(args)
+
+    monkeypatch.setattr(cli, "_cmd_verify", counted)
     gc.callbacks.append(record)
     try:
         assert main(["verify", "theorem1.3", "--n", "5..7"]) == 0
@@ -229,7 +235,8 @@ def test_a_campaign_collects_only_the_objects_it_makes(capsys):
     capsys.readouterr()
     assert by_order == []
     assert all(generation == 0 for generation in by_size)
-    assert gc.get_freeze_count() >= frozen + len(imported)
+    assert len(frozen) == 2 and all(count >= len(imported) for count in frozen)
+    assert gc.get_freeze_count() == 0
 
 
 def test_verify_output_deterministic(capsys):

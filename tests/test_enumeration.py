@@ -436,6 +436,13 @@ def test_ingest_round_trip_matches_builtin():
         assert len(got) == len(builtin)  # de-duplicated
 
 
+def test_ingest_unknown_filter_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown filter 'bogus'"):
+        next(ingest_graph6(["Bw"], "bogus"))
+    with pytest.raises(ValueError, match="unknown filter 'bogus'"):
+        graphs_by_order(3, "bogus")
+
+
 def test_ingest_empty_stream():
     assert list(ingest_graph6([])) == []
 

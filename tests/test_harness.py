@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from alphaindex import certificates as ct
 from alphaindex import cli, enumeration, harness, spectral
 from alphaindex.enumeration import canonical_form
 from alphaindex.families import build, complete_bipartite, cycle, gab, subdivided_k2
@@ -248,6 +249,17 @@ def test_fact3_identity_fails_but_bound_holds():
     bound_case = next(c for c in report.case_results if c["case"].startswith("bound"))
     assert bound_case["ok"] and bound_case["max_value"] < 0
     assert report.flags
+
+
+def test_fact3_bound_is_the_maximum_over_the_grid():
+    (report,) = verify_lemma_suite(["fact3"])
+    bound_case = next(c for c in report.case_results if c["case"].startswith("bound"))
+    worst = max(
+        ct.g_identity_lhs(float(alpha_str), m)
+        for m in ct.odd_range(*ct.GRID_M)
+        for alpha_str in ct.alpha_grid(*ct.GRID_ALPHA)
+    )
+    assert bound_case["max_value"] == worst
 
 
 def test_fact3_reports_derived_identity():
