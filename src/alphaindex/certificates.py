@@ -16,6 +16,7 @@ independently and report the relative error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -202,11 +203,16 @@ def grid_points(
     """``(m, alpha, evaluate(alpha, m))`` at every grid point, m outer, with
     alpha the decimal string it was given as.
 
-    An empty grid checks nothing, so it must not read as a pass.
+    An empty grid checks nothing, so it must not read as a pass, and a value
+    that is not finite (NaN compares false) is past what floats can check.
     """
     if not m_values or not alphas:
         raise ValueError(f"empty grid: {len(m_values)} m values and {len(alphas)} alphas")
-    return [(m, s, evaluate(float(s), m)) for m in m_values for s in alphas]
+    points = [(m, s, evaluate(float(s), m)) for m in m_values for s in alphas]
+    for m, s, value in points:
+        if not math.isfinite(value):
+            raise ValueError(f"grid point m={m}, alpha={s} evaluates to {value}, past float range")
+    return points
 
 
 def sign_grid(

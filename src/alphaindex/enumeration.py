@@ -49,7 +49,7 @@ checks as before, so a miss costs one search and never a wrong line.
 
 Two generators are provided:
 
-* ears - one cached cell of minimally 2-connected classes per order ``n``
+* ears - one stored cell of minimally 2-connected classes per order ``n``
   and size ``m``.  Every minimally 2-connected non-cycle graph is a cycle
   plus a sequence of open ears of length >= 2 between non-adjacent
   endpoints, and every intermediate graph of such a decomposition is itself
@@ -106,7 +106,6 @@ Two generators are provided:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -381,11 +380,20 @@ def _mask(cell: list[int]) -> int:
     return mask
 
 
+class Classes:
+    """One run's generated classes, each built once: all classes by order,
+    the ear cells by ``(n, m)`` and each parent cell's ear-pair record."""
+
+    def __init__(self) -> None:
+        self.by_order: dict[int, tuple[Graph, ...]] = {1: (Graph.from_rows([0]),)}
+        self.cells: dict[tuple[int, int], tuple[tuple[Graph, Generators, str], ...]] = {}
+        self.pairs: dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], ...]] = {}
+
+
 # -- by-order generation (all classes) --------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _all_classes(n: int) -> tuple[Graph, ...]:
+def _all_classes(classes: Classes, n: int) -> tuple[Graph, ...]:
     """All isomorphism classes on ``n`` vertices, canonically labeled.
 
     A neighbourhood ``mask`` of size ``k`` is added to a parent only if the
@@ -396,10 +404,10 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
     ``mask`` or ``k - 1`` inside it), has a larger neighbour-degree sum in
     the child than the new vertex.
     """
-    if n == 1:
-        return (Graph.from_rows([0]),)
+    if n in classes.by_order:
+        return classes.by_order[n]
     seen: dict[str, Graph] = {}
-    for parent in _all_classes(n - 1):
+    for parent in _all_classes(classes, n - 1):
         rows = parent.rows
         degrees = parent.degrees()
         sums = [sum(degrees[w] for w in iter_bits(row)) for row in rows]
@@ -420,11 +428,12 @@ def _all_classes(n: int) -> tuple[Graph, ...]:
                     continue
             h, key, _, _ = _canonical(parent.add_vertex(mask))
             seen[key] = h
-    return tuple(seen[key] for key in sorted(seen))
+    return classes.by_order.setdefault(n, tuple(seen[key] for key in sorted(seen)))
 
 
-def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
-    """One canonically labeled representative per class, sorted by form.
+def graphs_by_order(n: int, filter: str = "all", classes: Classes | None = None) -> list[Graph]:
+    """One canonically labeled representative per class, sorted by form,
+    built into ``classes`` (default: a fresh store).
 
     Minimally 2-connected classes come from the ear cells and reach
     ``MAX_MIN2C_ORDER``.  The other filters run over every class up to
@@ -432,6 +441,7 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
     forms at n = 9; n = 10 would need millions more and several GB).
     """
     predicate = _predicate(filter)
+    classes = Classes() if classes is None else classes
     if n < 1:
         raise EnumerationLimitError("order must be at least 1")
     if filter == "minimally_two_connected":
@@ -440,20 +450,19 @@ def graphs_by_order(n: int, filter: str = "all") -> list[Graph]:
                 f"minimally 2-connected generation stops at n = {MAX_MIN2C_ORDER}; "
                 "supply a graph6 stream for larger orders"
             )
-        return _union(_ear_classes(n, m) for m in range(n, max(n, 2 * n - 4) + 1))
+        return _union(_ear_classes(classes, n, m) for m in range(n, max(n, 2 * n - 4) + 1))
     if n > MAX_BUILTIN_ORDER:
         raise EnumerationLimitError(
             f"builtin by-order generation stops at n = {MAX_BUILTIN_ORDER}; "
             "supply a graph6 stream for larger orders"
         )
-    return [g for g in _all_classes(n) if predicate(g)]
+    return [g for g in _all_classes(classes, n) if predicate(g)]
 
 
 # -- ear generation (minimally 2-connected, by order and size) ---------------
 
 
-@lru_cache(maxsize=None)
-def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
+def _ear_classes(classes: Classes, n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     """Minimally 2-connected classes of order ``n`` and size ``m``, sorted by
     canonical form, each with automorphisms of its canonical graph and its
     canonical form.
@@ -464,6 +473,8 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     """
     if not 3 <= n <= m <= max(n, 2 * n - 4):
         return ()
+    if (n, m) in classes.cells:
+        return classes.cells[n, m]
     seen: dict[str, tuple[Graph, Generators, str]] = {}
 
     def add(child: Graph) -> None:
@@ -476,22 +487,23 @@ def _ear_classes(n: int, m: int) -> tuple[tuple[Graph, Generators, str], ...]:
     for length in range(2, n - 2):
         # A parent needs a non-adjacent pair, so at least 4 vertices.
         cell = (n - length + 1, m - length)
-        for (g, _, _), pairs in zip(_ear_classes(*cell), _ear_pairs(*cell)):
+        for (g, _, _), pairs in zip(_ear_classes(classes, *cell), _ear_pairs(classes, *cell)):
             for u, v in pairs:
                 child = _add_ear(g, u, v, length)
                 if _largest_thread(child, u, v, length):
                     add(child)
-    return tuple(seen[key] for key in sorted(seen))
+    return classes.cells.setdefault((n, m), tuple(seen[key] for key in sorted(seen)))
 
 
-@lru_cache(maxsize=None)
-def _ear_pairs(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _ear_pairs(classes: Classes, n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each class of the cell ``(n, m)``, in the cell's order, the ear
     pairs ``(u, v)`` that keep it minimal, one per orbit of its generators,
     ``u`` then ``v`` ascending.  The record is built the first time the
     cell serves as a parent cell and read for every ear length after."""
+    if (n, m) in classes.pairs:
+        return classes.pairs[n, m]
     record = []
-    for g, generators, _ in _ear_classes(n, m):
+    for g, generators, _ in _ear_classes(classes, n, m):
         full = (1 << g.n) - 1
         expanded: set[int] = set()
         pairs = []
@@ -503,7 +515,7 @@ def _ear_pairs(n: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
                     expanded |= _orbit(pair, generators)
                     pairs.append((u, v))
         record.append(tuple(pairs))
-    return tuple(record)
+    return classes.pairs.setdefault((n, m), tuple(record))
 
 
 def _largest_thread(child: Graph, u: int, v: int, length: int) -> bool:
@@ -535,8 +547,9 @@ def _union(cells: Iterable[tuple[tuple[Graph, Generators, str], ...]]) -> list[G
     return [g for g, _, _ in sorted((e for cell in cells for e in cell), key=itemgetter(2))]
 
 
-def graphs_by_size(m: int) -> list[Graph]:
-    """Minimally 2-connected classes of size ``m``, sorted by canonical form.
+def graphs_by_size(m: int, classes: Classes | None = None) -> list[Graph]:
+    """Minimally 2-connected classes of size ``m``, sorted by canonical form,
+    built into ``classes`` (default: a fresh store).
 
     The order window follows from 2-connectivity (n <= m) and the edge
     bound (m <= 2n - 4 for n >= 4); an order outside it gives an empty cell.
@@ -548,7 +561,8 @@ def graphs_by_size(m: int) -> list[Graph]:
             f"builtin by-size generation stops at m = {MAX_SIZE}; "
             "supply a graph6 stream for larger sizes"
         )
-    return _union(_ear_classes(n, m) for n in range(3, m + 1))
+    classes = Classes() if classes is None else classes
+    return _union(_ear_classes(classes, n, m) for n in range(3, m + 1))
 
 
 # -- graph6 stream ingestion -------------------------------------------------
@@ -598,6 +612,7 @@ def ingest_graph6(
 
 
 __all__ = [
+    "Classes",
     "EnumerationLimitError",
     "MAX_BUILTIN_ORDER",
     "MAX_CANONICAL_ORDER",

@@ -13,8 +13,9 @@ report with no cases.  Lemma targets
 register themselves in ``_LEMMAS`` with :func:`_lemma`.
 
 The signatures are the usage contract: a theorem entry point, and each
-lemma builder after ``target``, names exactly the keywords it reads, with
-its default.  A keyword (or flag) that no chosen target names is an error.
+lemma builder after ``target`` and the class store, names exactly the
+keywords it reads, with its default.  A keyword (or flag) that no chosen
+target names is an error.
 
 Alpha values travel as decimal strings and are echoed verbatim in
 reports, so a grid reads back exactly as it was specified.
@@ -42,6 +43,7 @@ from .connectivity import (
 from .enumeration import (
     MAX_BUILTIN_ORDER,
     MAX_MIN2C_ORDER,
+    Classes,
     canonical_form,
     graphs_by_order,
     graphs_by_size,
@@ -249,9 +251,9 @@ def _screen(class_lists: Sequence[list[Graph]], values: list[float]) -> list[lis
 _SUB_MARGIN = "gap below strictness margin"
 
 
-def _order_spec(n: int) -> tuple:
+def _order_spec(n: int, store: Classes) -> tuple:
     """The order theorem's spec of order ``n``: its classes compete, and no pin."""
-    classes = graphs_by_order(n, "minimally_two_connected")
+    classes = graphs_by_order(n, "minimally_two_connected", store)
     return f"n={n}", classes, canonical_form(complete_bipartite(2, n - 2)), None
 
 
@@ -265,11 +267,11 @@ def _size_asserted(m: int) -> bool:
     return m >= (6 if m % 2 == 0 else 9)
 
 
-def _size_spec(m: int) -> tuple:
+def _size_spec(m: int, store: Classes) -> tuple:
     """The size theorem's spec of size ``m``: K_{2,m/2} is the target for
     even m, SK_{2,(m-1)/2} for odd m >= 5, and an odd asserted size pins
     the target's alpha-index by the cubic's root."""
-    classes = graphs_by_size(m)
+    classes = graphs_by_size(m, store)
     even = m % 2 == 0
     shape = complete_bipartite(2, m // 2) if even else subdivided_k2((m - 1) // 2) if m >= 5 else None
     target = None if shape is None else canonical_form(shape)
@@ -294,7 +296,7 @@ def _theorem(
     target: str, name: str, params: dict, alphas: Sequence[str], spec_fn, verdict_fn, values: list[int],
 ) -> VerificationReport:
     """Record the cases of every value's spec ``(label, classes, form,
-    pin) = spec_fn(value)``, one per alpha, in value order, each completed
+    pin) = spec_fn(value, store)``, one per alpha, in value order, each completed
     by ``verdict_fn(value, case, pin_rho)``.  A case names the argmax
     canonical form, the expected ``form`` (None if no form is expected to
     win), the gap to the runner-up and the number of solves that failed
@@ -318,7 +320,8 @@ def _theorem(
         if not 0.5 <= float(s) < 1.0:
             raise ValueError(f"{name} alpha grid must sit in [1/2, 1), got {s}")
     grid = [float(s) for s in alphas]
-    specs = [spec_fn(value) for value in values]
+    store = Classes()
+    specs = [spec_fn(value, store) for value in values]
     solving = _screen([classes for _, classes, _, _ in specs], grid)
     pairs = iter(perron_pairs([
         (classes[i], alpha)
@@ -415,8 +418,8 @@ def _chosen(targets: Sequence[str] | None) -> list[str]:
 
 
 def _keywords(build_report) -> list[str]:
-    """The keywords a lemma builder reads: its parameters after ``target``."""
-    return list(inspect.signature(build_report).parameters)[1:]
+    """The keywords a lemma builder reads: its parameters after ``store``."""
+    return list(inspect.signature(build_report).parameters)[2:]
 
 
 def lemma_keywords(targets: Sequence[str] | None = None) -> set[str]:
@@ -426,9 +429,9 @@ def lemma_keywords(targets: Sequence[str] | None = None) -> set[str]:
 
 
 def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[VerificationReport]:
-    """Run the chosen lemma targets (default: all) in suite order.  Each
-    builder gets only the keywords of ``given`` that its signature names;
-    a keyword that no chosen builder names is an error."""
+    """Run the chosen lemma targets (default: all) in suite order, on one
+    class store.  Each builder gets only the keywords of ``given`` that its
+    signature names; a keyword that no chosen builder names is an error."""
     chosen = _chosen(targets)
     unread = given.keys() - lemma_keywords(chosen)
     if unread:
@@ -437,8 +440,9 @@ def verify_lemma_suite(targets: Sequence[str] | None = None, **given) -> list[Ve
     for t in chosen:
         if n_max > _ORDER_CAPS.get(t, n_max):
             raise ValueError(f"{t} takes n_max up to {_ORDER_CAPS[t]}, got n_max {n_max}")
+    store = Classes()
     return [
-        _run(_LEMMAS[t], t, **{k: given[k] for k in _keywords(_LEMMAS[t]) if k in given})
+        _run(_LEMMAS[t], t, store, **{k: given[k] for k in _keywords(_LEMMAS[t]) if k in given})
         for t in chosen
     ]
 
@@ -454,14 +458,14 @@ _SLACK = {
 
 @_lemma(*_SLACK, order_cap=MAX_BUILTIN_ORDER)
 def _sandwich(
-    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = SANDWICH_ALPHAS,
+    target: str, store: Classes, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = SANDWICH_ALPHAS,
 ) -> VerificationReport:
     alphas = list(alphas)
     report = VerificationReport(target, {"n": list(range(2, n_max + 1))}, alphas)
     slack_of = _SLACK[target]
     confirm = _Confirmations()
     for n in range(2, n_max + 1):
-        classes = [g for g in graphs_by_order(n) if is_connected(g)]
+        classes = [g for g in graphs_by_order(n, "all", store) if is_connected(g)]
         adj = adjacency_stack(classes)
         for alpha_str, pairs in zip(alphas, _pairs_by_alpha(classes, alphas)):
             alpha = float(alpha_str)
@@ -491,10 +495,10 @@ _STRUCTURAL = {
 
 
 @_lemma(*_STRUCTURAL, order_cap=MAX_MIN2C_ORDER)
-def _structural(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
+def _structural(target: str, store: Classes, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
-        for g in graphs_by_order(n, "minimally_two_connected"):
+        for g in graphs_by_order(n, "minimally_two_connected", store):
             ok, note = _STRUCTURAL[target](g)
             g6 = emit_graph6(g)
             report.add({"case": f"n={n}", "graph6": g6, "ok": ok, "note": note}, f"n={n}, {g6}: {note}")
@@ -502,11 +506,11 @@ def _structural(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
 
 
 @_lemma("lemma5", order_cap=MAX_MIN2C_ORDER)
-def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
+def _lemma5(target: str, store: Classes, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(4, n_max + 1))}, [])
     for n in range(4, n_max + 1):
         extremal_expected = canonical_form(complete_bipartite(2, n - 2))
-        classes = graphs_by_order(n, "minimally_two_connected")
+        classes = graphs_by_order(n, "minimally_two_connected", store)
         bad = [f"n={n}, {emit_graph6(g)}: m={g.m} > 2n-4" for g in classes if g.m > 2 * n - 4]
         at_bound = [emit_graph6(g) for g in classes if g.m == 2 * n - 4]
         if at_bound != [extremal_expected]:
@@ -519,10 +523,10 @@ def _lemma5(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
 
 
 @_lemma("lemma6", order_cap=MAX_BUILTIN_ORDER)
-def _lemma6(target: str, n_max: int = LEMMA_N_MAX) -> VerificationReport:
+def _lemma6(target: str, store: Classes, n_max: int = LEMMA_N_MAX) -> VerificationReport:
     report = VerificationReport(target, {"n": list(range(1, n_max + 1))}, [])
     for n in range(1, n_max + 1):
-        classes = graphs_by_order(n)
+        classes = graphs_by_order(n, "all", store)
         bad = [
             f"n={n}, {emit_graph6(g)}: recognizers disagree" for g in classes
             if is_minimally_two_connected_by_deletion(g) != is_minimally_two_connected_by_chords(g)
@@ -578,7 +582,7 @@ def sample_rotation_cases(
 
 @_lemma("lemma7", order_cap=MAX_BUILTIN_ORDER)
 def _lemma7(
-    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = DEFAULT_ALPHAS,
+    target: str, store: Classes, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = DEFAULT_ALPHAS,
     rotation_cases: int = ROTATION_CASES, seed: int = ROTATION_SEED,
 ) -> VerificationReport:
     """The rotation corpus, then the G(a, b) chain of :func:`_gab_chain`.
@@ -673,7 +677,7 @@ def _gab_chain(report: VerificationReport, alphas: list[str]) -> None:
 
 
 @_lemma("lemma8")
-def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
+def _lemma8(target: str, store: Classes, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
     """Perron coordinates agree on each block of 32 family graphs.
 
     The families are solved at every alpha in one batched call.  The batched
@@ -709,7 +713,7 @@ def _lemma8(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> Verification
 
 
 @_lemma("lemma9")
-def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> VerificationReport:
+def _lemma9(target: str, store: Classes, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> VerificationReport:
     alphas = list(alphas)
     report = VerificationReport(target, {"a_max": 12}, alphas)
     anchor = closed_form_complete_bipartite(3, 2, 0.5)
@@ -731,7 +735,7 @@ def _lemma9(target: str, alphas: Sequence[str] = CLOSED_FORM_ALPHAS) -> Verifica
 
 
 @_lemma("lemma10")
-def _lemma10(target: str, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
+def _lemma10(target: str, store: Classes, alphas: Sequence[str] = DEFAULT_ALPHAS) -> VerificationReport:
     alphas = list(alphas)
     ms = ct.odd_range(9, 25)
     report = VerificationReport(target, {"m": ms}, alphas)
@@ -759,7 +763,7 @@ def _grid_report(target: str) -> VerificationReport:
 
 
 @_lemma("lemma11")
-def _lemma11(target: str) -> VerificationReport:
+def _lemma11(target: str, store: Classes) -> VerificationReport:
     report = _grid_report(target)
     for poly in ("f", "g"):
         min_abs, violations = ct.sign_grid(poly, _GRID_MS, report.alpha_grid)
@@ -808,14 +812,14 @@ def _column_sums(report: VerificationReport, variant: str, label: str, eligible:
 
 @_lemma("claim-order", order_cap=MAX_MIN2C_ORDER)
 def _claim_order(
-    target: str, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = CERT_ALPHAS,
+    target: str, store: Classes, n_max: int = LEMMA_N_MAX, alphas: Sequence[str] = CERT_ALPHAS,
 ) -> VerificationReport:
     report = VerificationReport(
         target, {"n": list(range(5, n_max + 1)), "max_degree": "<= n-3"}, list(alphas),
     )
     for n in range(5, n_max + 1):
         eligible = [
-            g for g in graphs_by_order(n, "minimally_two_connected")
+            g for g in graphs_by_order(n, "minimally_two_connected", store)
             if max(g.degrees()) <= n - 3
         ]
         _column_sums(report, "order", f"n={n}", eligible)
@@ -823,21 +827,21 @@ def _claim_order(
 
 
 @_lemma("claim-size")
-def _claim_size(target: str, alphas: Sequence[str] = CERT_ALPHAS) -> VerificationReport:
+def _claim_size(target: str, store: Classes, alphas: Sequence[str] = CERT_ALPHAS) -> VerificationReport:
     report = VerificationReport(
         target, {"m": list(range(6, 13)), "max_degree": "3 <= Delta <= (m-2)/2"}, list(alphas),
     )
     for m in range(6, 13):
-        eligible = [g for g in graphs_by_size(m) if 3 <= max(g.degrees()) <= (m - 2) // 2]
+        eligible = [g for g in graphs_by_size(m, store) if 3 <= max(g.degrees()) <= (m - 2) // 2]
         _column_sums(report, "size", f"m={m}", eligible)
     return report
 
 
 @_lemma("fact1")
-def _fact1(target: str) -> VerificationReport:
+def _fact1(target: str, store: Classes) -> VerificationReport:
     report = VerificationReport(target, {"m": [9, 11, 13]}, [])
     for m in (9, 11, 13):
-        classes = graphs_by_size(m)
+        classes = graphs_by_size(m, store)
         bad = []
         # One stack per run of classes of one order, so the violations keep
         # the class order.
@@ -873,14 +877,14 @@ def _identity_case(report: VerificationReport, case: str, check, lhs_name: str) 
 
 
 @_lemma("fact2")
-def _fact2(target: str) -> VerificationReport:
+def _fact2(target: str, store: Classes) -> VerificationReport:
     report = _grid_report(target)
     _identity_case(report, "identity grid", ct.identity_check_f, "-8(m-3)^3 p(x0) vs f")
     return report
 
 
 @_lemma("fact3")
-def _fact3(target: str) -> VerificationReport:
+def _fact3(target: str, store: Classes) -> VerificationReport:
     report = _grid_report(target)
     # The printed identity 4 p(x1) = g is false; it stays asserted, so
     # fact3 fails, next to the identity that exact expansion gives.

@@ -1,10 +1,9 @@
 import random
-from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from alphaindex import enumeration
+from alphaindex.enumeration import Classes
 from alphaindex.graphs import Graph, iter_bits
 
 JACOBI_OFFDIAG_NORM = 1e-13
@@ -51,13 +50,13 @@ def sk24():
     return Graph.from_edges(7, edges)
 
 
-def fresh_ear_caches(monkeypatch) -> None:
-    """Give the ear cells and their parent records fresh caches for one
-    test: the sweep that follows runs cold and leaves the shared caches as
-    they were."""
-    for name in ("_ear_classes", "_ear_pairs"):
-        monkeypatch.setattr(enumeration, name,
-                            lru_cache(maxsize=None)(getattr(enumeration, name).__wrapped__))
+@pytest.fixture(scope="session")
+def store():
+    """One class store for the session's direct generator calls.  Every
+    output is the same whichever store is passed, so the tests share one,
+    as the targets of one lemma suite do; a test that needs a cold sweep
+    makes its own."""
+    return Classes()
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -166,12 +166,12 @@ def test_criterion_06b_companion_bound_negative():
     )
 
 
-def test_criterion_07_recognizer_cross_oracle():
+def test_criterion_07_recognizer_cross_oracle(store):
     start = time.monotonic()
     disagreements = 0
     total = 0
     for n in range(1, 9):
-        for g in graphs_by_order(n):
+        for g in graphs_by_order(n, classes=store):
             total += 1
             if is_minimally_two_connected_by_deletion(g) != \
                     is_minimally_two_connected_by_chords(g):
@@ -185,14 +185,14 @@ def test_criterion_07_recognizer_cross_oracle():
     )
 
 
-def test_criterion_08_structural_lemmas():
+def test_criterion_08_structural_lemmas(store):
     reports = hz.verify_lemma_suite(["lemma3", "lemma4", "lemma5"], n_max=8)
     ok = all(r.passed for r in reports)
     # Re-derive minimality from the deletion definition, then check each
     # implication on the same classes, chord-freeness included.
     swept = 0
     for n in range(4, 9):
-        for g in graphs_by_order(n, "minimally_two_connected"):
+        for g in graphs_by_order(n, "minimally_two_connected", store):
             swept += 1
             ok = ok and is_minimally_two_connected_by_deletion(g) and not has_chorded_cycle(g)
             ok = ok and min(g.degrees()) == 2 and triangle_free(g)

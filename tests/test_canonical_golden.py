@@ -4,7 +4,7 @@
 of the corpus below: seeded G(n, p) graphs, relabelled minimally
 2-connected classes of size <= 14, every class of order <= 6 relabelled,
 and highly symmetric graphs, where the canonical search meets the most
-automorphisms.  Every cached class list, sorted class order and reported
+automorphisms.  Every generated class list, sorted class order and reported
 ``argmax_graph6`` is built from these forms, so a change to the search
 must leave the file byte-identical.  The file is written by
 ``PYTHONPATH=src python tests/test_canonical_golden.py``.

@@ -242,6 +242,18 @@ def test_grid_points_refuse_an_empty_grid():
             grid_points(eval_f, ms, alphas)
 
 
+def test_grid_points_refuse_a_value_that_is_not_finite():
+    # NaN compares false with every bound, so it would pass any check.
+    huge = 10 ** 70 + 1
+    with pytest.raises(ValueError, match=f"grid point m={huge}, alpha=0.5 evaluates to inf"):
+        sign_grid("f", [9, huge], ["0.5", "0.75"])
+    with pytest.raises(ValueError, match=f"grid point m={huge}, alpha=0.5 evaluates to nan"):
+        identity_grid(identity_check_f, [9, huge], ["0.5", "0.75"])
+    with pytest.raises(ValueError, match="m=11, alpha=0.75 evaluates to -inf, past float range"):
+        grid_points(lambda alpha, m: -math.inf if (m, alpha) >= (11, 0.75) else 0.0,
+                    [9, 11, 13], ["0.5", "0.75"])
+
+
 def test_identity_grid_reports_worst_and_failures_in_grid_order():
     worst, failures = identity_grid(identity_check_f, [9, 11], ["0.5", "0.75"])
     assert failures == [] and worst == max(

@@ -207,9 +207,7 @@ def test_a_campaign_collects_only_the_objects_it_makes(capsys, monkeypatch):
     # it scans them again and only the run's own objects set the
     # collector's pace; it unfreezes them on return.  The lists stand for
     # what an import leaves young: 600 of the 700 allocations that set off
-    # a collection.  The first run fills the class caches, as the suite's
-    # other tests do.
-    assert main(["verify", "theorem1.3", "--n", "5..7"]) == 0
+    # a collection.  Each run generates its classes afresh.
     imported = [[] for _ in range(600)]
     generations = []
     frozen = []
@@ -533,6 +531,19 @@ def test_certify_bad_grid_is_usage_error(capsys, mode, flags, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("mode,value", [("signs", "inf"), ("identity", "nan")])
+def test_certify_grid_past_float_range_is_usage_error(capsys, mode, value):
+    # f overflows at this m: the grid cannot be checked in floats, which
+    # is not a violation, and NaN must not read as a pass either.
+    m = str(10 ** 70 + 1)
+    with pytest.raises(SystemExit) as err:
+        main(["certify", mode, "--poly", "f", "--m-start", m, "--m-stop", m])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: grid point m={m}, alpha=0.50 evaluates to {value}, past float range" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

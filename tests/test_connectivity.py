@@ -102,9 +102,9 @@ def test_k3_is_minimal_triangle():
     assert is_minimally_two_connected_by_deletion(k3) and not triangle_free(k3)
 
 
-def test_recognizers_agree_up_to_order_6():
+def test_recognizers_agree_up_to_order_6(store):
     for n in range(1, 7):
-        for g in graphs_by_order(n):
+        for g in graphs_by_order(n, classes=store):
             assert is_minimally_two_connected_by_deletion(g) == \
                 is_minimally_two_connected_by_chords(g), g
 
@@ -121,8 +121,8 @@ def test_recognizers_agree_random_order_8():
 _TWO_CONNECTED_CLASSES = [0, 0, 1, 3, 10, 56, 468, 7123]
 
 
-def test_two_connected_class_counts():
-    counts = [sum(map(is_two_connected, graphs_by_order(n))) for n in range(1, 9)]
+def test_two_connected_class_counts(store):
+    counts = [sum(map(is_two_connected, graphs_by_order(n, classes=store))) for n in range(1, 9)]
     assert counts == _TWO_CONNECTED_CLASSES
 
 
@@ -130,22 +130,22 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the recognizers share no walk")
 
 
-def test_deletion_recognizer_runs_without_the_block_walk(monkeypatch):
-    classes = [g for n in range(1, 8) for g in graphs_by_order(n)]
+def test_deletion_recognizer_runs_without_the_block_walk(monkeypatch, store):
+    classes = [g for n in range(1, 8) for g in graphs_by_order(n, classes=store)]
     expected = [is_minimally_two_connected_by_chords(g) for g in classes]
     monkeypatch.setattr(connectivity, "_block_masks", _refuse)
     assert [is_minimally_two_connected_by_deletion(g) for g in classes] == expected
 
 
-def test_chord_recognizer_runs_without_the_reach(monkeypatch):
-    classes = [g for n in range(1, 8) for g in graphs_by_order(n)]
+def test_chord_recognizer_runs_without_the_reach(monkeypatch, store):
+    classes = [g for n in range(1, 8) for g in graphs_by_order(n, classes=store)]
     expected = [is_minimally_two_connected_by_deletion(g) for g in classes]
     for name in ("is_two_connected", "is_connected", "_reach"):
         monkeypatch.setattr(connectivity, name, _refuse)
     assert [is_minimally_two_connected_by_chords(g) for g in classes] == expected
 
 
-def test_diamond_rejects_before_the_block_walk(monkeypatch, k4):
+def test_diamond_rejects_before_the_block_walk(monkeypatch, k4, store):
     dense = random_graph(random.Random(12), 12, 0.4)
     assert any((dense.rows[u] & dense.rows[v]).bit_count() >= 2 for u, v in dense.edges())
     calls = []
@@ -158,7 +158,7 @@ def test_diamond_rejects_before_the_block_walk(monkeypatch, k4):
     monkeypatch.setattr(connectivity, "_block_masks", counted)
     assert not is_minimally_two_connected_by_chords(k4)
     assert not is_minimally_two_connected_by_chords(dense)
-    diamonds = [g for n in range(4, 7) for g in graphs_by_order(n)
+    diamonds = [g for n in range(4, 7) for g in graphs_by_order(n, classes=store)
                 if any((g.rows[u] & g.rows[v]).bit_count() >= 2 for u, v in g.edges())]
     assert not any(map(is_minimally_two_connected_by_chords, diamonds))
     assert calls == []
@@ -219,9 +219,9 @@ def _chorded_cycle_brute_force(g):
     return any(extend(s, s, [s], 1) for s in range(n))
 
 
-def test_chord_detection_matches_brute_force():
+def test_chord_detection_matches_brute_force(store):
     for n in range(3, 7):
-        for g in graphs_by_order(n):
+        for g in graphs_by_order(n, classes=store):
             assert has_chorded_cycle(g) == _chorded_cycle_brute_force(g), g
 
 
@@ -289,16 +289,16 @@ def _block_masks_by_edge_stack(g):
                         yield members
 
 
-def _ear_cells(m_max):
-    return [g for m in range(3, m_max + 1) for g in graphs_by_size(m)]
+def _ear_cells(m_max, store):
+    return [g for m in range(3, m_max + 1) for g in graphs_by_size(m, store)]
 
 
-def test_block_walk_matches_the_edge_stack_walk():
+def test_block_walk_matches_the_edge_stack_walk(store):
     rng = random.Random(1973)
-    graphs = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    graphs = [g for n in range(1, 8) for g in graphs_by_order(n, classes=store)]
     graphs += [random_graph(rng, n, p) for n in range(1, 17)
                for p in (0.05, 0.1, 0.2, 0.35, 0.5, 0.8) for _ in range(6)]
-    ears = _ear_cells(14)
+    ears = _ear_cells(14, store)
     graphs += ears
     graphs += [g.remove_edge(u, v) for g in ears[::7] for u, v in g.edges()]
     assert any(not is_connected(g) for g in graphs)
@@ -307,8 +307,8 @@ def test_block_walk_matches_the_edge_stack_walk():
         assert list(connectivity._block_masks(g)) == list(_block_masks_by_edge_stack(g)), g
 
 
-def test_chording_ears_unchanged_by_the_block_walk(monkeypatch):
-    ears = _ear_cells(14)
+def test_chording_ears_unchanged_by_the_block_walk(monkeypatch, store):
+    ears = _ear_cells(14, store)
     got = [chording_ears(g) for g in ears]
     monkeypatch.setattr(connectivity, "_block_masks", _block_masks_by_edge_stack)
     assert got == [chording_ears(g) for g in ears]
@@ -338,9 +338,9 @@ def _chording_ears_by_edge(g):
     return tuple(rows)
 
 
-def test_chording_ears_match_the_per_edge_walk():
-    ears = _ear_cells(16)
-    non_minimal = [g for n in range(3, 8) for g in graphs_by_order(n, "two_connected")]
+def test_chording_ears_match_the_per_edge_walk(store):
+    ears = _ear_cells(16, store)
+    non_minimal = [g for n in range(3, 8) for g in graphs_by_order(n, "two_connected", store)]
     assert len(ears) == 1358 and len(non_minimal) == 538
     assert any(not is_minimally_two_connected_by_deletion(g) for g in non_minimal)
     for g in ears + non_minimal:
@@ -351,11 +351,11 @@ def test_chording_ears_match_the_per_edge_walk():
         assert all(row & ~c == 0 for row, c in zip(g.rows, closing)), g
 
 
-def test_chording_ears_walk_once_per_thread(monkeypatch, k4, k23):
+def test_chording_ears_walk_once_per_thread(monkeypatch, k4, k23, store):
     walks = []
     walk = connectivity._block_masks
     monkeypatch.setattr(connectivity, "_block_masks", lambda h: walks.append(h) or walk(h))
-    for g in [cycle(3), cycle(7), k4, k23] + _ear_cells(12):
+    for g in [cycle(3), cycle(7), k4, k23] + _ear_cells(12, store):
         del walks[:]
         chording_ears(g)
         heavy = {v for v in range(g.n) if g.degree(v) >= 3}
@@ -385,9 +385,10 @@ def _threads_by_components(g):
     return sorted(out)
 
 
-def test_threads_match_degree_two_components(k4, k23):
+def test_threads_match_degree_two_components(k4, k23, store):
     rng = random.Random(2611)
-    graphs = [g for n in range(1, 8) for g in graphs_by_order(n)] + _ear_cells(13)
+    graphs = [g for n in range(1, 8) for g in graphs_by_order(n, classes=store)]
+    graphs += _ear_cells(13, store)
     graphs += [random_graph(rng, n, 0.3) for n in range(4, 14) for _ in range(20)]
     assert list(threads(k4)) == [] and len(list(threads(k23))) == 3
     assert sum(1 for g in graphs for _ in threads(g)) > 2000
@@ -395,8 +396,8 @@ def test_threads_match_degree_two_components(k4, k23):
         assert sorted(threads(g)) == _threads_by_components(g), g
 
 
-def test_removable_threads_match_deletion():
-    graphs = _ear_cells(13) + [g for g in graphs_by_order(7, "two_connected")]
+def test_removable_threads_match_deletion(store):
+    graphs = _ear_cells(13, store) + [g for g in graphs_by_order(7, "two_connected", store)]
     removable = 0
     for g in graphs:
         for _, _, interior in threads(g):

@@ -1,6 +1,5 @@
 import gc
 import random
-from functools import lru_cache
 
 import pytest
 
@@ -25,7 +24,6 @@ from conftest import (
     SHARED_SIGNATURE_CLASSES_12,
     circulant,
     disjoint_union,
-    fresh_ear_caches,
     random_graph,
     relabelled,
     without,
@@ -36,8 +34,8 @@ KNOWN_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_CLASS_COUNTS.items()))
-def test_all_class_counts(n, count):
-    assert len(graphs_by_order(n)) == count
+def test_all_class_counts(n, count, store):
+    assert len(graphs_by_order(n, classes=store)) == count
 
 
 def _every_neighbourhood_classes(n_max):
@@ -56,15 +54,12 @@ def _every_neighbourhood_classes(n_max):
     return levels
 
 
-def test_minimum_degree_augmentation_matches_every_neighbourhood():
+def test_minimum_degree_augmentation_matches_every_neighbourhood(store):
     for n, classes in enumerate(_every_neighbourhood_classes(7), start=1):
-        assert enumeration._all_classes(n) == classes, n
+        assert enumeration._all_classes(store, n) == classes, n
 
 
 def test_minimum_degree_augmentation_form_count(monkeypatch):
-    # A fresh cache makes the sweep cold and leaves the shared one as it was.
-    monkeypatch.setattr(enumeration, "_all_classes",
-                        lru_cache(maxsize=None)(enumeration._all_classes.__wrapped__))
     calls = []
     label = enumeration._canonical
 
@@ -73,25 +68,25 @@ def test_minimum_degree_augmentation_form_count(monkeypatch):
         return label(g)
 
     monkeypatch.setattr(enumeration, "_canonical", counted)
-    assert len(enumeration._all_classes(7)) == 1044
+    assert len(enumeration._all_classes(enumeration.Classes(), 7)) == 1044
     # 3,131 with the minimum-degree test alone, 11,290 with every neighbourhood
     assert len(calls) == 2490
 
 
-def test_min2c_order4():
-    classes = graphs_by_order(4, "minimally_two_connected")
+def test_min2c_order4(store):
+    classes = graphs_by_order(4, "minimally_two_connected", store)
     assert len(classes) == 1
     assert canonical_form(classes[0]) == canonical_form(cycle(4))
 
 
-def test_min2c_order5():
-    classes = graphs_by_order(5, "minimally_two_connected")
+def test_min2c_order5(store):
+    classes = graphs_by_order(5, "minimally_two_connected", store)
     forms = {emit_graph6(g) for g in classes}
     assert forms == {canonical_form(cycle(5)), canonical_form(complete_bipartite(2, 3))}
 
 
-def test_enumeration_sorted_and_canonical():
-    classes = graphs_by_order(5)
+def test_enumeration_sorted_and_canonical(store):
+    classes = graphs_by_order(5, classes=store)
     forms = [emit_graph6(g) for g in classes]
     assert forms == sorted(forms)
     assert all(canonical_form(g) == emit_graph6(g) for g in classes)
@@ -204,23 +199,23 @@ def test_canonical_order_cap():
         canonical_form(big)
 
 
-def test_by_size_8_contents():
-    classes = graphs_by_size(8)
+def test_by_size_8_contents(store):
+    classes = graphs_by_size(8, store)
     forms = {emit_graph6(g) for g in classes}
     assert canonical_form(complete_bipartite(2, 4)) in forms
     assert canonical_form(cycle(8)) in forms
     assert len(classes) == 4  # frozen from the by-order brute-force oracle
 
 
-def test_by_size_9_contains_subdivided(sk24):
-    classes = graphs_by_size(9)
+def test_by_size_9_contains_subdivided(sk24, store):
+    classes = graphs_by_size(9, store)
     assert canonical_form(sk24) in {emit_graph6(g) for g in classes}
     assert len(classes) == 6
 
 
-def test_by_size_all_minimal_and_degree_capped():
+def test_by_size_all_minimal_and_degree_capped(store):
     for m in range(6, 14):
-        for g in graphs_by_size(m):
+        for g in graphs_by_size(m, store):
             assert g.m == m
             assert is_minimally_two_connected_by_chords(g)
             assert is_minimally_two_connected_by_deletion(g)
@@ -231,17 +226,17 @@ def test_by_size_all_minimal_and_degree_capped():
 
 
 @pytest.mark.parametrize("m,count", [(14, 154), (15, 320), (16, 729)])
-def test_by_size_past_13(m, count):
-    classes = graphs_by_size(m)
+def test_by_size_past_13(m, count, store):
+    classes = graphs_by_size(m, store)
     assert len(classes) == count
     assert all(g.m == m and is_minimally_two_connected_by_deletion(g) for g in classes)
     assert len({canonical_form(g) for g in classes}) == count
 
 
-def test_chording_ears_match_both_recognizers():
+def test_chording_ears_match_both_recognizers(store):
     # Every minimal parent of size <= 10, plus non-minimal 2-connected ones.
-    parents = [g for m in range(3, 11) for g in graphs_by_size(m)]
-    parents += [g for g in graphs_by_order(5, "two_connected")
+    parents = [g for m in range(3, 11) for g in graphs_by_size(m, store)]
+    parents += [g for g in graphs_by_order(5, "two_connected", store)
                 if not is_minimally_two_connected_by_deletion(g)]
     for g in parents:
         closing = chording_ears(g)
@@ -261,8 +256,6 @@ def test_ear_generation_runs_no_chord_test(monkeypatch):
 
     monkeypatch.setattr(enumeration, "is_minimally_two_connected_by_chords", refuse)
     monkeypatch.setattr(connectivity, "has_chorded_cycle", refuse)
-    enumeration._ear_classes.cache_clear()
-    enumeration._ear_pairs.cache_clear()
     assert len(graphs_by_size(13)) == 70
     assert len(graphs_by_order(10, "minimally_two_connected")) == 68
 
@@ -291,25 +284,26 @@ def _every_ear_pair_cells(m_max):
     return cells
 
 
-def test_ear_pair_pruning_matches_every_ear_pair():
+def test_ear_pair_pruning_matches_every_ear_pair(store):
     for (n, m), cell in _every_ear_pair_cells(13).items():
-        assert tuple(h for h, _, _ in enumeration._ear_classes(n, m)) == cell, (n, m)
+        assert tuple(h for h, _, _ in enumeration._ear_classes(store, n, m)) == cell, (n, m)
 
 
-def test_largest_removable_thread_leaves_a_parent_class():
+def test_largest_removable_thread_leaves_a_parent_class(store):
     # The argument that the largest-thread test loses no class: every
     # non-cycle class has a removable thread, and deleting the inside of the
     # one of largest key leaves a class one excess edge lower.
     for m in range(4, 14):
         for n in range(4, m + 1):
-            for g, _, _ in enumeration._ear_classes(n, m):
+            for g, _, _ in enumeration._ear_classes(store, n, m):
                 if g.n == g.m:
                     continue
                 keyed = [(interior.bit_count() + 1, g.degree(a) + g.degree(b), interior)
                          for a, b, interior in connectivity.threads(g)
                          if connectivity.is_removable(g, interior)]
                 length, _, interior = max(keyed)
-                cell = {form for _, _, form in enumeration._ear_classes(n - length + 1, m - length)}
+                parent_cell = enumeration._ear_classes(store, n - length + 1, m - length)
+                cell = {form for _, _, form in parent_cell}
                 assert canonical_form(without(g, interior)) in cell, emit_graph6(g)
 
 
@@ -320,12 +314,12 @@ def _is_automorphism(g, sigma):
     )
 
 
-def test_ear_cell_generators_are_automorphisms():
+def test_ear_cell_generators_are_automorphisms(store):
     entries = [e for m in range(3, 13) for n in range(3, m + 1)
-               for e in enumeration._ear_classes(n, m)]
+               for e in enumeration._ear_classes(store, n, m)]
     assert sum(len(generators) for _, generators, _ in entries) > len(entries)
     for n in range(3, enumeration.MAX_SIZE + 1):
-        (h, generators, form), = [e for e in enumeration._ear_classes(n, n)
+        (h, generators, form), = [e for e in enumeration._ear_classes(store, n, n)
                                   if max(e[0].degrees()) == 2]
         assert (h, form) == enumeration._canonical(cycle(n))[:2]
         entries.append((h, generators, form))
@@ -337,7 +331,7 @@ def test_ear_cell_generators_are_automorphisms():
 def _counted_ear_sweep(monkeypatch, m_max):
     """Class counts of sizes 3..m_max from a cold ear sweep, and the number
     of canonical searches it ran."""
-    fresh_ear_caches(monkeypatch)
+    store = enumeration.Classes()
     calls = []
     search = enumeration._canonical_order
 
@@ -346,7 +340,7 @@ def _counted_ear_sweep(monkeypatch, m_max):
         return search(*args)
 
     monkeypatch.setattr(enumeration, "_canonical_order", counted)
-    return [len(graphs_by_size(m)) for m in range(3, m_max + 1)], len(calls)
+    return [len(graphs_by_size(m, store)) for m in range(3, m_max + 1)], len(calls)
 
 
 def test_ear_pair_pruning_canonical_count(monkeypatch):
@@ -362,46 +356,46 @@ def test_ear_sweep_canonical_count_to_size_16(monkeypatch):
     assert searches == 1497  # 4,192 without the largest-thread test
 
 
-def test_union_reuses_the_cell_forms(monkeypatch):
-    expected = [emit_graph6(g) for g in graphs_by_size(12)]
-    forms = [emit_graph6(g) for g in graphs_by_order(9, "minimally_two_connected")]
+def test_union_reuses_the_cell_forms(monkeypatch, store):
+    expected = [emit_graph6(g) for g in graphs_by_size(12, store)]
+    forms = [emit_graph6(g) for g in graphs_by_order(9, "minimally_two_connected", store)]
 
     def refuse(g):
         raise AssertionError("class re-encoded after its cell was built")
 
     monkeypatch.setattr(enumeration, "emit_graph6", refuse)
-    assert graphs_by_size(12) == [parse_graph6(form) for form in expected]
-    assert graphs_by_order(9, "minimally_two_connected") == [parse_graph6(f) for f in forms]
+    assert graphs_by_size(12, store) == [parse_graph6(form) for form in expected]
+    assert graphs_by_order(9, "minimally_two_connected", store) == [parse_graph6(f) for f in forms]
 
 
-def _brute_force_min2c(n, recognizer):
-    return [emit_graph6(g) for g in enumeration._all_classes(n) if recognizer(g)]
+def _brute_force_min2c(n, recognizer, store):
+    return [emit_graph6(g) for g in enumeration._all_classes(store, n) if recognizer(g)]
 
 
-def test_by_size_matches_by_order_slice():
+def test_by_size_matches_by_order_slice(store):
     for m in range(6, 11):
         via_orders = set()
         for n in range(4, 9):
             via_orders.update(
-                form for form in _brute_force_min2c(n, is_minimally_two_connected_by_deletion)
+                form for form in _brute_force_min2c(n, is_minimally_two_connected_by_deletion, store)
                 if parse_graph6(form).m == m
             )
-        via_sizes = {emit_graph6(g) for g in graphs_by_size(m) if g.n <= 8}
+        via_sizes = {emit_graph6(g) for g in graphs_by_size(m, store) if g.n <= 8}
         assert via_orders == via_sizes
 
 
 @pytest.mark.parametrize("recognizer", [
     is_minimally_two_connected_by_chords, is_minimally_two_connected_by_deletion,
 ])
-def test_min2c_by_order_matches_brute_force(recognizer):
+def test_min2c_by_order_matches_brute_force(recognizer, store):
     for n in range(1, 9):
-        got = [emit_graph6(g) for g in graphs_by_order(n, "minimally_two_connected")]
-        assert got == _brute_force_min2c(n, recognizer), n
+        got = [emit_graph6(g) for g in graphs_by_order(n, "minimally_two_connected", store)]
+        assert got == _brute_force_min2c(n, recognizer, store), n
 
 
 @pytest.mark.parametrize("n,count", [(9, 28), (10, 68), (11, 184), (12, 526)])
-def test_min2c_by_order_past_brute_force(n, count):
-    classes = graphs_by_order(n, "minimally_two_connected")
+def test_min2c_by_order_past_brute_force(n, count, store):
+    classes = graphs_by_order(n, "minimally_two_connected", store)
     assert len(classes) == count
     assert all(g.n == n and is_minimally_two_connected_by_deletion(g) for g in classes)
     assert len({canonical_form(g) for g in classes}) == count
@@ -419,10 +413,10 @@ def test_order_limits():
         graphs_by_size(2)
 
 
-def test_ingest_round_trip_matches_builtin():
+def test_ingest_round_trip_matches_builtin(store):
     rng = random.Random(404)
     for n in (4, 5, 6, 7, 8):
-        builtin = graphs_by_order(n, "minimally_two_connected")
+        builtin = graphs_by_order(n, "minimally_two_connected", store)
         lines = []
         for g in builtin:
             for _ in range(3):
@@ -567,7 +561,7 @@ def _homogeneous_by_vertex(rows, cells):
     return True
 
 
-def test_homogeneity_reads_the_equitable_partition(monkeypatch):
+def test_homogeneity_reads_the_equitable_partition(monkeypatch, store):
     outcomes = []
     node = enumeration._node
 
@@ -585,7 +579,7 @@ def test_homogeneity_reads_the_equitable_partition(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_node", checked)
     rng = random.Random(22)
-    corpus = [g for n in range(1, 8) for g in graphs_by_order(n)]
+    corpus = [g for n in range(1, 8) for g in graphs_by_order(n, classes=store)]
     corpus += [random_graph(rng, n, p) for n in range(1, 17) for p in (0.1, 0.3, 0.5, 0.7)]
     corpus += [circulant(n, jumps) for n in range(5, 18) for jumps in ((1, 2), (1, 3))
                if n > 2 * jumps[1]]

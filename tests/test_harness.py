@@ -22,8 +22,6 @@ from alphaindex.harness import (
 )
 from alphaindex.spectral import SpectralError, alpha_index, perron_symmetry_check
 
-from conftest import fresh_ear_caches
-
 
 def test_theorem_order_n5_anchor():
     report = verify_theorem_order((5,), ["0.50"])
@@ -226,7 +224,7 @@ def test_fact1_prints_integer_neighbour_degree_sums(monkeypatch):
     # violations follow the class list, and each vertex in turn.
     k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     classes = [complete_bipartite(2, 5), cycle(5), k4]
-    monkeypatch.setattr(harness, "graphs_by_size", lambda m: classes)
+    monkeypatch.setattr(harness, "graphs_by_size", lambda m, store: classes)
     (report,) = verify_lemma_suite(["fact1"])
     assert [c["ok"] for c in report.case_results] == [False, True, True]
     assert report.violations == [
@@ -337,16 +335,52 @@ def test_samplers_deterministic():
     lambda: verify_lemma_suite(["claim-size", "fact1"]),
     lambda: verify_theorem_order((5, 6, 7, 8)),
 ])
-def test_size_campaigns_sweep_once(run):
-    enumeration._ear_classes.cache_clear()
-    enumeration._ear_pairs.cache_clear()
+def test_size_campaigns_sweep_once(monkeypatch, run):
+    # A run builds every cell and parent record it needs into its one
+    # store, so none twice, and an identical run builds the same again.
+    builds = []  # (store, dict, n, m) per entry built
+
+    def recording(build, built_into):
+        def recorded(store, n, m):
+            new = (n, m) not in getattr(store, built_into)
+            entry = build(store, n, m)
+            if new and (n, m) in getattr(store, built_into):
+                builds.append((store, built_into, n, m))
+            return entry
+        return recorded
+
+    for name, built_into in (("_ear_classes", "cells"), ("_ear_pairs", "pairs")):
+        monkeypatch.setattr(enumeration, name, recording(getattr(enumeration, name), built_into))
     run()
-    misses = enumeration._ear_classes.cache_info().misses
-    records = enumeration._ear_pairs.cache_info().misses
-    assert misses > 0
+    first = builds[:]
+    assert first and len({store for store, *_ in first}) == 1
+    del builds[:]
     run()
-    assert enumeration._ear_classes.cache_info().misses == misses
-    assert enumeration._ear_pairs.cache_info().misses == records
+    assert [entry for _, *entry in builds] == [entry for _, *entry in first]
+    assert builds[0][0] is not first[0][0]
+
+
+def _searches(capsys, *argv):
+    """The canonical searches of one in-process ``alphaindex verify`` run."""
+    calls = []
+    search = enumeration._canonical_order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_canonical_order", lambda *args: calls.append(1) or search(*args))
+        assert cli.main(["verify", *argv]) == 0
+    capsys.readouterr()
+    return len(calls)
+
+
+def test_identical_runs_do_identical_work(capsys):
+    argv = ["theorem1.3", "--n", "5..9"]
+    first = _searches(capsys, *argv)
+    assert first > 0
+    assert _searches(capsys, *argv) == first
+
+
+def test_lemma_targets_share_one_store(capsys):
+    both = _searches(capsys, "lemmas", "--targets", "lemma1,lemma2", "--n-max", "7")
+    assert both == _searches(capsys, "lemmas", "--targets", "lemma1", "--n-max", "7")
 
 
 @pytest.mark.parametrize("run,calls", [
@@ -354,7 +388,6 @@ def test_size_campaigns_sweep_once(run):
     (lambda: verify_theorem_order(tuple(range(5, 11))), 52),  # of orders n <= 10
 ])
 def test_each_parent_is_expanded_once(monkeypatch, run, calls):
-    fresh_ear_caches(monkeypatch)
     expanded = []
     chording_ears = enumeration.chording_ears
     monkeypatch.setattr(enumeration, "chording_ears",
@@ -363,12 +396,13 @@ def test_each_parent_is_expanded_once(monkeypatch, run, calls):
     assert len(set(expanded)) == len(expanded) == calls
 
 
-def test_theorem_order_skips_brute_force():
-    # Neither a hit nor a miss: the campaign never asks for all classes.
-    # The cache is left warm for the brute-force tests that follow.
-    before = enumeration._all_classes.cache_info()
-    verify_theorem_order((5, 6, 7, 8))
-    assert enumeration._all_classes.cache_info() == before
+def test_theorem_order_skips_brute_force(monkeypatch):
+    # The campaign never asks for all classes.
+    def refuse(*args):
+        raise AssertionError("brute force run by the order theorem")
+
+    monkeypatch.setattr(enumeration, "_all_classes", refuse)
+    assert verify_theorem_order((5, 6, 7, 8)).passed
 
 
 def test_theorem_cases_count_fallbacks_and_flag_them(monkeypatch):
@@ -506,8 +540,10 @@ def test_size_campaign_screens_solves_and_confirms_in_one_call_each(monkeypatch,
     (verify_theorem_order, range(5, 14)),
     (verify_theorem_size, range(3, 17)),
 ])
-def test_a_campaign_equals_its_one_value_campaigns(verify, values, alphas):
-    # Every value's bits are its own, whatever else shares its stacks.
+def test_a_campaign_equals_its_one_value_campaigns(monkeypatch, store, verify, values, alphas):
+    # Every value's bits are its own, whatever else shares its stacks.  No
+    # output depends on the class store, so the campaigns share the tests'.
+    monkeypatch.setattr(harness, "Classes", lambda: store)
     campaign = verify(values, alphas)
     singles = [verify([value], alphas) for value in values]
     assert campaign.case_results == [case for report in singles for case in report.case_results]
@@ -521,11 +557,13 @@ SCREEN_ALPHAS = ["0", "0.25", "0.5", "0.75", "0.9", "0.99", "0.999", "0.999999"]
 
 
 @pytest.mark.parametrize("by, value", [("m", m) for m in range(3, 17)] + [("n", n) for n in range(5, 14)])
-def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, by, value):
+def test_the_screen_keeps_the_argmax_and_the_runner_up(monkeypatch, store, by, value):
     if by == "m":
-        classes, verify = enumeration.graphs_by_size(value), verify_theorem_size
+        classes, verify = enumeration.graphs_by_size(value, store), verify_theorem_size
     else:
-        classes, verify = enumeration.graphs_by_order(value, "minimally_two_connected"), verify_theorem_order
+        classes = enumeration.graphs_by_order(value, "minimally_two_connected", store)
+        verify = verify_theorem_order
+    monkeypatch.setattr(harness, "Classes", lambda: store)
     values = [float(s) for s in SCREEN_ALPHAS]
     (kept_rows,) = harness._screen([classes], values)
     full = spectral.perron_pairs([(g, alpha) for alpha in values for g in classes])

@@ -16,21 +16,21 @@ from alphaindex import enumeration
 GOLDEN = Path(__file__).parent / "golden" / "min2c_cells.txt"
 
 
-def cell_lines() -> list[str]:
+def cell_lines(store) -> list[str]:
     return [
         f"{n} {m} {form}\n"
         for m in range(3, 17)
         for n in range(3, m + 1)
-        for _, _, form in enumeration._ear_classes(n, m)
+        for _, _, form in enumeration._ear_classes(store, n, m)
     ]
 
 
-def test_golden_min2c_cells():
+def test_golden_min2c_cells(store):
     lines = GOLDEN.read_text().splitlines(keepends=True)
     assert len(lines) == 1358
-    assert cell_lines() == lines
+    assert cell_lines(store) == lines
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("".join(cell_lines()))
+    GOLDEN.write_text("".join(cell_lines(enumeration.Classes())))
     print(f"wrote {GOLDEN}")

@@ -48,16 +48,16 @@ def connected_sample(rng, n_lo=2, n_hi=10):
             return g
 
 
-def _stack_corpus():
+def _stack_corpus(store):
     """Every class with n <= 7, a single vertex, K_{12,12} and C_1000 (rows
     wider than 64 bits), grouped by order."""
-    groups = [graphs_by_order(n) for n in range(1, 8)]
+    groups = [graphs_by_order(n, classes=store) for n in range(1, 8)]
     return groups + [[Graph.from_rows([0])], [complete_bipartite(12, 12)], [cycle(1000)]]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.9, 1.0])
-def test_adjacency_stack_gives_the_loop_matrices_exactly(alpha):
-    for graphs in _stack_corpus():
+def test_adjacency_stack_gives_the_loop_matrices_exactly(alpha, store):
+    for graphs in _stack_corpus(store):
         adj = spectral.adjacency_stack(graphs)
         assert adj.shape == (len(graphs), graphs[0].n, graphs[0].n)
         stack = spectral._alpha_stack(adj, adj.sum(axis=2), alpha)
@@ -349,11 +349,11 @@ def test_column_sums_cross_checked_on_random_graphs():
             column_sums(spectral.adjacency_stack([g]), rng.choice((0.5, 0.6, 0.75, 0.9)), variant)
 
 
-def test_column_sums_equal_the_vertex_loop_bit_for_bit():
+def test_column_sums_equal_the_vertex_loop_bit_for_bit(store):
     # Every d and S is an exact integer in float64 and the stacked form
     # applies the loop's operations in the loop's order, on one stack per
     # order of graphs of mixed sizes.
-    classes = [g for m in range(3, 13) for g in graphs_by_size(m) if g.n <= 9]
+    classes = [g for m in range(3, 13) for g in graphs_by_size(m, store) if g.n <= 9]
     assert len(classes) == 49
     by_order = {}
     for g in classes:
@@ -397,8 +397,8 @@ def test_components_and_induced():
 
 
 @pytest.fixture(scope="module")
-def connected_classes():
-    return [g for n in range(1, 8) for g in graphs_by_order(n) if is_connected(g)]
+def connected_classes(store):
+    return [g for n in range(1, 8) for g in graphs_by_order(n, classes=store) if is_connected(g)]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.75, 0.999])
@@ -427,8 +427,8 @@ def test_alpha_indices_match_power_and_jacobi(connected_classes, alpha):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.999])
-def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
-    graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m)]
+def test_squared_power_iterate_matches_batched_on_ear_classes(alpha, store):
+    graphs = [g for m in range(3, MAX_SIZE + 1) for g in graphs_by_size(m, store)]
     pairs = perron_pairs([(g, alpha) for g in graphs])
     for g, (rho, _, _) in zip(graphs, pairs):
         # A batched value that failed its certificate is itself power iteration,
@@ -441,11 +441,11 @@ def test_squared_power_iterate_matches_batched_on_ear_classes(alpha):
         assert result.iterations <= POWER_MAX_ITERATIONS
 
 
-def test_no_fallback_on_the_largest_ear_classes_near_alpha_one():
+def test_no_fallback_on_the_largest_ear_classes_near_alpha_one(store):
     # At alpha = 0.999 eigh returns Perron entries of 1e-19..3e-15 as small
     # negatives; positivity is certified to the residual's tolerance, so
     # these pairs stay batched instead of falling back to power iteration.
-    graphs = graphs_by_size(15) + graphs_by_size(16)
+    graphs = graphs_by_size(15, store) + graphs_by_size(16, store)
     pairs = perron_pairs([(g, 0.999) for g in graphs])
     assert not any(p.fallback for p in pairs)
 
@@ -560,8 +560,8 @@ def test_perron_bounds_bracket_rho_and_start_from_lemma1(monkeypatch):
         perron_bounds([cycle(4), Graph.from_edges(3, [(0, 1)])], [0.5])
 
 
-def test_perron_bounds_blocks_change_no_bit(monkeypatch):
-    graphs = [g for m in range(3, 14) for g in graphs_by_size(m)]
+def test_perron_bounds_blocks_change_no_bit(monkeypatch, store):
+    graphs = [g for m in range(3, 14) for g in graphs_by_size(m, store)]
     alphas = [0.0, 0.5, 0.75, 0.999999]
     lower, upper = perron_bounds(graphs, alphas)
     # One graph per block, small blocks, and one block per order.
