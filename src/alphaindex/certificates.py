@@ -17,6 +17,7 @@ independently and report the relative error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -204,10 +205,14 @@ def grid_points(
     alpha the decimal string it was given as.
 
     An empty grid checks nothing, so it must not read as a pass, and a value
-    that is not finite (NaN compares false) is past what floats can check.
+    that is not finite (NaN compares false) is past what floats can check,
+    as is an m past the largest float, which is refused before any point.
     """
     if not m_values or not alphas:
         raise ValueError(f"empty grid: {len(m_values)} m values and {len(alphas)} alphas")
+    for m in m_values:
+        if abs(m) > sys.float_info.max:
+            raise ValueError(f"grid value m={m} is past float range")
     points = [(m, s, evaluate(float(s), m)) for m in m_values for s in alphas]
     for m, s, value in points:
         if not math.isfinite(value):

@@ -22,20 +22,21 @@ alpha -> 1) needs no detector and no refinement; the products of
 nonnegative matrices involve no cancellation.  It squares the cases of one
 order as one stack, each case reading its own slice by ``matmul``, so a
 case gives the same bits alone or stacked; :func:`alpha_index` is the one
-case.  :func:`perron_pairs` serves campaigns: it takes ``(graph, alpha)``
-cases, builds one adjacency stack per order that packs each distinct
-graph once, and makes one LAPACK ``eigh`` call per run of that order's
-cases, a run holding as many cases as fit in ``_STACK_ENTRIES`` or as
-the order has at one alpha, whichever is more (so alpha-major cases of a
-small order pay numpy's per-call cost once, while a large order keeps
-one alpha per call and the memory of one), and :func:`lambda_maxes` (per
-component) takes its values from it.  Each
-batched eigenpair is certified (residual within the power-iteration
-tolerance, unit-sum top eigenvector positive up to that tolerance, which
-on an irreducible nonnegative matrix singles out the Perron vector); the
-graphs that fail are re-solved by power iteration, in one call per run,
-and their :class:`Perron` pairs carry ``fallback`` so that the caller can
-flag them.  Campaigns solve through :func:`perron_pairs`.
+case.  :func:`perron_pairs` serves campaigns: it makes one LAPACK ``eigh``
+call per run of an order's cases, on one adjacency stack of the run's
+own graphs, a run holding as many cases as fit in ``_STACK_ENTRIES`` or
+as the order has at one alpha, whichever is more (so alpha-major cases
+of a small order pay numpy's per-call cost once, while a large order
+keeps one alpha per call and the memory of one), and
+:func:`lambda_maxes` (per component) takes its values from it.  Both
+solvers check their ``(graph, alpha)`` cases by one rule before any
+solve: every alpha lies in [0, 1), and every graph object is connected,
+tested once.  Each batched eigenpair is certified (residual within the
+power-iteration tolerance, unit-sum top eigenvector positive up to that
+tolerance, which on an irreducible nonnegative matrix singles out the
+Perron vector); the graphs that fail are re-solved by power iteration,
+in one call per run, and their :class:`Perron` pairs carry ``fallback``
+so that the caller can flag them.
 
 :func:`perron_bounds` brackets rho without a solve: for any nonnegative
 matrix and positive x, rho lies between the least and the largest ratio
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,6 +168,27 @@ def _alpha_stack(
     return a
 
 
+def _by_order(graphs: Iterable[Graph]) -> dict[int, list[int]]:
+    """The positions of the graphs of each order, in input order."""
+    by_order: dict[int, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_order.setdefault(g.n, []).append(i)
+    return by_order
+
+
+def _checked_by_order(cases: Sequence[tuple[Graph, float]]) -> dict[int, list[int]]:
+    """The case rule of both solvers: range-check every alpha, then test each
+    graph object's connectivity once (by id: callers repeat a graph by
+    passing the same object); returns the cases' positions by order."""
+    for _, alpha in cases:
+        if not 0.0 <= alpha < 1.0:
+            raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
+    for g in {id(g): g for g, _ in cases}.values():
+        if not is_connected(g):
+            raise DisconnectedGraphError(g)
+    return _by_order(g for g, _ in cases)
+
+
 def alpha_index(g: Graph, alpha: float) -> SpectralResult:
     """Largest eigenvalue of A_alpha with its unit-sum Perron vector: the
     :func:`alpha_indices` of the one case ``(g, alpha)``."""
@@ -177,9 +199,10 @@ def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
     """Power iteration by squaring on many ``(graph, alpha)`` cases, one
     :class:`SpectralResult` each, in input order.
 
-    Every alpha is range-checked and every graph tested for connectivity
-    before any solve.  The cases of one order are squared together as one
-    stack of P = A_alpha + I.  A case passes when max|A_alpha x - rho x| <=
+    Every alpha is range-checked against [0, 1), and then every graph
+    object tested for connectivity once, before any solve: the case rule of
+    both solvers.  The cases of one order are squared together as one stack
+    of P = A_alpha + I.  A case passes when max|A_alpha x - rho x| <=
     POWER_TOL * max(rho, 1) and x is positive, and it leaves the stack on
     that squaring; the stack is compacted only on a squaring where some
     case passes.  ``iterations`` counts squarings, at most
@@ -190,15 +213,8 @@ def alpha_indices(cases: Sequence[tuple[Graph, float]]) -> list[SpectralResult]:
     does alone, whatever else shares its stack.
     """
     cases = list(cases)
-    by_order: dict[int, list[int]] = {}
-    for i, (g, alpha) in enumerate(cases):
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
-        if not is_connected(g):
-            raise DisconnectedGraphError(g)
-        by_order.setdefault(g.n, []).append(i)
     out: list = [None] * len(cases)
-    for live in by_order.values():
+    for live in _checked_by_order(cases).values():
         adj = adjacency_stack([cases[i][0] for i in live])
         a = _alpha_stack(adj, adj.sum(axis=2), [cases[i][1] for i in live])
         p = a + np.eye(adj.shape[1])  # primitive for every alpha in [0, 1)
@@ -231,17 +247,15 @@ def perron_pairs(cases: Sequence[tuple[Graph, float]]) -> list[Perron]:
     """:class:`Perron` pairs of many ``(graph, alpha)`` cases, one per case,
     in input order; ``x`` is the unit-sum Perron vector.
 
-    Every alpha is range-checked, and then every graph object tested for
-    connectivity once, before any solve.  The cases of one order share one
-    adjacency stack, which packs each graph object once, and are solved in
-    runs of consecutive cases: the A_alpha matrices of a run form one
-    stack, with one ``eigh`` call and one certification each.  A run takes
-    as many cases as keep its stack within ``_STACK_ENTRIES`` entries (n^2
-    per case of order n), and at least as many as the order has at its
-    most frequent alpha, so a stack holds at most one alpha's worth of a
-    large order, and a caller that lists its cases alpha-major gets one
-    run per alpha of a large order and every alpha of a small one in one
-    run.
+    The cases pass :func:`alpha_indices`' case rule before any solve.  The
+    cases of one order are solved in runs of consecutive cases: a run's
+    A_alpha matrices form one stack, built from its own graphs, with one
+    ``eigh`` call and one certification each.  A run takes as many cases
+    as keep its stack within ``_STACK_ENTRIES`` entries (n^2 per case of
+    order n), and at least as many as the order has at its most frequent
+    alpha, so a stack holds at most one alpha's worth of a large order, and
+    a caller that lists its cases alpha-major gets one run per alpha of a
+    large order and every alpha of a small one in one run.
 
     Every eigenpair is certified before it is used, vectorised over the
     stack: it must pass the residual test of :func:`alpha_index`, and the
@@ -259,35 +273,15 @@ def perron_pairs(cases: Sequence[tuple[Graph, float]]) -> list[Perron]:
     same whichever cases share its run.
     """
     cases = list(cases)
-    for _, alpha in cases:
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1) for the Perron pair, got {alpha}")
-    # order -> (id of a graph -> its position in the order's stack, the
-    # stack's graphs, the order's cases); keyed by id, since hashing a Graph
-    # costs more than the solve's other per-case work, and callers repeat
-    # a graph by passing the same object.
-    by_order: dict[int, tuple[dict[int, int], list[Graph], list[int]]] = {}
-    slots = []  # each case's position in its order's stack
-    for i, (g, _) in enumerate(cases):
-        packed, graphs, members = by_order.setdefault(g.n, ({}, [], []))
-        slot = packed.get(id(g))
-        if slot is None:
-            if not is_connected(g):
-                raise DisconnectedGraphError(g)
-            slot = packed[id(g)] = len(graphs)
-            graphs.append(g)
-        slots.append(slot)
-        members.append(i)
     out: list = [None] * len(cases)
-    for n, (_, graphs, members) in by_order.items():
-        adj = adjacency_stack(graphs)
-        degrees = adj.sum(axis=2)
+    for n, members in _checked_by_order(cases).items():
         at_one_alpha = max(Counter(cases[i][1] for i in members).values())
         step = max(_STACK_ENTRIES // (n * n), at_one_alpha)
         for start in range(0, len(members), step):
             run = members[start:start + step]
-            which = [slots[i] for i in run]
-            a = _alpha_stack(adj[which], degrees[which], [cases[i][1] for i in run])
+            graphs, alphas = zip(*(cases[i] for i in run))
+            adj = adjacency_stack(graphs)
+            a = _alpha_stack(adj, adj.sum(axis=2), alphas)
             w, v = np.linalg.eigh(a)
             rho = w[:, -1]
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero-sum vector fails below
@@ -296,7 +290,7 @@ def perron_pairs(cases: Sequence[tuple[Graph, float]]) -> list[Perron]:
                 residual = np.abs(np.einsum("kij,kj->ki", a, x) - rho[:, None] * x).max(axis=1)
                 tol = POWER_TOL * np.maximum(rho, 1.0)
                 certified = (x.min(axis=1) >= -POWER_TOL) & (residual <= tol)
-            del a, v  # free the run's stack before its fallbacks and the next run
+            del adj, a, v  # free the run's stacks before its fallbacks and the next run
             certified = certified.tolist()
             failed = [cases[i] for i, ok in zip(run, certified) if not ok]
             redone = iter(alpha_indices(failed) if failed else ())
@@ -326,10 +320,7 @@ def perron_bounds(
     alpha = np.reshape(np.asarray(alphas, float), (-1, 1, 1))
     lower = np.empty((len(alpha), len(graphs)))
     upper = np.empty_like(lower)
-    by_order: dict[int, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_order.setdefault(g.n, []).append(i)
-    for positions in by_order.values():
+    for positions in _by_order(graphs).values():
         adj = adjacency_stack([graphs[i] for i in positions])
         d = adj.sum(axis=2)
         if d.min() == 0.0:
@@ -366,12 +357,8 @@ def _collatz_wielandt_ratios(adj: np.ndarray, d: np.ndarray, alpha: np.ndarray) 
 
 def lambda_max(g: Graph, alpha: float) -> float:
     """Largest A_alpha eigenvalue of a possibly disconnected graph."""
-    best = 0.0
-    for comp in components(g):
-        rho = alpha_index(induced_subgraph(g, comp), alpha).rho
-        if rho > best:
-            best = rho
-    return best
+    parts = [(induced_subgraph(g, comp), alpha) for comp in components(g)]
+    return max([0.0] + [result.rho for result in alpha_indices(parts)])
 
 
 def lambda_maxes(cases: Sequence[tuple[Graph, float]]) -> list[tuple[float, int]]:

@@ -254,6 +254,20 @@ def test_grid_points_refuse_a_value_that_is_not_finite():
                     [9, 11, 13], ["0.5", "0.75"])
 
 
+def test_grid_points_refuse_an_m_past_the_largest_float_before_any_point():
+    # float(10^400 + 1) overflows, so no point of such a grid can be
+    # evaluated; the m is named and nothing is evaluated first.
+    past = 10 ** 400 + 1
+    evaluated = []
+    with pytest.raises(ValueError, match=f"^grid value m={past} is past float range$"):
+        grid_points(lambda alpha, m: evaluated.append(m) or 0.0, [9, past, 11], ["0.5"])
+    assert evaluated == []
+    for check in (lambda ms: sign_grid("f", ms, ["0.5"]),
+                  lambda ms: identity_grid(identity_check_f, ms, ["0.5"])):
+        with pytest.raises(ValueError, match=f"grid value m={past} is past"):
+            check([9, past])
+
+
 def test_identity_grid_reports_worst_and_failures_in_grid_order():
     worst, failures = identity_grid(identity_check_f, [9, 11], ["0.5", "0.75"])
     assert failures == [] and worst == max(

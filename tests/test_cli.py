@@ -535,15 +535,20 @@ def test_certify_bad_grid_is_usage_error(capsys, mode, flags, message):
 
 @pytest.mark.parametrize("mode,value", [("signs", "inf"), ("identity", "nan")])
 def test_certify_grid_past_float_range_is_usage_error(capsys, mode, value):
-    # f overflows at this m: the grid cannot be checked in floats, which
-    # is not a violation, and NaN must not read as a pass either.
-    m = str(10 ** 70 + 1)
-    with pytest.raises(SystemExit) as err:
-        main(["certify", mode, "--poly", "f", "--m-start", m, "--m-stop", m])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: grid point m={m}, alpha=0.50 evaluates to {value}, past float range" in captured.err
+    # f overflows at 10^70 + 1: the grid cannot be checked in floats, which
+    # is not a violation, and NaN must not read as a pass either.  No float
+    # holds 10^400 + 1, so that m is refused before any point is evaluated.
+    huge, past = 10 ** 70 + 1, 10 ** 400 + 1
+    for m, expected in (
+        (huge, f"grid point m={huge}, alpha=0.50 evaluates to {value}, past float range"),
+        (past, f"grid value m={past} is past float range"),
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(["certify", mode, "--poly", "f", "--m-start", str(m), "--m-stop", str(m)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {expected}" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

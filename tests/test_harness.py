@@ -516,12 +516,12 @@ def test_theorem_campaigns_eigen_solve_only_the_screened_classes(monkeypatch, ca
 
 
 def test_size_campaign_screens_solves_and_confirms_in_one_call_each(monkeypatch, capsys):
-    calls = {}
+    calls = {}  # each call's count of the stacks made before it
+    stacks = []
     for name in ("perron_bounds", "perron_pairs", "alpha_indices"):
         real = getattr(harness, name)
-        monkeypatch.setattr(harness, name,
-                            lambda *args, name=name, real=real: calls.setdefault(name, []).append(1) or real(*args))
-    stacks = []
+        monkeypatch.setattr(harness, name, lambda *args, name=name, real=real:
+                            calls.setdefault(name, []).append(len(stacks)) or real(*args))
     adjacency_stack = spectral.adjacency_stack
     monkeypatch.setattr(spectral, "adjacency_stack", lambda graphs: stacks.append(1) or adjacency_stack(graphs))
     matrices = _count_eigh(monkeypatch)
@@ -530,9 +530,11 @@ def test_size_campaign_screens_solves_and_confirms_in_one_call_each(monkeypatch,
     assert {name: len(made) for name, made in calls.items()} == {
         "perron_bounds": 1, "perron_pairs": 1, "alpha_indices": 1,
     }
-    # One stack per order in each call: 8 bounded, 6 solved, 5 confirmed.
-    assert len(stacks) == 19
+    # One stack per order in the screen and the confirmations, 8 bounded
+    # and 5 confirmed, and one per eigh run in the solve, 9.
+    assert len(stacks) == 22
     assert (len(matrices), sum(matrices)) == (9, 303)
+    assert calls["alpha_indices"][0] - calls["perron_pairs"][0] == len(matrices)
 
 
 @pytest.mark.parametrize("alphas", [THEOREM_ALPHAS, ["0.5", "0.5", "0.75", "0.999999"]])

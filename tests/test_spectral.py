@@ -743,8 +743,33 @@ def test_a_bad_case_anywhere_raises_before_any_solve(monkeypatch, at, bad, messa
     cases = [(cycle(5), 0.5), (complete_bipartite(2, 4), 0.75), (cycle(4), 0.0)]
     cases.insert(at, (bad, 0.5) if isinstance(bad, Graph) else (cycle(6), bad))
     monkeypatch.setattr(spectral, "adjacency_stack", no_solve)
-    with pytest.raises(ValueError, match=message):
-        spectral.alpha_indices(cases)
+    for solve in (spectral.alpha_indices, perron_pairs):  # one case rule
+        with pytest.raises(ValueError, match=message):
+            solve(cases)
+
+
+@pytest.mark.parametrize("solve", [spectral.alpha_indices, perron_pairs])
+def test_both_solvers_check_every_alpha_before_any_graph(c4, solve):
+    # One case rule: a disconnected graph ahead of an out-of-range alpha
+    # still reports the alpha.
+    two_edges = Graph.from_edges(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="alpha must lie in") as err:
+        solve([(two_edges, 0.5), (c4, 1.5)])
+    assert not isinstance(err.value, DisconnectedGraphError)
+
+
+@pytest.mark.parametrize("solve", [spectral.alpha_indices, perron_pairs])
+def test_each_graph_object_is_tested_for_connectivity_once(monkeypatch, solve):
+    tested = []
+    monkeypatch.setattr(spectral, "is_connected", lambda g: tested.append(g) or is_connected(g))
+    c5, k24, another_c5 = cycle(5), complete_bipartite(2, 4), cycle(5)
+    alphas = [i / 10 for i in range(10)]
+    solve([(c5, alpha) for alpha in alphas])
+    assert tested == [c5]
+    tested.clear()
+    # An equal graph passed as another object is tested again.
+    solve([(g, alpha) for alpha in alphas for g in (k24, c5, another_c5)])
+    assert [id(g) for g in tested] == [id(k24), id(c5), id(another_c5)]
 
 
 def test_alpha_indices_of_no_cases():
